@@ -1,4 +1,4 @@
-"""Fuse three prototype token sets and inspect the blockwise attention.
+"""Fuse three prototype token sets and inspect the attention block by block.
 
 The full mode lets every token attend across modalities in one softmax; the
 late mode keeps attention within each modality (cross blocks exactly zero);

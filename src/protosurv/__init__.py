@@ -2,8 +2,9 @@
 
 Pathology-report segments, whole-slide-image patch features and
 transcriptomic pathway expressions are each condensed into a small set of
-prototype tokens, fused by a blockwise attention layer, and trained against
-a Cox partial-likelihood loss. See README.md for the pipeline walkthrough.
+prototype tokens, fused by one masked attention kernel (the full, late and
+hierarchical modes differ only in what it is given), and trained against a
+Cox partial-likelihood loss. See README.md for the pipeline walkthrough.
 """
 
 from .data import Cohort, SyntheticSpec, kfold_split, load_matrix, parse_gmt, synth_cohort, write_matrix
@@ -20,7 +21,7 @@ from .evaluation import (
 from .fusion import FusionOutput, FusionParams, ModalityTokens, append_learnable, block_attention, fuse
 from .histology import EmTrace, GmmParams, PatchFeatures, em_step, fit_gmm, init_gmm, log_density, slide_representation
 from .model import ModelDims, ModelParams, PreparedCohort, forward_risks, prepare_cohort, risk_head
-from .numerics import GradReport, Tensor, grad_check, layer_norm, masked_softmax, snn_forward
+from .numerics import GradReport, Tensor, grad_check, layer_norm, masked_attention, masked_softmax, snn_forward
 from .pathways import ExpressionProfile, GeneOrder, PathwayMaskSet, build_masks, embed_pathways, pathway_slices
 from .pipeline import CrossValResult, build_prepared, cross_validate, fit_slide_representations
 from .survival import (

@@ -33,16 +33,9 @@ from .evaluation import concordance_index, cross_attention_summary, km_curve, lo
 from .histology import fit_gmm, slide_representation
 from .model import forward_diagnostics
 from .pathways import fingerprint
-from .pipeline import build_prepared
+from .pipeline import build_prepared, run_fold
 from .rng import substream
-from .survival import (
-    SurvivalRecord,
-    TrainConfig,
-    load_checkpoint,
-    predict_cohort,
-    save_checkpoint,
-    train,
-)
+from .survival import SurvivalRecord, TrainConfig, load_checkpoint, save_checkpoint
 
 MODALITY_CHOICES = ("pht", "ht", "pt", "ph", "p", "h", "t")
 
@@ -209,76 +202,65 @@ def _effective_config(args) -> tuple[TrainConfig, int]:
     return TrainConfig(**merged), int(folds) if folds is not None else 5
 
 
-def _load_prototype_stage(cohort, proto_dir: Path, config: TrainConfig):
-    """Slide representations and frozen text dims from the prototype output."""
-    meta_path = proto_dir / "prototype_meta.json"
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("n_histology") != config.n_histology and "h" in config.modalities:
-        raise ProtosurvError(
-            f"prototypes fitted with n_histology={meta.get('n_histology')}, config asks {config.n_histology}"
-        )
-    slide_reps = None
-    if "h" in config.modalities:
-        slide_reps = [load_matrix(proto_dir / f"{pid}.slide.ps3e") for pid in cohort.patient_ids]
-    return slide_reps, meta.get("n_text"), meta.get("max_segments")
+def _load_prepared(args, config: TrainConfig):
+    """Cohort of ``--manifest`` packed for ``config``: the prototype stage of
+    ``--prototypes`` (slide representations, frozen text dims) when given,
+    then ``build_prepared``. Returns (prepared, mask_set, gene-set digest)."""
+    manifest = load_manifest(args.manifest)
+    manifest.modalities = config.modalities
+    cohort = load_cohort(manifest)
+    slide_reps = meta = None
+    if args.prototypes:
+        proto_dir = Path(args.prototypes)
+        with open(proto_dir / "prototype_meta.json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        if "h" in config.modalities:
+            if meta.get("n_histology") != config.n_histology:
+                raise ProtosurvError(
+                    f"prototypes fitted with n_histology={meta.get('n_histology')}, config asks {config.n_histology}"
+                )
+            slide_reps = [load_matrix(proto_dir / f"{pid}.slide.ps3e") for pid in cohort.patient_ids]
+    prepared, _, mask_set = build_prepared(
+        cohort,
+        config,
+        slide_reps=slide_reps,
+        n_text=None if meta is None else meta.get("n_text"),
+        max_segments=None if meta is None else meta.get("max_segments"),
+    )
+    digest = fingerprint(cohort.gene_order, mask_set) if mask_set is not None else ""
+    return prepared, mask_set, digest
 
 
 def cmd_train(args) -> int:
     config, n_folds = _effective_config(args)
-    manifest = load_manifest(args.manifest)
-    manifest.modalities = config.modalities
-    cohort = load_cohort(manifest)
+    prepared, _, digest = _load_prepared(args, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    proto_dir = Path(args.prototypes) if args.prototypes else None
-    if proto_dir is not None:
-        slide_reps, n_text, max_segments = _load_prototype_stage(cohort, proto_dir, config)
-    else:
-        slide_reps = n_text = max_segments = None
-    prepared, dims, mask_set = build_prepared(
-        cohort, config, slide_reps=slide_reps, n_text=n_text, max_segments=max_segments
-    )
-    digest = fingerprint(cohort.gene_order, mask_set) if mask_set is not None else ""
-
-    folds = kfold_split(cohort.patient_ids, n_folds, config.seed)
+    folds = kfold_split(prepared.patient_ids, n_folds, config.seed)
     with open(out / "folds.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": config.seed, "k": n_folds, "folds": folds}, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-    position = {pid: i for i, pid in enumerate(cohort.patient_ids)}
-    history_rows: list[str] = []
-    summary: list[tuple[str, float]] = []
-    failures = 0
+    results = []
     for fold_no, held_ids in enumerate(folds):
-        held_set = set(held_ids)
-        train_idx = np.asarray([i for i, p in enumerate(cohort.patient_ids) if p not in held_set])
         try:
-            model, history = train(prepared.subset(train_idx), config)
+            results.append(run_fold(prepared, config, held_ids, fold_no))
         except NoEvents as exc:
             print(f"fold {fold_no} aborted: {exc}", file=sys.stderr)
-            failures += 1
             continue
-        save_checkpoint(out / f"fold{fold_no}.ckpt", model, config, digest)
-        for stats in history:
-            history_rows.append(
-                f"{fold_no},{stats.epoch},{_fmt(stats.learning_rate)},{_fmt(stats.mean_loss)}"
-            )
-        held_idx = np.asarray([position[p] for p in held_ids])
-        held = prepared.subset(held_idx)
-        risks = predict_cohort(model, held, config.fusion_mode)
-        records = [SurvivalRecord(p, float(t), int(e)) for p, t, e in zip(held.patient_ids, held.times, held.events)]
-        summary.append((str(fold_no), concordance_index(risks, records)))
+        save_checkpoint(out / f"fold{fold_no}.ckpt", results[-1].model, config, digest)
 
     with open(out / "history.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("fold,epoch,learning_rate,mean_loss\n")
-        fh.writelines(row + "\n" for row in history_rows)
+        for result in results:
+            for stats in result.history:
+                fh.write(f"{result.fold},{stats.epoch},{_fmt(stats.learning_rate)},{_fmt(stats.mean_loss)}\n")
+    values = np.asarray([result.c_index for result in results])
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("fold,metric,value\n")
-        for fold_name, value in summary:
-            fh.write(f"{fold_name},c_index,{_fmt(value)}\n")
-        if summary:
-            values = np.asarray([v for _, v in summary])
+        for result in results:
+            fh.write(f"{result.fold},c_index,{_fmt(result.c_index)}\n")
+        if results:
             fh.write(f"mean,c_index,{_fmt(values.mean())}\n")
             fh.write(f"std,c_index,{_fmt(values.std())}\n")
     effective = {
@@ -291,10 +273,9 @@ def cmd_train(args) -> int:
     with open(out / "effective_config.json", "w", encoding="utf-8") as fh:
         json.dump(effective, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    if summary:
-        mean = float(np.mean([v for _, v in summary]))
-        print(f"trained {len(summary)}/{len(folds)} folds, mean held-out c_index {mean:.4f}")
-    return 1 if failures else 0
+    if results:
+        print(f"trained {len(results)}/{len(folds)} folds, mean held-out c_index {float(values.mean()):.4f}")
+    return 0 if len(results) == len(folds) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +296,17 @@ def cmd_eval(args) -> int:
     checkpoint_paths = sorted(models_dir.glob("fold*.ckpt"))
     if not checkpoint_paths:
         return _fail(f"no fold*.ckpt files under {models_dir}")
-    with open(models_dir / "folds.json", encoding="utf-8") as fh:
-        folds_doc = json.load(fh)
+    folds_path = models_dir / "folds.json"
+    with open(folds_path, encoding="utf-8") as fh:
+        folds = json.load(fh)["folds"]
     models = []
     for path in checkpoint_paths:
-        models.append((int(path.stem.removeprefix("fold")), *load_checkpoint(path)))
+        fold_no = path.stem.removeprefix("fold")
+        if not fold_no.isdigit() or int(fold_no) >= len(folds):
+            raise ProtosurvError(f"{path}: no fold {fold_no} in {folds_path}")
+        models.append((int(fold_no), *load_checkpoint(path)))
     config = models[0][2]
-
-    manifest = load_manifest(args.manifest)
-    manifest.modalities = config.modalities
-    cohort = load_cohort(manifest)
-    proto_dir = Path(args.prototypes) if args.prototypes else None
-    if proto_dir is not None:
-        slide_reps, n_text, max_segments = _load_prototype_stage(cohort, proto_dir, config)
-    else:
-        slide_reps = n_text = max_segments = None
-    prepared, dims, mask_set = build_prepared(
-        cohort, config, slide_reps=slide_reps, n_text=n_text, max_segments=max_segments
-    )
-    digest = fingerprint(cohort.gene_order, mask_set) if mask_set is not None else ""
+    prepared, mask_set, digest = _load_prepared(args, config)
     for fold_no, _, _, stored in models:
         if stored != digest:
             raise FingerprintMismatch(
@@ -342,36 +315,36 @@ def cmd_eval(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    position = {pid: i for i, pid in enumerate(cohort.patient_ids)}
+    position = {pid: i for i, pid in enumerate(prepared.patient_ids)}
     fold_cindex: list[tuple[int, float]] = []
     pooled_risks: list[float] = []
     pooled_records: list[SurvivalRecord] = []
     attention_rows: list[str] = []
     pairs = [tuple(p.split(":")) for p in (args.attention or [])]
     for fold_no, model, _, _ in models:
-        held_ids = folds_doc["folds"][fold_no]
-        held = prepared.subset(np.asarray([position[p] for p in held_ids]))
-        risks = predict_cohort(model, held, config.fusion_mode)
+        held = prepared.subset(np.asarray([position[p] for p in folds[fold_no]]))
+        # one batched forward gives the risks and every patient's attention
+        risks, fused, validity = forward_diagnostics(held, model.values, model.dims, config.fusion_mode)
+        risks = np.asarray(risks.data)
         records = [SurvivalRecord(p, float(t), int(e)) for p, t, e in zip(held.patient_ids, held.times, held.events)]
         fold_cindex.append((fold_no, concordance_index(risks, records)))
         pooled_risks.extend(float(r) for r in risks)
         pooled_records.extend(records)
+        spans, start = {}, 0
+        for name, size in fused.block_sizes.items():
+            spans[name] = (start, start + size)
+            start += size
         for query, key in pairs:
+            names = _token_names(key, fused.block_sizes[key], mask_set)
             for j, pid in enumerate(held.patient_ids):
-                one = held.subset(np.asarray([j]))
-                _, fused, validity = forward_diagnostics(one, model.values, model.dims, config.fusion_mode)
-                spans, start = {}, 0
-                for name, size in fused.block_sizes.items():
-                    spans[name] = (start, start + size)
-                    start += size
                 summary = cross_attention_summary(
-                    fused.attention[0],
+                    fused.attention[j],
                     spans,
-                    _token_names(key, fused.block_sizes[key], mask_set),
+                    names,
                     query,
                     key,
-                    query_validity=validity[query][0],
-                    key_validity=validity[key][0],
+                    query_validity=validity[query][j],
+                    key_validity=validity[key][j],
                 )
                 for rank, (token, score) in enumerate(summary.ranking):
                     attention_rows.append(f"{fold_no},{pid},{query},{key},{rank},{token},{_fmt(score)}")

@@ -1,23 +1,26 @@
-"""Block-attention fusion of pathway, histology and text prototype tokens.
+"""Attention fusion of pathway, histology and text prototype tokens.
 
-Each token is widened by one shared learnable embedding, projected to
-queries/keys/values over the concatenated sequence, and attended with all
-pairwise modality-block logits assembled before a single row-wise masked
-softmax over the concatenated key axis. Algebraically this equals plain
-scaled dot-product attention over the whole sequence; the block form is
-kept explicit because the late and hierarchical ablations restrict it.
+Each token is widened by one shared learnable embedding, and the tokens of
+every present modality are concatenated in pathway, histology, text order.
+One masked scaled dot-product attention kernel
+(:func:`numerics.masked_attention`) fuses them; the fusion modes differ only
+in the tokens and the mask they pass. ``full`` lets every token attend to
+every valid token; ``late`` runs the kernel once per modality, so each token
+sees only its own modality and the attention matrix is block-diagonal (one
+call under a block-diagonal mask gives the same result with about twice the
+arithmetic, spent on cross blocks that come out zero); and
+``hierarchical`` runs the kernel twice: histology and text first, then
+pathways join the fused pair.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .errors import NoModalitiesEnabled, ShapeMismatch
-from .numerics import Tensor
 
 MODALITY_ORDER = ("pathway", "histology", "text")
 FUSION_MODES = ("full", "late", "hierarchical")
@@ -53,68 +56,50 @@ class FusionOutput:
 def append_learnable(tokens, e_r):
     """Concatenate the same learnable vector to every token row."""
     raw = tokens.tokens if isinstance(tokens, ModalityTokens) else tokens
-    if e_r is None:
+    if e_r is None or nm.as_tensor(e_r).shape[-1] == 0:
         return raw
-    e_len = e_r.data.shape[-1] if isinstance(e_r, Tensor) else np.shape(e_r)[-1]
-    if e_len == 0:
-        return raw
-    shape = (raw.data.shape if isinstance(raw, Tensor) else np.shape(raw))[:-1] + (e_len,)
-    if isinstance(raw, Tensor) or isinstance(e_r, Tensor):
-        return nm.concat([nm.as_tensor(raw), nm.broadcast_to(e_r, shape)], axis=-1)
-    return np.concatenate([raw, np.broadcast_to(e_r, shape)], axis=-1)
+    x, e = nm.as_tensor(raw), nm.as_tensor(e_r)
+    out = nm.concat([x, nm.broadcast_to(e, x.shape[:-1] + e.shape[-1:])], axis=-1)
+    return nm.unwrap(out, raw, e_r)
 
 
-def _attend(named_tokens, validities, params: FusionParams):
-    """Blockwise masked attention over a list of (name, tokens) groups.
+def _fusion_output(out, attention, names, sizes, inputs) -> FusionOutput:
+    """Split the fused sequence back into its modality blocks."""
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    blocks = {
+        name: nm.unwrap(nm.narrow(out, -2, int(s), n), *inputs) for name, s, n in zip(names, starts, sizes)
+    }
+    return FusionOutput(
+        pathway=blocks.get("pathway"),
+        histology=blocks.get("histology"),
+        text=blocks.get("text"),
+        attention=nm.as_tensor(attention).data,
+        block_sizes=dict(zip(names, sizes)),
+    )
 
-    Returns ({name: output block}, attention Tensor). Invalid query rows of
-    the outputs are zeroed; invalid keys receive exactly zero attention.
-    """
-    names = [n for n, _ in named_tokens]
-    tensors = [nm.as_tensor(t) for _, t in named_tokens]
-    widths = {t.data.shape[-1] for t in tensors}
+
+def _block_diagonal(blocks) -> np.ndarray:
+    """(..., n, n) matrix with the given square blocks on its diagonal, zero elsewhere."""
+    blocks = [nm.as_tensor(b).data for b in blocks]
+    sizes = [b.shape[-1] for b in blocks]
+    out = np.zeros(blocks[0].shape[:-2] + (sum(sizes), sum(sizes)))
+    for start, n, b in zip(np.cumsum([0] + sizes[:-1]), sizes, blocks):
+        out[..., start : start + n, start : start + n] = b
+    return out
+
+
+def _sequence(tokens):
+    """Concatenated token sequence and per-block sizes, widths checked."""
+    tensors = [nm.as_tensor(t) for t in tokens]
+    widths = {t.shape[-1] for t in tensors}
     if len(widths) != 1:
         raise ShapeMismatch(f"token widths differ across modalities: {sorted(widths)}")
-    d = widths.pop()
-    for w in (params.w_q, params.w_k, params.w_v):
-        w_shape = w.data.shape if isinstance(w, Tensor) else np.shape(w)
-        if w_shape != (d, d):
-            raise ShapeMismatch(f"fusion weight {w_shape} does not match token width {d}")
-    sizes = [t.data.shape[-2] for t in tensors]
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    key_mask = np.concatenate([np.asarray(v, dtype=float) for v in validities], axis=-1)
-
     seq = tensors[0] if len(tensors) == 1 else nm.concat(tensors, axis=-2)
-    q = seq @ params.w_q
-    k = seq @ params.w_k
-    v = seq @ params.w_v
-    q_blocks = [nm.narrow(q, -2, int(s), n) for s, n in zip(starts, sizes)]
-    k_blocks = [nm.narrow(k, -2, int(s), n) for s, n in zip(starts, sizes)]
-
-    # every pairwise logit block, concatenated back along keys then queries
-    rows = [
-        nm.concat([qb @ nm.swap_last(kb) for kb in k_blocks], axis=-1) if len(k_blocks) > 1
-        else qb @ nm.swap_last(k_blocks[0])
-        for qb in q_blocks
-    ]
-    logits = (rows[0] if len(rows) == 1 else nm.concat(rows, axis=-2)) * (1.0 / math.sqrt(d))
-    attention = nm.masked_softmax(logits, key_mask[..., None, :])
-    fused = (attention @ v) * key_mask[..., :, None]
-    blocks = {
-        name: nm.narrow(fused, -2, int(s), n)
-        for name, s, n in zip(names, starts, sizes)
-    }
-    return blocks, attention
-
-
-def _unwrap(value, graph: bool):
-    if value is None or graph:
-        return value
-    return value.data if isinstance(value, Tensor) else value
+    return seq, [t.shape[-2] for t in tensors]
 
 
 def block_attention(p, h, t, params: FusionParams, key_validity) -> FusionOutput:
-    """Nine-block fusion attention over already-appended token matrices.
+    """Full fusion attention over already-appended token matrices.
 
     ``key_validity`` covers the concatenated sequence in pathway, histology,
     text order; absent modalities are passed as None and simply omitted.
@@ -122,87 +107,46 @@ def block_attention(p, h, t, params: FusionParams, key_validity) -> FusionOutput
     named = [(n, m) for n, m in zip(MODALITY_ORDER, (p, h, t)) if m is not None]
     if not named:
         raise NoModalitiesEnabled("no modality tokens given")
-    graph = any(isinstance(m, Tensor) for _, m in named) or isinstance(params.w_q, Tensor)
+    seq, sizes = _sequence([m for _, m in named])
     key_validity = np.asarray(key_validity, dtype=float)
-    sizes = [(m.data if isinstance(m, Tensor) else m).shape[-2] for _, m in named]
     if key_validity.shape[-1] != sum(sizes):
         raise ShapeMismatch(f"key validity length {key_validity.shape[-1]} vs {sum(sizes)} tokens")
-    validities = np.split(key_validity, np.cumsum(sizes)[:-1], axis=-1)
-    blocks, attention = _attend(named, validities, params)
-    return FusionOutput(
-        pathway=_unwrap(blocks.get("pathway"), graph),
-        histology=_unwrap(blocks.get("histology"), graph),
-        text=_unwrap(blocks.get("text"), graph),
-        attention=np.asarray(attention.data),
-        block_sizes={n: s for (n, _), s in zip(named, sizes)},
-    )
+    weights = (params.w_q, params.w_k, params.w_v)
+    out, attention = nm.masked_attention(seq, *weights, key_validity[..., None, :])
+    return _fusion_output(out, attention, [n for n, _ in named], sizes, [m for _, m in named] + list(weights))
 
 
 def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
     """Fuse modality token sets after appending the learnable embedding.
 
-    full: one blockwise attention over everything present. late: attention
-    within each modality only (cross blocks of the attention matrix are
-    exactly zero). hierarchical: histology and text fuse first, then the
-    fused pair attends jointly with pathways; with pathways absent this
-    collapses to the first stage, with only pathways present to plain
-    self-attention.
+    full: one attention over everything present. late: attention within each
+    modality only (cross blocks of the attention matrix are exactly zero).
+    hierarchical: histology and text fuse first, then the fused pair attends
+    jointly with pathways; with pathways absent this collapses to the first
+    stage, with only pathways present to plain self-attention.
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
     present = [(name, mt) for name, mt in zip(MODALITY_ORDER, (p, h, t)) if mt is not None]
     if not present:
         raise NoModalitiesEnabled("every modality is disabled")
-    graph = isinstance(params.w_q, Tensor) or any(isinstance(mt.tokens, Tensor) for _, mt in present)
-    appended = [(name, append_learnable(mt, params.e_r)) for name, mt in present]
-    validities = [np.asarray(mt.validity, dtype=float) for _, mt in present]
-    sizes = [(tok.data if isinstance(tok, Tensor) else tok).shape[-2] for _, tok in appended]
-
-    if mode == "full":
-        blocks, attention = _attend(appended, validities, params)
-        attention = np.asarray(attention.data)
-    elif mode == "late":
-        blocks = {}
-        lead = (appended[0][1].data if isinstance(appended[0][1], Tensor) else appended[0][1]).shape[:-2]
-        total = sum(sizes)
-        attention = np.zeros(lead + (total, total))
-        offset = 0
-        for (name, tok), validity, n in zip(appended, validities, sizes):
-            sub, att = _attend([(name, tok)], [validity], params)
-            blocks[name] = sub[name]
-            attention[..., offset : offset + n, offset : offset + n] = att.data
-            offset += n
-    else:  # hierarchical
-        first = [(n, tok) for n, tok in appended if n in ("histology", "text")]
-        first_validity = [v for (n, _), v in zip(appended, validities) if n in ("histology", "text")]
-        path = next((tok for n, tok in appended if n == "pathway"), None)
-        path_validity = next((v for (n, _), v in zip(appended, validities) if n == "pathway"), None)
-        if first and path is not None:
-            stage1, _ = _attend(first, first_validity, params)
-            merged = (
-                stage1[first[0][0]] if len(first) == 1
-                else nm.concat([stage1[n] for n, _ in first], axis=-2)
-            )
-            merged_validity = np.concatenate(first_validity, axis=-1)
-            stage2, attention = _attend(
-                [("pathway", path), ("merged", merged)], [path_validity, merged_validity], params
-            )
-            blocks = {"pathway": stage2["pathway"]}
-            offset = 0
-            for name, tok in first:
-                n = (tok.data if isinstance(tok, Tensor) else tok).shape[-2]
-                blocks[name] = nm.narrow(stage2["merged"], -2, offset, n)
-                offset += n
-        elif first:
-            blocks, attention = _attend(first, first_validity, params)
-        else:
-            blocks, attention = _attend([("pathway", path)], [path_validity], params)
-        attention = np.asarray(attention.data)
-
-    return FusionOutput(
-        pathway=_unwrap(blocks.get("pathway"), graph),
-        histology=_unwrap(blocks.get("histology"), graph),
-        text=_unwrap(blocks.get("text"), graph),
-        attention=attention,
-        block_sizes={n: s for (n, _), s in zip(appended, sizes)},
-    )
+    appended = [append_learnable(mt, params.e_r) for _, mt in present]
+    seq, sizes = _sequence(appended)
+    validity = np.concatenate([np.asarray(mt.validity, dtype=float) for _, mt in present], axis=-1)
+    weights = (params.w_q, params.w_k, params.w_v)
+    inputs = [mt.tokens for _, mt in present] + [params.e_r, *weights]
+    names = [name for name, _ in present]
+    if mode == "late":
+        parts = [
+            nm.masked_attention(x, *weights, np.asarray(mt.validity, dtype=float)[..., None, :])
+            for x, (_, mt) in zip(appended, present)
+        ]
+        out = parts[0][0] if len(parts) == 1 else nm.concat([o for o, _ in parts], axis=-2)
+        return _fusion_output(out, _block_diagonal([a for _, a in parts]), names, sizes, inputs)
+    n_p = sizes[0] if names[0] == "pathway" else 0
+    if mode == "hierarchical" and 0 < n_p < seq.shape[-2]:
+        rest = nm.narrow(seq, -2, n_p, seq.shape[-2] - n_p)
+        merged, _ = nm.masked_attention(rest, *weights, validity[..., None, n_p:])
+        seq = nm.concat([nm.narrow(seq, -2, 0, n_p), merged], axis=-2)
+    out, attention = nm.masked_attention(seq, *weights, validity[..., None, :])
+    return _fusion_output(out, attention, names, sizes, inputs)

@@ -16,7 +16,7 @@ import numpy as np
 from . import numerics as nm
 from . import text as text_mod
 from .errors import ShapeMismatch
-from .fusion import FusionParams, ModalityTokens, fuse
+from .fusion import MODALITY_ORDER, FusionParams, ModalityTokens, fuse
 from .numerics import Tensor
 
 MODALITY_LETTERS = {"p": "pathway", "h": "histology", "t": "text"}
@@ -292,18 +292,8 @@ def forward_diagnostics(prepared: PreparedCohort, pt: Mapping, dims: ModelDims, 
 
 
 def _pooled_risk(blocks: Mapping, validity: Mapping, pt: Mapping, dims: ModelDims):
-    """Per modality: f_beta each fused token, layer-normalise, mean over the
-    valid tokens; concatenate the pooled vectors and apply the risk layer."""
-    pooled = []
-    for name in dims.enabled:
-        group = "shared" if dims.shared_beta else name
-        y = nm.snn_forward(nm.as_tensor(blocks[name]), _snn_layers(pt, f"head.beta.{group}"))
-        y = nm.layer_norm(y, pt[f"head.ln.{group}.gain"], pt[f"head.ln.{group}.bias"])
-        mask = np.asarray(validity[name], dtype=float)
-        counts = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
-        pooled.append(nm.tsum(y * mask[..., None], axis=-2) * (1.0 / counts))
-    stacked = pooled[0] if len(pooled) == 1 else nm.concat(pooled, axis=-1)
-    return nm.affine(stacked, pt["head.risk.w"], pt["head.risk.b"])
+    """Risk of each patient from the fused blocks of the enabled modalities."""
+    return _head_risk({name: blocks[name] for name in dims.enabled}, validity, risk_head_from_values(pt, dims))
 
 
 @dataclass
@@ -317,20 +307,25 @@ class RiskHeadParams:
     shared: bool = False
 
 
+def _head_risk(blocks: Mapping, validity: Mapping, params: RiskHeadParams):
+    """Per modality, in ``blocks`` order: f_beta each fused token,
+    layer-normalise, mean over the valid tokens; concatenate the pooled
+    vectors and apply the risk layer."""
+    pooled = []
+    for name, block in blocks.items():
+        group = "shared" if params.shared else name
+        y = nm.layer_norm(nm.snn_forward(nm.as_tensor(block), params.beta[group]), *params.ln[group])
+        mask = np.asarray(validity[name], dtype=float)
+        counts = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
+        pooled.append(nm.tsum(y * mask[..., None], axis=-2) * (1.0 / counts))
+    stacked = pooled[0] if len(pooled) == 1 else nm.concat(pooled, axis=-1)
+    return nm.affine(stacked, params.risk_w, params.risk_b)
+
+
 def risk_head(fused, validity: Mapping, params: RiskHeadParams) -> float:
     """Scalar risk for one patient from their fused modality blocks."""
-    names = [name for name in ("pathway", "histology", "text") if fused.block(name) is not None]
-    pooled = []
-    for name in names:
-        group = "shared" if params.shared else name
-        y = nm.snn_forward(np.asarray(fused.block(name), dtype=float), params.beta[group])
-        gain, bias = params.ln[group]
-        y = nm.layer_norm(y, gain, bias)
-        mask = np.asarray(validity[name], dtype=float)
-        count = max(float(mask.sum()), 1.0)
-        pooled.append((y * mask[:, None]).sum(axis=0) / count)
-    stacked = np.concatenate(pooled)
-    return float(nm.affine(stacked[None, :], params.risk_w, params.risk_b)[0, 0])
+    blocks = {name: fused.block(name) for name in MODALITY_ORDER if fused.block(name) is not None}
+    return float(nm.as_tensor(_head_risk(blocks, validity, params)).data.reshape(()))
 
 
 def risk_head_from_values(values: Mapping[str, np.ndarray], dims: ModelDims) -> RiskHeadParams:

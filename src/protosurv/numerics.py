@@ -12,6 +12,7 @@ central finite differences rather than by comparison to any framework.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -101,6 +102,15 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def unwrap(out: Tensor, *inputs):
+    """``out`` when any input is a Tensor, else its plain ndarray.
+
+    Public functions run one taped body and call this at their boundary, so
+    that array inputs still give array outputs.
+    """
+    return out if any(isinstance(v, Tensor) for v in inputs) else out.data
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -298,15 +308,14 @@ def masked_softmax(logits, key_mask):
     node whose backward treats the mask as constant).
     """
     mask = _check_mask(key_mask)
-    if not isinstance(logits, Tensor):
-        return _softmax_forward(np.asarray(logits, dtype=np.float64), mask)
-    out_data = _softmax_forward(logits.data, mask)
+    x = as_tensor(logits)
+    out_data = _softmax_forward(x.data, mask)
 
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
         return (out_data * (g - inner),)
 
-    return _node(out_data, (logits,), backward)
+    return unwrap(_node(out_data, (x,), backward), logits)
 
 
 def masked_logsumexp(x, mask) -> Tensor:
@@ -331,39 +340,12 @@ def masked_logsumexp(x, mask) -> Tensor:
 
 def affine(x, weight, bias):
     """Row-wise ``x @ weight + bias``; works on arrays or Tensors."""
-    w_shape = weight.data.shape if isinstance(weight, Tensor) else np.shape(weight)
-    x_shape = x.data.shape if isinstance(x, Tensor) else np.shape(x)
-    b_shape = bias.data.shape if isinstance(bias, Tensor) else np.shape(bias)
-    if len(w_shape) != 2 or x_shape[-1] != w_shape[0]:
-        raise ShapeMismatch(f"affine input {x_shape} vs weight {w_shape}")
-    if b_shape not in ((), (w_shape[1],)):
-        raise ShapeMismatch(f"affine bias {b_shape} vs weight {w_shape}")
-    if isinstance(x, Tensor) or isinstance(weight, Tensor) or isinstance(bias, Tensor):
-        return add(matmul(x, weight), bias)
-    return np.asarray(x, dtype=np.float64) @ np.asarray(weight, dtype=np.float64) + np.asarray(bias, dtype=np.float64)
-
-
-def _layer_norm_tensor(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centred = x.data - mu
-    var = (centred * centred).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    normed = centred * inv_std
-    out_data = normed * gain.data + bias.data
-
-    def backward(g):
-        g_norm = g * gain.data
-        d = x.data.shape[-1]
-        gx = inv_std * (
-            g_norm
-            - g_norm.mean(axis=-1, keepdims=True)
-            - normed * (g_norm * normed).sum(axis=-1, keepdims=True) / d
-        )
-        g_gain = _unbroadcast(g * normed, gain.data.shape)
-        g_bias = _unbroadcast(g, bias.data.shape)
-        return gx, g_gain, g_bias
-
-    return _node(out_data, (x, gain, bias), backward)
+    xt, wt, bt = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if wt.ndim != 2 or xt.shape[-1] != wt.shape[0]:
+        raise ShapeMismatch(f"affine input {xt.shape} vs weight {wt.shape}")
+    if bt.shape not in ((), (wt.shape[1],)):
+        raise ShapeMismatch(f"affine bias {bt.shape} vs weight {wt.shape}")
+    return unwrap(add(matmul(xt, wt), bt), x, weight, bias)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
@@ -372,16 +354,25 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     With gain 1 and bias 0 the output has (population) mean 0 and variance 1
     up to the eps regulariser.
     """
-    if isinstance(x, Tensor) or isinstance(gain, Tensor) or isinstance(bias, Tensor):
-        x = as_tensor(x)
-        gain = as_tensor(np.broadcast_to(np.asarray(gain, dtype=float), x.data.shape[-1:])) if not isinstance(gain, Tensor) else gain
-        bias = as_tensor(np.broadcast_to(np.asarray(bias, dtype=float), x.data.shape[-1:])) if not isinstance(bias, Tensor) else bias
-        return _layer_norm_tensor(x, gain, bias, eps)
-    x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=-1, keepdims=True)
-    centred = x - mu
+    xt, gt, bt = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    mu = xt.data.mean(axis=-1, keepdims=True)
+    centred = xt.data - mu
     var = (centred * centred).mean(axis=-1, keepdims=True)
-    return centred / np.sqrt(var + eps) * gain + bias
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normed = centred * inv_std
+
+    def backward(g):
+        g_norm = g * gt.data
+        d = xt.data.shape[-1]
+        gx = inv_std * (
+            g_norm
+            - g_norm.mean(axis=-1, keepdims=True)
+            - normed * (g_norm * normed).sum(axis=-1, keepdims=True) / d
+        )
+        return gx, _unbroadcast(g * normed, gt.data.shape), _unbroadcast(g, bt.data.shape)
+
+    out = _node(normed * gt.data + bt.data, (xt, gt, bt), backward)
+    return unwrap(out, x, gain, bias)
 
 
 def snn_forward(x, layers):
@@ -390,16 +381,39 @@ def snn_forward(x, layers):
     ``layers`` is a sequence of (weight, bias) pairs. A 1-D input is treated
     as a single row and returned as a vector.
     """
-    was_vector = not isinstance(x, Tensor) and np.ndim(x) == 1
-    out = np.asarray(x, dtype=np.float64)[None, :] if was_vector else x
+    out = as_tensor(x)
+    vector = out.ndim == 1
+    if vector:
+        out = reshape(out, (1, out.shape[0]))
     for weight, bias in layers:
-        out = affine(out, weight, bias)
-        out = selu(out) if isinstance(out, Tensor) else _selu_array(out)
-    return out[0] if was_vector else out
+        out = selu(affine(out, weight, bias))
+    if vector:
+        out = reshape(out, out.shape[1:])
+    return unwrap(out, x, *(p for layer in layers for p in layer))
 
 
-def _selu_array(x: np.ndarray) -> np.ndarray:
-    return SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
+def masked_attention(x, w_q, w_k, w_v, key_mask):
+    """Scaled dot-product self-attention over the rows of ``x`` under a mask.
+
+    Computes ``softmax_mask((x w_q)(x w_k)ᵀ / √d) (x w_v)`` with d the token
+    width. ``key_mask`` broadcasts against the (..., n, n) logits: pass
+    (..., 1, n) per-token validity, or an (..., n, n) mask that also limits
+    which tokens see which. Masked keys get exactly zero weight. Token i is a
+    valid query when the mask lets it attend to itself; invalid query rows of
+    the output are zero. Returns (output, attention).
+    """
+    inputs = (x, w_q, w_k, w_v)
+    h, *weights = (as_tensor(v) for v in inputs)
+    n, d = h.shape[-2:]
+    for w in weights:
+        if w.shape != (d, d):
+            raise ShapeMismatch(f"attention weight {w.shape} does not match token width {d}")
+    mask = np.asarray(key_mask, dtype=np.float64)
+    query_mask = np.diagonal(np.broadcast_to(mask, mask.shape[:-2] + (n, n)), axis1=-2, axis2=-1)
+    q, k, v = (h @ w for w in weights)
+    attention = masked_softmax((q @ swap_last(k)) * (1.0 / math.sqrt(d)), mask)
+    out = (attention @ v) * query_mask[..., :, None]
+    return unwrap(out, *inputs), unwrap(attention, *inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -117,26 +117,25 @@ class CrossValResult:
         return ids, risks
 
 
+def run_fold(prepared: PreparedCohort, config: TrainConfig, held_ids, fold_no: int) -> FoldResult:
+    """Train on the complement of ``held_ids`` and score the held-out fold.
+
+    Held-out risks follow the order of ``held_ids``.
+    """
+    held_set = set(held_ids)
+    position = {pid: i for i, pid in enumerate(prepared.patient_ids)}
+    train_idx = np.asarray([i for i, p in enumerate(prepared.patient_ids) if p not in held_set], dtype=int)
+    model, history = train(prepared.subset(train_idx), config)
+    held = prepared.subset(np.asarray([position[p] for p in held_ids], dtype=int))
+    risks = predict_cohort(model, held, config.fusion_mode)
+    records = [SurvivalRecord(p, float(t), int(e)) for p, t, e in zip(held.patient_ids, held.times, held.events)]
+    return FoldResult(fold_no, list(held_ids), risks, concordance_index(risks, records), model, history)
+
+
 def cross_validate(
     prepared: PreparedCohort, config: TrainConfig, n_folds: int = 5, folds=None
 ) -> CrossValResult:
     """Train on each fold complement and score the held-out fold."""
-    ids = prepared.patient_ids
     if folds is None:
-        folds = kfold_split(ids, n_folds, config.seed)
-    position = {pid: i for i, pid in enumerate(ids)}
-    results: list[FoldResult] = []
-    for fold_no, held_ids in enumerate(folds):
-        held = np.asarray([position[p] for p in held_ids], dtype=int)
-        train_idx = np.asarray([i for i, p in enumerate(ids) if p not in set(held_ids)], dtype=int)
-        model, history = train(prepared.subset(train_idx), config)
-        held_prepared = prepared.subset(held)
-        risks = predict_cohort(model, held_prepared, config.fusion_mode)
-        held_records = [
-            SurvivalRecord(pid, float(t), int(e))
-            for pid, t, e in zip(held_prepared.patient_ids, held_prepared.times, held_prepared.events)
-        ]
-        results.append(
-            FoldResult(fold_no, list(held_ids), risks, concordance_index(risks, held_records), model, history)
-        )
-    return CrossValResult(results)
+        folds = kfold_split(prepared.patient_ids, n_folds, config.seed)
+    return CrossValResult([run_fold(prepared, config, held_ids, k) for k, held_ids in enumerate(folds)])

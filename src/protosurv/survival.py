@@ -103,23 +103,16 @@ def cox_loss(risks, records):
     n = times.shape[0]
     event_idx = np.flatnonzero(events == 1)
     n_events = event_idx.size
-    graph = isinstance(risks, Tensor)
     if n_events == 0:
-        return (Tensor(0.0) if graph else 0.0), True
-
-    # risk set of event i: everyone still under observation at that time
-    at_risk = (times[None, :] >= times[event_idx, None]).astype(float)
-    if graph:
-        eta = nm.reshape(risks, (n,))
+        loss = Tensor(0.0)
+    else:
+        # risk set of event i: everyone still under observation at that time
+        at_risk = (times[None, :] >= times[event_idx, None]).astype(float)
+        eta = nm.reshape(nm.as_tensor(risks), (n,))
         observed = nm.gather_rows(nm.reshape(eta, (n, 1)), event_idx)
         pooled = nm.masked_logsumexp(nm.broadcast_to(nm.reshape(eta, (1, n)), (n_events, n)), at_risk)
         loss = (nm.tsum(pooled) - nm.tsum(observed)) * (1.0 / n_events)
-        return loss, False
-    eta = np.asarray(risks, dtype=float).reshape(n)
-    shifted = np.where(at_risk > 0.5, eta[None, :], -np.inf)
-    row_max = shifted.max(axis=1)
-    pooled = row_max + np.log(np.exp(shifted - row_max[:, None]).sum(axis=1))
-    return float((pooled.sum() - eta[event_idx].sum()) / n_events), False
+    return (loss if isinstance(risks, Tensor) else float(loss.data)), n_events == 0
 
 
 def cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
@@ -223,11 +216,12 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, str]:
         raise BadMagic(f"{path}: unsupported checkpoint version {version}")
     if len(raw) < 9 + header_len:
         raise ShapeOverflow(f"{path}: truncated checkpoint header")
-    header = json.loads(raw[9 : 9 + header_len].decode())
-    dims_dict = dict(header["dims"])
-    dims_dict["pathway_widths"] = tuple(dims_dict["pathway_widths"])
-    dims = ModelDims(**dims_dict)
-    config = TrainConfig(**header["config"])
+    try:
+        header = json.loads(raw[9 : 9 + header_len].decode())
+        dims = ModelDims(**{**header["dims"], "pathway_widths": tuple(header["dims"]["pathway_widths"])})
+        config = TrainConfig(**header["config"])
+    except (TypeError, ValueError, KeyError) as exc:
+        raise BadMagic(f"{path}: malformed checkpoint header: {exc}") from exc
     values: dict[str, np.ndarray] = {}
     offset = 9 + header_len
     for entry in header["tensors"]:

@@ -87,24 +87,7 @@ def text_self_attention(batch: PaddedBatch, params: TextAttentionParams):
     (b, m, d_t) and attention weights (b, m, m). Tensor parameters yield
     Tensor outputs, recording the computation for backprop.
     """
-    d_t = batch.data.shape[-1]
-    for w in (params.w_q, params.w_k, params.w_v):
-        shape = w.data.shape if isinstance(w, Tensor) else np.shape(w)
-        if shape != (d_t, d_t):
-            raise ShapeMismatch(f"attention weight {shape} does not match d_t={d_t}")
-    key_mask = batch.mask[..., None, :]
-    scale = 1.0 / math.sqrt(d_t)
-    if any(isinstance(w, Tensor) for w in (params.w_q, params.w_k, params.w_v)):
-        h = Tensor(batch.data)
-        q, k, v = h @ params.w_q, h @ params.w_k, h @ params.w_v
-        att = nm.masked_softmax((q @ nm.swap_last(k)) * scale, key_mask)
-        z = (att @ v) * batch.mask[..., :, None]
-        return z, att
-    h = batch.data
-    q, k, v = h @ params.w_q, h @ params.w_k, h @ params.w_v
-    att = nm.masked_softmax(q @ np.swapaxes(k, -1, -2) * scale, key_mask)
-    z = (att @ v) * batch.mask[..., :, None]
-    return z, att
+    return nm.masked_attention(batch.data, params.w_q, params.w_k, params.w_v, batch.mask[..., None, :])
 
 
 def importance_scores(attention, mask) -> np.ndarray:

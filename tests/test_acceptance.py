@@ -341,6 +341,7 @@ def e2e_runs():
     return {"signal": signal, "null": null, "late": late, "crit7_elapsed": crit7_elapsed}
 
 
+@pytest.mark.slow
 def test_criterion_07_synthetic_end_to_end(e2e_runs):
     ok = False
     try:
@@ -359,6 +360,7 @@ def test_criterion_07_synthetic_end_to_end(e2e_runs):
         _report(7, "pathway-signal cohort mean C >= 0.70, signal-free in [0.40, 0.60]", ok)
 
 
+@pytest.mark.slow
 def test_criterion_08_fusion_ablation_direction(e2e_runs):
     ok = False
     try:

@@ -231,3 +231,101 @@ def test_usage_errors_exit_two(cohort_dir):
 
 def test_data_errors_exit_one(tmp_path):
     assert main(["prototype", "--manifest", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 1
+
+
+def _rewrite_checkpoint_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place through ``edit(header)``."""
+    import struct
+
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[5:9])
+    header = json.loads(raw[9 : 9 + header_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + header_len :])
+
+
+def _eval(cohort_dir, proto_dir, models, out, attention=()):
+    argv = [
+        "eval", "--manifest", str(cohort_dir / "manifest.json"),
+        "--prototypes", str(proto_dir), "--models", str(models), "--out", str(out),
+    ]
+    for pair in attention:
+        argv += ["--attention", pair]
+    return main(argv)
+
+
+@pytest.mark.parametrize("section", ["config", "dims"])
+def test_eval_checkpoint_with_unknown_header_key_is_one_line_error(cohort_dir, proto_dir, tmp_path, capsys, section):
+    run = tmp_path / "run"
+    assert _train(cohort_dir, proto_dir, run) == 0
+    _rewrite_checkpoint_header(run / "fold1.ckpt", lambda header: header[section].update(bogus_key=1))
+    capsys.readouterr()
+    assert _eval(cohort_dir, proto_dir, run, tmp_path / "e") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "fold1.ckpt" in err[0] and "bogus_key" in err[0]
+
+
+def test_eval_checkpoint_without_fold_entry_is_one_line_error(cohort_dir, proto_dir, tmp_path, capsys):
+    import shutil
+
+    run = tmp_path / "run"
+    assert _train(cohort_dir, proto_dir, run) == 0
+    shutil.copy(run / "fold1.ckpt", run / "fold3.ckpt")  # folds.json lists folds 0-2 only
+    capsys.readouterr()
+    assert _eval(cohort_dir, proto_dir, run, tmp_path / "e") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "fold3.ckpt" in err[0]
+
+
+@pytest.mark.parametrize("mode", ["full", "late", "hierarchical"])
+def test_eval_attention_rows_match_per_patient_forward(cohort_dir, proto_dir, tmp_path, mode):
+    from protosurv.data import load_cohort, load_manifest, load_matrix
+    from protosurv.evaluation import cross_attention_summary
+    from protosurv.model import forward_diagnostics
+    from protosurv.pathways import build_masks
+    from protosurv.pipeline import build_prepared
+    from protosurv.survival import load_checkpoint
+
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert _train(cohort_dir, proto_dir, run, extra=("--fusion-mode", mode)) == 0
+    pairs = ("text:pathway", "pathway:pathway", "histology:text")
+    assert _eval(cohort_dir, proto_dir, run, out, attention=pairs) == 0
+    rows = [row.split(",") for row in (out / "attention_summary.csv").read_text().splitlines()[1:]]
+
+    cohort = load_cohort(load_manifest(cohort_dir / "manifest.json"))
+    meta = json.loads((proto_dir / "prototype_meta.json").read_text())
+    slides = [load_matrix(proto_dir / f"{pid}.slide.ps3e") for pid in cohort.patient_ids]
+    names = build_masks(cohort.gene_sets, cohort.gene_order).names
+    folds = json.loads((run / "folds.json").read_text())["folds"]
+    expected = []
+    for fold_no, held_ids in enumerate(folds):
+        model, config, _ = load_checkpoint(run / f"fold{fold_no}.ckpt")
+        prepared, _, _ = build_prepared(
+            cohort, config, slide_reps=slides, n_text=meta["n_text"], max_segments=meta["max_segments"]
+        )
+        for pair in pairs:
+            query, key = pair.split(":")
+            for pid in held_ids:
+                one = prepared.subset([prepared.patient_ids.index(pid)])
+                _, fused, validity = forward_diagnostics(one, model.values, model.dims, mode)
+                sizes = fused.block_sizes
+                starts = dict(zip(sizes, np.cumsum([0, *sizes.values()])))
+                spans = {name: (starts[name], starts[name] + size) for name, size in sizes.items()}
+                keys = names if key == "pathway" else [f"{key[0].upper()}{i}" for i in range(sizes[key])]
+                summary = cross_attention_summary(
+                    fused.attention[0], spans, keys, query, key,
+                    query_validity=validity[query][0], key_validity=validity[key][0],
+                )
+                for rank, (token, score) in enumerate(summary.ranking):
+                    expected.append((str(fold_no), pid, query, key, str(rank), token, score))
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        assert got[:6] == list(want[:6])
+        # A dispersion summarises attention weights in [0, 1]; the batched and
+        # per-patient forwards round those weights differently by ~1e-17, and
+        # near-equal weights amplify that relative to a small dispersion
+        # (up to ~5e-10 relative here), so the bound is absolute, in weight units.
+        assert abs(float(got[6]) - want[6]) <= 1e-15

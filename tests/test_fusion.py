@@ -220,3 +220,38 @@ def test_fuse_randomised_row_stochastic_suite():
         else:
             np.testing.assert_allclose(att.sum(axis=1), np.ones(att.shape[0]), atol=1e-9)
             assert np.all(att[:, key_mask == 0] == 0.0)
+
+
+def test_fuse_batched_late_and_hierarchical_match_per_patient_oracle():
+    rng = np.random.default_rng(12)
+    b, d = 3, 4
+    sizes = {"pathway": 3, "histology": 2, "text": 3}
+    text_validity = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    validity = {"pathway": np.ones((b, 3)), "histology": np.ones((b, 2)), "text": text_validity}
+    tokens = {name: rng.normal(size=(b, n, d)) for name, n in sizes.items()}
+    tokens["text"] *= text_validity[..., None]
+    inputs = [ModalityTokens(name, tokens[name], validity[name]) for name in sizes]
+    params = _params(rng, d)
+    weights = (params.w_q, params.w_k, params.w_v)
+    late = fuse(*inputs, params, mode="late")
+    hier = fuse(*inputs, params, mode="hierarchical")
+    assert late.pathway.shape == (b, 3, d) and late.attention.shape == (b, 8, 8)
+    for i in range(b):
+        # late: each modality attends only within itself
+        offset = 0
+        for name, n in sizes.items():
+            ref, att = monolithic_attention(tokens[name][i], validity[name][i], *weights)
+            assert np.max(np.abs(late.block(name)[i] - ref)) < 1e-12
+            assert np.max(np.abs(late.attention[i, offset : offset + n, offset : offset + n] - att)) < 1e-12
+            outside = np.ones(8, dtype=bool)
+            outside[offset : offset + n] = False
+            assert np.all(late.attention[i, offset : offset + n][:, outside] == 0.0)
+            offset += n
+        # hierarchical: histology+text first, then pathways join the fused pair
+        pair_mask = np.concatenate([validity["histology"][i], text_validity[i]])
+        stage1, _ = monolithic_attention(np.vstack([tokens["histology"][i], tokens["text"][i]]), pair_mask, *weights)
+        full_mask = np.concatenate([np.ones(3), pair_mask])
+        stage2, att2 = monolithic_attention(np.vstack([tokens["pathway"][i], stage1]), full_mask, *weights)
+        stacked = np.vstack([hier.pathway[i], hier.histology[i], hier.text[i]])
+        assert np.max(np.abs(stacked - stage2)) < 1e-12
+        assert np.max(np.abs(hier.attention[i] - att2)) < 1e-12

@@ -248,3 +248,65 @@ def test_grad_swap_and_attention_shape():
         return nm.tsum((att @ v) * np.arange(6.0).reshape(3, 2))
 
     _check_op(loss, 18, seed=7)
+
+
+# ---------------------------------------------------------------------------
+# masked_attention
+# ---------------------------------------------------------------------------
+
+def _attention_oracle(x, mask, w_q, w_k, w_v):
+    """Per-row loop over plain softmax restricted to the allowed keys."""
+    n, d = x.shape
+    out, att = np.zeros_like(x), np.zeros((n, n))
+    for i in range(n):
+        keys = np.flatnonzero(mask[i] > 0)
+        logits = (x[i] @ w_q) @ (x[keys] @ w_k).T / math.sqrt(d)
+        weights = np.exp(logits - logits.max())
+        att[i, keys] = weights / weights.sum()
+        out[i] = (att[i] @ (x @ w_v)) * mask[i, i]
+    return out, att
+
+
+def test_masked_attention_structural_mask_matches_oracle():
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(5, 3))
+    w_q, w_k, w_v = (rng.normal(size=(3, 3)) for _ in range(3))
+    validity = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+    owner = np.array([0, 0, 1, 1, 1])
+    mask = (owner[:, None] == owner[None, :]) * validity[None, :]
+    out, att = nm.masked_attention(x, w_q, w_k, w_v, mask)
+    ref_out, ref_att = _attention_oracle(x, mask, w_q, w_k, w_v)
+    assert isinstance(out, np.ndarray) and isinstance(att, np.ndarray)
+    assert np.max(np.abs(out - ref_out)) < 1e-12
+    assert np.max(np.abs(att - ref_att)) < 1e-12
+    assert np.all(att[mask == 0] == 0.0)  # masked keys get exactly zero weight
+    assert np.all(out[4] == 0.0)  # token 4 may not see itself: invalid query row
+
+
+def test_masked_attention_batched_validity_rows():
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(2, 4, 3))
+    w_q, w_k, w_v = (rng.normal(size=(3, 3)) for _ in range(3))
+    validity = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    out, att = nm.masked_attention(x, w_q, w_k, w_v, validity[:, None, :])
+    for b in range(2):
+        ref_out, ref_att = _attention_oracle(x[b], np.broadcast_to(validity[b], (4, 4)), w_q, w_k, w_v)
+        assert np.max(np.abs(out[b] - ref_out)) < 1e-12
+        assert np.max(np.abs(att[b] - ref_att)) < 1e-12
+
+
+def test_masked_attention_rejects_wrong_weight_width():
+    with pytest.raises(ShapeMismatch):
+        nm.masked_attention(np.ones((2, 3)), np.eye(3), np.eye(2), np.eye(3), np.ones(2))
+
+
+def test_grad_masked_attention():
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    x = np.random.default_rng(22).normal(size=(3, 2))
+
+    def loss(p):
+        w_q, w_k, w_v = (nm.reshape(nm.narrow(p, 0, 4 * i, 4), (2, 2)) for i in range(3))
+        out, att = nm.masked_attention(x, w_q, w_k, w_v, mask)
+        return nm.tsum(out * np.arange(6.0).reshape(3, 2)) + nm.tsum(att * att)
+
+    _check_op(loss, 12, seed=23)
