@@ -30,11 +30,9 @@ from .data import (
 )
 from .errors import FingerprintMismatch, NoEvents, ProtosurvError
 from .evaluation import concordance_index, cross_attention_summary, km_curve, log_rank, stratify_median
-from .histology import fit_gmm, slide_representation
 from .model import forward_diagnostics
 from .pathways import fingerprint
-from .pipeline import build_prepared, run_fold
-from .rng import substream
+from .pipeline import build_prepared, fit_slide_representations, run_fold
 from .survival import SurvivalRecord, TrainConfig, load_checkpoint, save_checkpoint
 
 MODALITY_CHOICES = ("pht", "ht", "pt", "ph", "p", "h", "t")
@@ -132,13 +130,10 @@ def cmd_prototype(args) -> int:
             if cohort.patches is None:
                 raise ProtosurvError("manifest provides precomputed slide representations; nothing to fit")
             meta["d_h"] = int(cohort.patches[0].patches.shape[1])
-            for i, patches in enumerate(cohort.patches):
-                try:
-                    params, trace = fit_gmm(patches, args.n_histology, substream(args.seed, "gmm", i))
-                except ProtosurvError as exc:
-                    raise ProtosurvError(f"patient {patches.slide_id}: {exc}") from exc
+            reps, traces = fit_slide_representations(cohort.patches, args.n_histology, args.seed)
+            for patches, rep, trace in zip(cohort.patches, reps, traces):
                 path = out / f"{patches.slide_id}.slide.ps3e"
-                write_matrix(path, slide_representation(params))
+                write_matrix(path, rep)
                 written.append(path)
                 for it, ll in enumerate(trace.log_likelihoods):
                     trace_rows.append(

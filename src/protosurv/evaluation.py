@@ -51,30 +51,16 @@ def concordance_index(risks, records) -> float:
     n = times.shape[0]
     if n < 2:
         raise NoComparablePairs("need at least two records")
-    concordant = 0.0
-    comparable = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if times[i] == times[j]:
-                if events[i] + events[j] != 1:
-                    continue
-                early, late = (i, j) if events[i] == 1 else (j, i)
-            elif times[i] < times[j]:
-                if events[i] != 1:
-                    continue
-                early, late = i, j
-            else:
-                if events[j] != 1:
-                    continue
-                early, late = j, i
-            comparable += 1
-            if risks[early] > risks[late]:
-                concordant += 1.0
-            elif risks[early] == risks[late]:
-                concordant += 0.5
+    concordant = tied = comparable = 0
+    for i in np.flatnonzero(events == 1):
+        # partners that outlive event subject i: later times, or censored at t_i
+        later = risks[(times > times[i]) | ((times == times[i]) & (events == 0))]
+        comparable += later.size
+        concordant += int(np.count_nonzero(later < risks[i]))
+        tied += int(np.count_nonzero(later == risks[i]))
     if comparable == 0:
         raise NoComparablePairs("no comparable pair of records")
-    return concordant / comparable
+    return (concordant + 0.5 * tied) / comparable
 
 
 def km_curve(records) -> KmCurve:

@@ -20,6 +20,7 @@ from .rng import substream
 VAR_FLOOR = 1e-6
 # a component owning less than this fraction of total responsibility is re-seeded
 RESCUE_FRACTION = 1e-8
+# fit_gmm gives up when one component starves more rounds than this in a row
 MAX_RESCUE_ROUNDS = 3
 
 
@@ -86,7 +87,8 @@ def responsibilities(patches: PatchFeatures, params: GmmParams) -> np.ndarray:
     return resp / resp.sum(axis=1, keepdims=True)
 
 
-def _em_step(patches: PatchFeatures, params: GmmParams, rng) -> tuple[GmmParams, float, int]:
+def _em_step(patches: PatchFeatures, params: GmmParams, rng) -> tuple[GmmParams, float, np.ndarray]:
+    """One EM update plus the (k,) mask of starved components it re-seeded."""
     x = patches.patches
     n, _ = x.shape
     k = params.weights.shape[0]
@@ -105,15 +107,14 @@ def _em_step(patches: PatchFeatures, params: GmmParams, rng) -> tuple[GmmParams,
     variances = (resp.T @ (x * x)) / nk_safe[:, None] - means * means
 
     starved = nk < RESCUE_FRACTION * n
-    n_rescued = int(starved.sum())
-    if n_rescued:
+    if starved.any():
         for c in np.flatnonzero(starved):
             means[c] = x[rng.integers(n)]
             variances[c] = 1.0
             weights[c] = 1.0 / k
         weights = weights / weights.sum()
     variances = np.maximum(variances, VAR_FLOOR)
-    return GmmParams(weights, means, variances), avg_ll, n_rescued
+    return GmmParams(weights, means, variances), avg_ll, starved
 
 
 def em_step(patches: PatchFeatures, params: GmmParams, rng=None) -> tuple[GmmParams, float]:
@@ -133,7 +134,8 @@ def fit_gmm(
     rel_tol: float = 1e-5,
 ) -> tuple[GmmParams, EmTrace]:
     """Iterate EM until the relative change in average log-likelihood falls
-    below ``rel_tol`` or ``max_iters`` is reached."""
+    below ``rel_tol`` or ``max_iters`` is reached. Raises DegenerateInput
+    when one component starves more than MAX_RESCUE_ROUNDS rounds in a row."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     n, dim = patches.patches.shape
@@ -146,16 +148,15 @@ def fit_gmm(
     params = init_gmm(n_components, dim, rng)
     lls: list[float] = []
     converged = False
-    rescue_rounds = 0
+    starved_rounds = np.zeros(n_components, dtype=int)  # consecutive, per component
     previous = None
     for _ in range(max_iters):
-        params, avg_ll, n_rescued = _em_step(patches, params, rng)
-        if n_rescued:
-            rescue_rounds += 1
-            if rescue_rounds > MAX_RESCUE_ROUNDS:
-                raise DegenerateInput(
-                    f"slide {patches.slide_id}: re-seeding failed {MAX_RESCUE_ROUNDS} times"
-                )
+        params, avg_ll, starved = _em_step(patches, params, rng)
+        starved_rounds = np.where(starved, starved_rounds + 1, 0)
+        if starved_rounds.max() > MAX_RESCUE_ROUNDS:
+            raise DegenerateInput(
+                f"slide {patches.slide_id}: re-seeding failed {MAX_RESCUE_ROUNDS} times in a row"
+            )
         lls.append(avg_ll)
         if previous is not None and abs(avg_ll - previous) / max(abs(avg_ll), 1.0) < rel_tol:
             converged = True

@@ -1,9 +1,12 @@
 """Model assembly: parameter layout, cohort preparation and the forward pass
 from prepared modality inputs to per-patient risk scores.
 
-All learnable values live in one flat float64 vector. The forward pass views
-that vector through named slices, so one reverse sweep of the tape yields
-the gradient for the whole model at once.
+The learnable values are a dict of named float64 arrays laid out by
+``param_spec``. Training hands the forward pass one leaf Tensor per name, so
+one reverse sweep of the tape leaves each tensor's gradient on its own leaf.
+The flatten helpers map that dict onto one coordinate vector in ``param_spec``
+order, the layout finite-difference gradient checks and whole-model
+comparisons use.
 """
 
 from __future__ import annotations
@@ -131,10 +134,12 @@ def init_params(dims: ModelDims, rng: np.random.Generator) -> dict[str, np.ndarr
 
 
 def flatten_params(values: Mapping[str, np.ndarray], spec) -> np.ndarray:
+    """Concatenate the named arrays into one vector in ``spec`` order."""
     return np.concatenate([np.asarray(values[name], dtype=float).ravel() for name, _ in spec])
 
 
 def unflatten_params(flat: np.ndarray, spec) -> dict[str, np.ndarray]:
+    """Named array views of a vector laid out by ``flatten_params``."""
     out: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in spec:
@@ -147,7 +152,9 @@ def unflatten_params(flat: np.ndarray, spec) -> dict[str, np.ndarray]:
 
 
 def unflatten_tensors(flat: Tensor, spec) -> dict[str, Tensor]:
-    """Named Tensor views of one flat leaf; gradients accumulate in the leaf."""
+    """Named Tensor views of one leaf laid out by ``flatten_params``, for
+    functions of the whole parameter vector such as ``grad_check``; the
+    gradients of every view accumulate in that leaf."""
     out: dict[str, Tensor] = {}
     offset = 0
     for name, shape in spec:
@@ -169,6 +176,7 @@ class ModelParams:
         return param_spec(self.dims)
 
     def flat(self) -> np.ndarray:
+        """All values as one vector in ``param_spec`` order."""
         return flatten_params(self.values, self.spec)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Cohort, kfold_split
+from .errors import ProtosurvError
 from .evaluation import concordance_index
 from .histology import EmTrace, fit_gmm, slide_representation
 from .model import ModelDims, ModelParams, PreparedCohort, prepare_cohort
@@ -23,11 +24,15 @@ from .text import compute_n_t
 
 def fit_slide_representations(patches_list, n_components: int, seed: int):
     """Fit one mixture per slide (substream per slide index) and return the
-    stacked representations plus the EM traces."""
+    stacked representations plus the EM traces. A failed fit raises with the
+    slide's patient named."""
     reps: list[np.ndarray] = []
     traces: list[EmTrace] = []
     for i, patches in enumerate(patches_list):
-        params, trace = fit_gmm(patches, n_components, substream(seed, "gmm", i))
+        try:
+            params, trace = fit_gmm(patches, n_components, substream(seed, "gmm", i))
+        except ProtosurvError as exc:
+            raise type(exc)(f"patient {patches.slide_id}: {exc}") from exc
         reps.append(slide_representation(params))
         traces.append(trace)
     return reps, traces

@@ -23,12 +23,8 @@ from .model import (
     ModelParams,
     PreparedCohort,
     canonical_modalities,
-    flatten_params,
     forward_risks,
     init_params,
-    param_spec,
-    unflatten_params,
-    unflatten_tensors,
 )
 from .numerics import Tensor
 from .rng import substream
@@ -132,11 +128,9 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
         raise ValueError(
             f"cohort prepared for modalities {dims.modalities!r} but config asks {config.modalities!r}"
         )
-    spec = param_spec(dims)
-    flat = flatten_params(init_params(dims, substream(config.seed, "init")), spec)
-
-    moment1 = np.zeros_like(flat)
-    moment2 = np.zeros_like(flat)
+    values = init_params(dims, substream(config.seed, "init"))
+    moment1 = {name: np.zeros_like(v) for name, v in values.items()}
+    moment2 = {name: np.zeros_like(v) for name, v in values.items()}
     step = 0
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     history: list[EpochStats] = []
@@ -146,23 +140,24 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
         losses = []
         for start in range(0, n, config.batch_size):
             batch = prepared.subset(order[start : start + config.batch_size])
-            leaf = Tensor(flat, requires_grad=True)
-            risks = forward_risks(batch, unflatten_tensors(leaf, spec), dims, config.fusion_mode)
+            leaves = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
+            risks = forward_risks(batch, leaves, dims, config.fusion_mode)
             loss, degenerate = cox_loss(risks, (batch.times, batch.events))
             if degenerate:
                 losses.append(0.0)
                 continue
             loss.backward()
-            grad = leaf.grad
             step += 1
-            moment1 = beta1 * moment1 + (1.0 - beta1) * grad
-            moment2 = beta2 * moment2 + (1.0 - beta2) * grad * grad
-            m_hat = moment1 / (1.0 - beta1**step)
-            v_hat = moment2 / (1.0 - beta2**step)
-            flat = flat - lr * (m_hat / (np.sqrt(v_hat) + adam_eps) + config.weight_decay * flat)
+            for name, leaf in leaves.items():
+                grad = leaf.grad
+                moment1[name] = beta1 * moment1[name] + (1.0 - beta1) * grad
+                moment2[name] = beta2 * moment2[name] + (1.0 - beta2) * grad * grad
+                m_hat = moment1[name] / (1.0 - beta1**step)
+                v_hat = moment2[name] / (1.0 - beta2**step)
+                w = values[name]
+                values[name] = w - lr * (m_hat / (np.sqrt(v_hat) + adam_eps) + config.weight_decay * w)
             losses.append(float(loss.data))
         history.append(EpochStats(epoch, lr, float(np.mean(losses))))
-    values = {name: arr.copy() for name, arr in unflatten_params(flat, spec).items()}
     return ModelParams(values, dims), history
 
 

@@ -7,7 +7,15 @@ from protosurv import numerics as nm
 from protosurv.data import SyntheticSpec, synth_cohort
 from protosurv.errors import NoEvents
 from protosurv.fusion import FusionOutput
-from protosurv.model import risk_head, init_params, param_spec
+from protosurv.model import (
+    flatten_params,
+    forward_risks,
+    init_params,
+    param_spec,
+    risk_head,
+    unflatten_params,
+    unflatten_tensors,
+)
 from protosurv.pipeline import build_prepared
 from protosurv.rng import substream
 from protosurv.survival import (
@@ -186,6 +194,31 @@ def test_train_zero_epochs_returns_initialisation():
     expected = init_params(dims, substream(config.seed, "init"))
     for name, _ in param_spec(dims):
         np.testing.assert_array_equal(model.values[name], expected[name])
+
+
+@pytest.mark.parametrize(
+    "mode, shared_beta",
+    [("full", False), ("late", False), ("hierarchical", False), ("full", True)],
+)
+def test_per_leaf_gradients_equal_flat_leaf_gradient(mode, shared_beta):
+    cohort = _small_cohort()
+    config = _small_config(fusion_mode=mode, shared_beta_mlp=shared_beta)
+    prepared, dims, _ = build_prepared(cohort, config)
+    batch = prepared.subset(np.arange(config.batch_size))
+    values = init_params(dims, substream(config.seed, "init"))
+    spec = param_spec(dims)
+
+    def loss_grad(pt):
+        loss, degenerate = cox_loss(forward_risks(batch, pt, dims, mode), (batch.times, batch.events))
+        assert not degenerate
+        loss.backward()
+
+    leaves = {name: nm.Tensor(v, requires_grad=True) for name, v in values.items()}
+    loss_grad(leaves)
+    flat = nm.Tensor(flatten_params(values, spec), requires_grad=True)
+    loss_grad(unflatten_tensors(flat, spec))
+    for name, grad in unflatten_params(flat.grad, spec).items():
+        assert np.array_equal(leaves[name].grad, grad), name
 
 
 def test_train_deterministic():
