@@ -63,22 +63,26 @@ def concordance_index(risks, records) -> float:
     return (concordant + 0.5 * tied) / comparable
 
 
+def _counts_at(event_times, times, events):
+    """Per event time t: the risk-set size #{times >= t} and the deaths
+    #{times == t, event}."""
+    ordered = np.sort(times)
+    died = np.sort(times[events == 1])
+    at_risk = times.size - np.searchsorted(ordered, event_times, side="left")
+    deaths = np.searchsorted(died, event_times, side="right") - np.searchsorted(died, event_times, side="left")
+    return at_risk, deaths
+
+
 def km_curve(records) -> KmCurve:
     """Product-limit survival estimate over the distinct event times."""
     times, events = _arrays(records)
     if times.size == 0:
         raise ValueError("no records")
     event_times = np.unique(times[events == 1])
-    survival = []
-    at_risk = []
-    running = 1.0
-    for t in event_times:
-        n_risk = int((times >= t).sum())
-        deaths = int(((times == t) & (events == 1)).sum())
-        running *= 1.0 - deaths / n_risk
-        survival.append(running)
-        at_risk.append(n_risk)
-    return KmCurve(event_times, np.asarray(survival), np.asarray(at_risk, dtype=int))
+    at_risk, deaths = _counts_at(event_times, times, events)
+    # cumprod multiplies left to right in time order, as a running product does
+    survival = np.cumprod(1.0 - deaths / at_risk)
+    return KmCurve(event_times, survival, at_risk)
 
 
 def chi2_1df_sf(statistic: float) -> float:
@@ -94,35 +98,23 @@ def log_rank(group_a, group_b) -> LogRankResult:
         raise ValueError("both groups must be nonempty")
     times = np.concatenate([times_a, times_b])
     events = np.concatenate([events_a, events_b])
-    in_a = np.concatenate([np.ones_like(times_a), np.zeros_like(times_b)])
     event_times = np.unique(times[events == 1])
     if event_times.size == 0:
         raise NoEvents("no observed event in either group")
 
-    observed_a = 0.0
-    expected_a = 0.0
-    variance = 0.0
-    for t in event_times:
-        risk = times >= t
-        n_total = int(risk.sum())
-        n_a = int((risk & (in_a == 1)).sum())
-        dying = (times == t) & (events == 1)
-        d_total = int(dying.sum())
-        d_a = int((dying & (in_a == 1)).sum())
-        observed_a += d_a
-        expected_a += d_total * n_a / n_total
-        if n_total > 1:
-            variance += (
-                d_total
-                * (n_a / n_total)
-                * (1.0 - n_a / n_total)
-                * (n_total - d_total)
-                / (n_total - 1)
-            )
+    n_total, d_total = _counts_at(event_times, times, events)
+    n_a, d_a = _counts_at(event_times, times_a, events_a)
+    share_a = n_a / n_total
+    # a risk set of one contributes no variance; its denominator is never used
+    contrib = d_total * share_a * (1.0 - share_a) * (n_total - d_total) / np.maximum(n_total - 1, 1)
+    observed_a = float(d_a.sum())  # a count: exact in any order
+    # cumsum adds left to right in time order, as a running total does
+    expected_a = float(np.cumsum(d_total * n_a / n_total)[-1])
+    variance = float(np.cumsum(np.where(n_total > 1, contrib, 0.0))[-1])
     if variance == 0.0:
         return LogRankResult(0.0, 1.0)
     statistic = (observed_a - expected_a) ** 2 / variance
-    return LogRankResult(float(statistic), chi2_1df_sf(float(statistic)))
+    return LogRankResult(statistic, chi2_1df_sf(statistic))
 
 
 def stratify_median(risks) -> list[str]:

@@ -3,6 +3,13 @@ embeddings, fitted with EM and flattened into one matrix row per component.
 
 Fitting is slide-level preprocessing; survival-loss gradients never flow
 into mixture parameters. Everything is deterministic given (seed, data).
+
+Memory is O(nk + nd): EM never forms the (n, k, d) patch-minus-mean tensor.
+Each fit centres the patches once on the slide's mean patch c and keeps
+xc = x - c and xc^2. The E-step quadratic is two (n, d) x (d, k) products,
+xc^2 (1/var)^T - 2 xc ((mu - c)/var)^T + sum((mu - c)^2/var), clamped at 0;
+the M-step takes the first and second moments of xc, so a large common
+offset in the features costs no precision in the variances.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ class EmTrace:
     log_likelihoods: list[float]  # per-iteration average log-likelihood (pre-update)
     iterations: int
     converged: bool
+    rescues: int = 0  # starved components re-seeded over the whole fit
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -62,38 +70,57 @@ def init_gmm(n_components: int, dim: int, seed) -> GmmParams:
     )
 
 
-def _component_log_densities(x: np.ndarray, params: GmmParams) -> np.ndarray:
-    """(n, k) matrix of log N(x_n; mu_k, diag var_k)."""
-    diff = x[:, None, :] - params.means[None, :, :]
-    quad = (diff * diff / params.variances[None, :, :]).sum(axis=-1)
+@dataclass(frozen=True)
+class _Centred:
+    """Patches shifted by the slide's mean patch, with their squares: the
+    only (n, d) arrays EM keeps, computed once per fit."""
+
+    x: np.ndarray  # (n, d) the patches as given
+    centre: np.ndarray  # (d,) mean patch
+    xc: np.ndarray  # (n, d) x - centre
+    xc2: np.ndarray  # (n, d) xc * xc
+
+
+def _centre(x: np.ndarray) -> _Centred:
+    centre = x.mean(axis=0)
+    xc = x - centre
+    return _Centred(x, centre, xc, xc * xc)
+
+
+def _component_log_densities(data: _Centred, params: GmmParams) -> np.ndarray:
+    """(n, k) matrix of log N(x_n; mu_k, diag var_k), with the quadratic
+    expanded into two (n, d) x (d, k) products on the centred patches."""
+    prec = 1.0 / params.variances
+    mc = params.means - data.centre
+    quad = data.xc2 @ prec.T - 2.0 * (data.xc @ (mc * prec).T) + (mc * mc * prec).sum(axis=1)[None, :]
+    np.maximum(quad, 0.0, out=quad)
     log_det = np.log(params.variances).sum(axis=-1)
-    d = x.shape[1]
+    d = data.xc.shape[1]
     return -0.5 * (d * math.log(2.0 * math.pi) + log_det[None, :] + quad)
 
 
 def log_density(x: np.ndarray, params: GmmParams) -> float:
     """log-likelihood of one embedding under the mixture (log-sum-exp)."""
     x = np.asarray(x, dtype=float)[None, :]
-    log_joint = _component_log_densities(x, params) + np.log(params.weights)[None, :]
+    log_joint = _component_log_densities(_centre(x), params) + np.log(params.weights)[None, :]
     m = log_joint.max()
     return float(m + np.log(np.exp(log_joint - m).sum()))
 
 
 def responsibilities(patches: PatchFeatures, params: GmmParams) -> np.ndarray:
     """(n, k) posterior component probabilities per patch."""
-    log_joint = _component_log_densities(patches.patches, params) + np.log(params.weights)[None, :]
+    log_joint = _component_log_densities(_centre(patches.patches), params) + np.log(params.weights)[None, :]
     log_joint -= log_joint.max(axis=1, keepdims=True)
     resp = np.exp(log_joint)
     return resp / resp.sum(axis=1, keepdims=True)
 
 
-def _em_step(patches: PatchFeatures, params: GmmParams, rng) -> tuple[GmmParams, float, np.ndarray]:
+def _em_step(data: _Centred, params: GmmParams, rng) -> tuple[GmmParams, float, np.ndarray]:
     """One EM update plus the (k,) mask of starved components it re-seeded."""
-    x = patches.patches
-    n, _ = x.shape
+    n, _ = data.x.shape
     k = params.weights.shape[0]
 
-    log_joint = _component_log_densities(x, params) + np.log(params.weights)[None, :]
+    log_joint = _component_log_densities(data, params) + np.log(params.weights)[None, :]
     row_max = log_joint.max(axis=1, keepdims=True)
     shifted = np.exp(log_joint - row_max)
     row_sum = shifted.sum(axis=1, keepdims=True)
@@ -103,13 +130,16 @@ def _em_step(patches: PatchFeatures, params: GmmParams, rng) -> tuple[GmmParams,
     nk = resp.sum(axis=0)
     nk_safe = np.maximum(nk, 1e-300)
     weights = nk / n
-    means = (resp.T @ x) / nk_safe[:, None]
-    variances = (resp.T @ (x * x)) / nk_safe[:, None] - means * means
+    # moments about the slide's mean patch: E[x^2] - mu^2 on raw features
+    # cancels away every digit a large common offset carries
+    mc = (resp.T @ data.xc) / nk_safe[:, None]
+    variances = (resp.T @ data.xc2) / nk_safe[:, None] - mc * mc
+    means = mc + data.centre
 
     starved = nk < RESCUE_FRACTION * n
     if starved.any():
         for c in np.flatnonzero(starved):
-            means[c] = x[rng.integers(n)]
+            means[c] = data.x[rng.integers(n)]
             variances[c] = 1.0
             weights[c] = 1.0 / k
         weights = weights / weights.sum()
@@ -122,7 +152,7 @@ def em_step(patches: PatchFeatures, params: GmmParams, rng=None) -> tuple[GmmPar
     log-likelihood of the *incoming* parameters."""
     if rng is None:
         rng = np.random.default_rng(0)
-    new_params, avg_ll, _ = _em_step(patches, params, rng)
+    new_params, avg_ll, _ = _em_step(_centre(patches.patches), params, rng)
     return new_params, avg_ll
 
 
@@ -146,12 +176,15 @@ def fit_gmm(
         )
     rng = _as_rng(seed)
     params = init_gmm(n_components, dim, rng)
+    data = _centre(patches.patches)
     lls: list[float] = []
+    rescues = 0
     converged = False
     starved_rounds = np.zeros(n_components, dtype=int)  # consecutive, per component
     previous = None
     for _ in range(max_iters):
-        params, avg_ll, starved = _em_step(patches, params, rng)
+        params, avg_ll, starved = _em_step(data, params, rng)
+        rescues += int(starved.sum())
         starved_rounds = np.where(starved, starved_rounds + 1, 0)
         if starved_rounds.max() > MAX_RESCUE_ROUNDS:
             raise DegenerateInput(
@@ -162,7 +195,7 @@ def fit_gmm(
             converged = True
             break
         previous = avg_ll
-    return params, EmTrace(lls, len(lls), converged)
+    return params, EmTrace(lls, len(lls), converged, rescues)
 
 
 def slide_representation(params: GmmParams) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The synthetic end-to-end
-criteria (7 and 8) dominate the runtime (roughly ten minutes on one core);
-everything else finishes in seconds.
+criteria (7 and 8) dominate the runtime (six to nine minutes on a 2-vCPU
+machine); everything else finishes in seconds.
 """
 
 import math

@@ -40,6 +40,49 @@ def brute_force_cindex(risks, times, events):
     return concordant / comparable
 
 
+def loop_km_curve(times, events):
+    """Per-event-time loop oracle of the product-limit estimate."""
+    event_times = np.unique(times[events == 1])
+    survival, at_risk = [], []
+    running = 1.0
+    for t in event_times:
+        n_risk = int((times >= t).sum())
+        deaths = int(((times == t) & (events == 1)).sum())
+        running *= 1.0 - deaths / n_risk
+        survival.append(running)
+        at_risk.append(n_risk)
+    return event_times, np.asarray(survival), np.asarray(at_risk, dtype=int)
+
+
+def loop_log_rank(times, events, in_a):
+    """Per-event-time loop oracle of the log-rank statistic."""
+    observed_a = expected_a = variance = 0.0
+    for t in np.unique(times[events == 1]):
+        risk = times >= t
+        n_total = int(risk.sum())
+        n_a = int((risk & in_a).sum())
+        dying = (times == t) & (events == 1)
+        d_total = int(dying.sum())
+        d_a = int((dying & in_a).sum())
+        observed_a += d_a
+        expected_a += d_total * n_a / n_total
+        if n_total > 1:
+            variance += d_total * (n_a / n_total) * (1.0 - n_a / n_total) * (n_total - d_total) / (n_total - 1)
+    if variance == 0.0:
+        return 0.0
+    return (observed_a - expected_a) ** 2 / variance
+
+
+def _tied_cohort(n, seed):
+    """Integer times (many ties), a quarter censored, risks on a coarse grid
+    (many ties) that track the times."""
+    rng = np.random.default_rng(seed)
+    times = rng.integers(1, 200, size=n).astype(float)
+    events = (rng.random(n) >= 0.25).astype(int)
+    risks = np.round(-np.log(times) + rng.normal(scale=0.5, size=n), 1)
+    return times, events, risks
+
+
 # ---------------------------------------------------------------------------
 # concordance
 # ---------------------------------------------------------------------------
@@ -135,6 +178,15 @@ def test_km_matches_direct_product_formula():
     assert np.all((curve.survival >= 0) & (curve.survival <= 1))
 
 
+def test_km_bit_identical_to_loop_oracle_at_cohort_scale():
+    times, events, _ = _tied_cohort(2000, 21)
+    curve = km_curve(_rec(times, events))
+    event_times, survival, at_risk = loop_km_curve(times, events)
+    assert np.array_equal(curve.times, event_times)
+    assert np.array_equal(curve.survival, survival)
+    assert np.array_equal(curve.at_risk, at_risk) and curve.at_risk.dtype == at_risk.dtype
+
+
 def test_km_no_censoring_ends_at_zero():
     rng = np.random.default_rng(3)
     times = rng.uniform(1, 50, size=12)
@@ -177,6 +229,17 @@ def test_log_rank_symmetry():
     a = _rec(rng.uniform(1, 40, 15), rng.integers(0, 2, 15))
     b = _rec(rng.uniform(1, 40, 12), np.maximum(rng.integers(0, 2, 12), [1] + [0] * 11))
     assert abs(log_rank(a, b).statistic - log_rank(b, a).statistic) < 1e-12
+
+
+def test_log_rank_bit_identical_to_loop_oracle_at_cohort_scale():
+    times, events, risks = _tied_cohort(2000, 22)
+    high = np.array(stratify_median(risks)) == "high"
+    records = _rec(times, events)
+    result = log_rank([r for r, h in zip(records, high) if h], [r for r, h in zip(records, high) if not h])
+    order = np.concatenate([np.flatnonzero(high), np.flatnonzero(~high)])
+    expect = loop_log_rank(times[order], events[order], high[order])
+    assert result.statistic == expect
+    assert result.p_value == chi2_1df_sf(expect)
 
 
 def test_log_rank_no_events():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from protosurv.data import SyntheticSpec, synth_cohort
 from protosurv.histology import (
+    EmTrace,
     GmmParams,
     PatchFeatures,
     VAR_FLOOR,
@@ -26,6 +28,22 @@ def _cluster_slide(seed, n=200, d=8, k=3, scale=2.5, noise=0.5):
     labels = rng.integers(0, k, size=n)
     x = centers[labels] + rng.normal(scale=noise, size=(n, d))
     return PatchFeatures(f"slide{seed}", x), labels, centers
+
+
+def _direct_log_densities(x, params):
+    """(n, k) log N(x_n; mu_k, diag var_k) from the (n, k, d) difference
+    tensor: the textbook form, kept as the oracle of the matmul expansion."""
+    diff = x[:, None, :] - params.means[None, :, :]
+    quad = (diff * diff / params.variances[None, :, :]).sum(axis=-1)
+    log_det = np.log(params.variances).sum(axis=-1)
+    return -0.5 * (x.shape[1] * math.log(2.0 * math.pi) + log_det[None, :] + quad)
+
+
+def _floored_params(rng, k, d):
+    variances = rng.uniform(0.3, 3.0, size=(k, d))
+    variances[rng.random(size=(k, d)) < 0.2] = VAR_FLOOR
+    weights = rng.uniform(0.5, 1.5, size=k)
+    return GmmParams(weights / weights.sum(), rng.normal(size=(k, d)), variances)
 
 
 def test_init_gmm_defaults_at_paper_scale():
@@ -77,6 +95,36 @@ def test_log_density_matches_direct_sum_oracle():
             dens *= math.exp(-((x[j] - params.means[c, j]) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
         total += params.weights[c] * dens
     assert abs(log_density(x, params) - math.log(total)) < 1e-12
+
+
+def test_responsibilities_match_direct_oracle():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        params = _floored_params(rng, 4, 6)
+        # patches drawn from the mixture, so floored components own theirs
+        labels = rng.integers(0, 4, size=60)
+        x = params.means[labels] + rng.normal(size=(60, 6)) * np.sqrt(params.variances[labels])
+        log_joint = _direct_log_densities(x, params) + np.log(params.weights)[None, :]
+        expect = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
+        expect /= expect.sum(axis=1, keepdims=True)
+        got = responsibilities(PatchFeatures("s", x), params)
+        # a responsibility's relative error is the absolute error of its log,
+        # which grows with the log-joint itself: 1e-10 relative, on the log scale
+        np.testing.assert_array_equal(got == 0, expect == 0)
+        live = expect > 0
+        log_expect = np.log(expect[live])
+        assert np.all(np.abs(np.log(got[live]) - log_expect) <= 1e-10 * np.maximum(1.0, np.abs(log_expect)))
+
+
+def test_log_density_matches_direct_oracle_with_floored_variances():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        params = _floored_params(rng, 4, 6)
+        for x in (rng.normal(size=6), params.means[rng.integers(0, 4)]):
+            log_joint = _direct_log_densities(x[None, :], params)[0] + np.log(params.weights)
+            m = log_joint.max()
+            expect = m + math.log(np.exp(log_joint - m).sum())
+            assert abs(log_density(x, params) - expect) <= 1e-10 * abs(expect)
 
 
 def test_em_step_single_component_closed_form():
@@ -133,13 +181,17 @@ def test_fit_gmm_single_iteration():
 def test_fit_gmm_recovers_three_clusters():
     patches, labels, _ = _cluster_slide(0, d=16)
     params, trace = fit_gmm(patches, 3, substream(0, "gmm", 0))
-    assert trace.converged
+    assert trace.converged and trace.rescues == 0
     hard = responsibilities(patches, params).argmax(axis=1)
     best = max(
         sum((hard[labels == t] == p).sum() for t, p in enumerate(perm))
         for perm in permutations(range(3))
     )
     assert best == len(labels)
+
+
+def test_em_trace_rescues_default_to_zero():
+    assert EmTrace([0.0], 1, False).rescues == 0
 
 
 def test_fit_gmm_deterministic():
@@ -186,7 +238,37 @@ def test_fit_gmm_survives_separate_rescues():
     params, trace = fit_gmm(patches, 16, substream(0, "gmm", 35))
     assert np.all(np.isfinite(params.means))
     assert np.all(params.variances >= VAR_FLOOR)
-    assert trace.iterations >= 1
+    assert trace.iterations >= 1 and trace.rescues > 0
+
+
+def test_fit_gmm_large_offset_keeps_precision():
+    # second moments about the raw origin cancel every digit a common
+    # offset of 1e6 carries; about the slide's mean patch they keep them
+    patches, _, _ = _cluster_slide(3)
+    shifted = PatchFeatures("shifted", patches.patches + 1e6)
+    for seed in (3, 17):
+        _, trace = fit_gmm(shifted, 3, seed=seed)
+        assert np.diff(trace.log_likelihoods).min() >= -1e-8
+    # at seed 3 the shifted fit takes the unshifted fit's path
+    base, base_trace = fit_gmm(patches, 3, seed=3)
+    moved, moved_trace = fit_gmm(shifted, 3, seed=3)
+    assert moved_trace.iterations == base_trace.iterations
+    d = patches.patches.shape[1]
+    rep_base, rep_moved = slide_representation(base), slide_representation(moved)
+    np.testing.assert_allclose(rep_moved[:, 0], rep_base[:, 0], rtol=1e-9)
+    np.testing.assert_allclose(rep_moved[:, 1 + d:], rep_base[:, 1 + d:], rtol=1e-6)
+
+
+def test_fit_gmm_memory_linear_in_patches():
+    # an (n, k, d) temporary would take 16x the patches alone
+    x = np.random.default_rng(18).normal(size=(4096, 384))
+    tracemalloc.start()
+    try:
+        fit_gmm(PatchFeatures("paper", x), 16, seed=0, max_iters=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.nbytes
 
 
 def test_slide_representation_shape_and_order():
