@@ -30,9 +30,10 @@ from .data import (
 )
 from .errors import FingerprintMismatch, NoEvents, ProtosurvError
 from .evaluation import concordance_index, cross_attention_summary, km_curve, log_rank, stratify_median
+from .fusion import FUSION_MODES
 from .model import forward_diagnostics
 from .pathways import fingerprint
-from .pipeline import build_prepared, fit_slide_representations, run_fold
+from .pipeline import build_prepared, fit_slide_representations, run_fold, text_shapes
 from .survival import SurvivalRecord, TrainConfig, load_checkpoint, save_checkpoint
 
 MODALITY_CHOICES = ("pht", "ht", "pt", "ph", "p", "h", "t")
@@ -117,11 +118,7 @@ def cmd_prototype(args) -> int:
     }
     try:
         if "t" in manifest.modalities:
-            from .text import compute_n_t
-
-            meta["d_t"] = int(cohort.reports[0].segments.shape[1])
-            meta["max_segments"] = int(max(r.segments.shape[0] for r in cohort.reports))
-            meta["n_text"] = int(compute_n_t(cohort.reports, args.nt_mode))
+            meta["d_t"], meta["max_segments"], meta["n_text"] = text_shapes(cohort.reports, args.nt_mode)
             for report in cohort.reports:
                 path = out / f"{report.patient_id}.report.ps3e"
                 write_matrix(path, report.segments)
@@ -417,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", default=None, help="JSON file of TrainConfig fields; flags win")
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--folds", type=int, default=None, help="fold count (default 5)")
-    p_train.add_argument("--fusion-mode", choices=("full", "late", "hierarchical"), default=None)
+    p_train.add_argument("--fusion-mode", choices=FUSION_MODES, default=None)
     p_train.add_argument("--modalities", choices=MODALITY_CHOICES, default=None)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--lr", type=float, default=None)

@@ -36,7 +36,8 @@ class AttentionSummary:
     ranking: list[tuple[str, float]]  # (key token name, dispersion), descending
 
 
-def _arrays(records):
+def _records_to_arrays(records):
+    """(times, events) arrays of a sequence of SurvivalRecords."""
     times = np.asarray([r.time for r in records], dtype=float)
     events = np.asarray([r.event for r in records], dtype=int)
     return times, events
@@ -46,7 +47,7 @@ def concordance_index(risks, records) -> float:
     """Harrell's C. A pair is comparable when the earlier time is an event
     and times differ, or when times tie with exactly one event (the event
     subject counts as earlier). Risk ties score one half."""
-    times, events = _arrays(records)
+    times, events = _records_to_arrays(records)
     risks = np.asarray(risks, dtype=float)
     n = times.shape[0]
     if n < 2:
@@ -75,7 +76,7 @@ def _counts_at(event_times, times, events):
 
 def km_curve(records) -> KmCurve:
     """Product-limit survival estimate over the distinct event times."""
-    times, events = _arrays(records)
+    times, events = _records_to_arrays(records)
     if times.size == 0:
         raise ValueError("no records")
     event_times = np.unique(times[events == 1])
@@ -92,8 +93,8 @@ def chi2_1df_sf(statistic: float) -> float:
 
 def log_rank(group_a, group_b) -> LogRankResult:
     """Two-group log-rank test over the pooled distinct event times."""
-    times_a, events_a = _arrays(group_a)
-    times_b, events_b = _arrays(group_b)
+    times_a, events_a = _records_to_arrays(group_a)
+    times_b, events_b = _records_to_arrays(group_b)
     if times_a.size == 0 or times_b.size == 0:
         raise ValueError("both groups must be nonempty")
     times = np.concatenate([times_a, times_b])

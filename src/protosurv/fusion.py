@@ -102,18 +102,16 @@ def block_attention(p, h, t, params: FusionParams, key_validity) -> FusionOutput
     """Full fusion attention over already-appended token matrices.
 
     ``key_validity`` covers the concatenated sequence in pathway, histology,
-    text order; absent modalities are passed as None and simply omitted.
+    text order; absent modalities are passed as None and simply omitted. The
+    learnable embedding of ``params`` is not appended again.
     """
-    named = [(n, m) for n, m in zip(MODALITY_ORDER, (p, h, t)) if m is not None]
-    if not named:
-        raise NoModalitiesEnabled("no modality tokens given")
-    seq, sizes = _sequence([m for _, m in named])
+    sizes = [nm.as_tensor(m).shape[-2] for m in (p, h, t) if m is not None]
     key_validity = np.asarray(key_validity, dtype=float)
-    if key_validity.shape[-1] != sum(sizes):
+    if sizes and key_validity.shape[-1] != sum(sizes):
         raise ShapeMismatch(f"key validity length {key_validity.shape[-1]} vs {sum(sizes)} tokens")
-    weights = (params.w_q, params.w_k, params.w_v)
-    out, attention = nm.masked_attention(seq, *weights, key_validity[..., None, :])
-    return _fusion_output(out, attention, [n for n, _ in named], sizes, [m for _, m in named] + list(weights))
+    parts = iter(np.split(key_validity, np.cumsum(sizes)[:-1], axis=-1))
+    tokens = [None if m is None else ModalityTokens(n, m, next(parts)) for n, m in zip(MODALITY_ORDER, (p, h, t))]
+    return fuse(*tokens, FusionParams(None, params.w_q, params.w_k, params.w_v))
 
 
 def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:

@@ -1,5 +1,11 @@
-"""Model assembly: parameter layout, cohort preparation and the forward pass
-from prepared modality inputs to per-patient risk scores.
+"""Model assembly: parameter layout, the prepared-cohort container and the
+forward pass from prepared modality inputs to per-patient risk scores.
+
+The forward pass composes the public stage functions:
+``text.select_prototypes`` and ``text.project_text``,
+``histology.project_histo``, ``pathways.embed_pathways``, ``fusion.fuse``
+and the risk head. Training and the single-patient API run the same body
+for each stage.
 
 The learnable values are a dict of named float64 arrays laid out by
 ``param_spec``. Training hands the forward pass one leaf Tensor per name, so
@@ -20,7 +26,9 @@ from . import numerics as nm
 from . import text as text_mod
 from .errors import ShapeMismatch
 from .fusion import MODALITY_ORDER, FusionParams, ModalityTokens, fuse
+from .histology import project_histo
 from .numerics import Tensor
+from .pathways import embed_pathways
 
 MODALITY_LETTERS = {"p": "pathway", "h": "histology", "t": "text"}
 
@@ -210,38 +218,6 @@ class PreparedCohort:
         )
 
 
-def prepare_cohort(
-    *,
-    patient_ids,
-    times,
-    events,
-    dims: ModelDims,
-    reports=None,
-    slide_reps=None,
-    expressions=None,
-    mask_set=None,
-) -> PreparedCohort:
-    """Pad reports, stack slide representations and slice expression vectors
-    into the arrays the forward pass consumes."""
-    prepared = PreparedCohort(
-        patient_ids=list(patient_ids),
-        times=np.asarray(times, dtype=float),
-        events=np.asarray(events, dtype=int),
-        dims=dims,
-    )
-    if "t" in dims.modalities:
-        batch = text_mod.pad_batch(list(reports), dims.max_segments)
-        prepared.text_data, prepared.text_mask = batch.data, batch.mask
-    if "h" in dims.modalities:
-        prepared.slides = np.stack([np.asarray(s, dtype=float) for s in slide_reps])
-    if "p" in dims.modalities:
-        from .pathways import pathway_slices
-
-        stacked = np.stack([np.asarray(e.values if hasattr(e, "values") else e, dtype=float) for e in expressions])
-        prepared.slices = pathway_slices(stacked, mask_set)
-    return prepared
-
-
 def _snn_layers(pt: Mapping, prefix: str):
     return [(pt[f"{prefix}.w0"], pt[f"{prefix}.b0"]), (pt[f"{prefix}.w1"], pt[f"{prefix}.b1"])]
 
@@ -256,8 +232,7 @@ def forward_risks(prepared: PreparedCohort, pt: Mapping, dims: ModelDims, fusion
 def forward_diagnostics(prepared: PreparedCohort, pt: Mapping, dims: ModelDims, fusion_mode: str = "full"):
     """Forward pass returning (risks, FusionOutput, per-modality validity)."""
     n = len(prepared)
-    tokens = {"pathway": None, "histology": None, "text": None}
-    validity = {}
+    tokens, validity = {}, {}
 
     if "t" in dims.modalities:
         z, att = text_mod.text_self_attention(
@@ -265,37 +240,23 @@ def forward_diagnostics(prepared: PreparedCohort, pt: Mapping, dims: ModelDims, 
             text_mod.TextAttentionParams(pt["text.w_q"], pt["text.w_k"], pt["text.w_v"]),
         )
         scores = text_mod.importance_scores(att, prepared.text_mask)
-        order, proto_valid = text_mod.top_segment_indices(scores, prepared.text_mask, dims.n_text)
-        picked = nm.gather_rows(nm.as_tensor(z), order) * proto_valid[..., None]
-        tokens["text"] = nm.affine(picked, pt["text.alpha.w"], pt["text.alpha.b"])
-        validity["text"] = proto_valid
+        protos = text_mod.select_prototypes(z, scores, prepared.text_mask, dims.n_text)
+        tokens["text"] = text_mod.project_text(protos, pt["text.alpha.w"], pt["text.alpha.b"])
+        validity["text"] = protos.validity
     if "h" in dims.modalities:
-        tokens["histology"] = nm.affine(nm.as_tensor(prepared.slides), pt["histo.alpha.w"], pt["histo.alpha.b"])
+        tokens["histology"] = project_histo(prepared.slides, pt["histo.alpha.w"], pt["histo.alpha.b"])
         validity["histology"] = np.ones((n, dims.n_histology))
     if "p" in dims.modalities:
-        rows = [
-            nm.reshape(
-                nm.snn_forward(nm.as_tensor(prepared.slices[i]), _snn_layers(pt, f"path.snn{i}")),
-                (n, 1, dims.d_e),
-            )
-            for i in range(dims.n_pathways)
-        ]
-        tokens["pathway"] = rows[0] if len(rows) == 1 else nm.concat(rows, axis=-2)
+        snns = [_snn_layers(pt, f"path.snn{i}") for i in range(dims.n_pathways)]
+        tokens["pathway"] = embed_pathways(prepared.slices, snns)
         validity["pathway"] = np.ones((n, dims.n_pathways))
 
     fused = fuse(
-        p=None if tokens["pathway"] is None else ModalityTokens("pathway", tokens["pathway"], validity["pathway"]),
-        h=None if tokens["histology"] is None else ModalityTokens("histology", tokens["histology"], validity["histology"]),
-        t=None if tokens["text"] is None else ModalityTokens("text", tokens["text"], validity["text"]),
+        *(ModalityTokens(name, tokens[name], validity[name]) if name in tokens else None for name in MODALITY_ORDER),
         params=FusionParams(pt.get("fusion.e_r"), pt["fusion.w_q"], pt["fusion.w_k"], pt["fusion.w_v"]),
         mode=fusion_mode,
     )
-    risks = _pooled_risk(
-        {name: fused.block(name) for name in dims.enabled},
-        {name: validity[name] for name in dims.enabled},
-        pt,
-        dims,
-    )
+    risks = _pooled_risk({name: fused.block(name) for name in dims.enabled}, validity, pt, dims)
     return nm.reshape(risks, (n,)), fused, validity
 
 

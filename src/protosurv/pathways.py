@@ -97,11 +97,17 @@ def pathway_slices(x, masks: PathwayMaskSet) -> list[np.ndarray]:
 
 
 def embed_pathways(slices, snns):
-    """Embed every pathway slice with its dedicated network; row i of the
-    result is ``snn_forward(slices[i], snns[i])``."""
+    """Embed every pathway slice with its dedicated network and stack the
+    tokens on axis -2: token i is ``snn_forward(slices[i], snns[i])``.
+
+    Per-patient vector slices give a (P, d_e) matrix, (n, width) slices an
+    (n, P, d_e) batch; Tensor parameters give a Tensor result.
+    """
     if len(slices) != len(snns):
         raise ShapeMismatch(f"{len(slices)} slices for {len(snns)} networks")
-    return np.stack([np.asarray(nm.snn_forward(s, layers)) for s, layers in zip(slices, snns)])
+    rows = [nm.snn_forward(s, layers) for s, layers in zip(slices, snns)]
+    tokens = [nm.reshape(r, r.shape[:-1] + (1, r.shape[-1])) for r in rows]
+    return nm.unwrap(tokens[0] if len(tokens) == 1 else nm.concat(tokens, axis=-2), *rows)
 
 
 def fingerprint(order: GeneOrder, masks: PathwayMaskSet) -> str:

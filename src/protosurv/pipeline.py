@@ -12,14 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Cohort, kfold_split
-from .errors import ProtosurvError
-from .evaluation import concordance_index
+from .errors import NonFiniteLoss, ProtosurvError
+from .evaluation import _records_to_arrays, concordance_index
 from .histology import EmTrace, fit_gmm, slide_representation
-from .model import ModelDims, ModelParams, PreparedCohort, prepare_cohort
-from .pathways import PathwayMaskSet, build_masks
+from .model import ModelDims, ModelParams, PreparedCohort
+from .pathways import PathwayMaskSet, build_masks, pathway_slices
 from .rng import substream
 from .survival import EpochStats, SurvivalRecord, TrainConfig, predict_cohort, train
-from .text import compute_n_t
+from .text import compute_n_t, pad_batch
 
 
 def fit_slide_representations(patches_list, n_components: int, seed: int):
@@ -38,8 +38,16 @@ def fit_slide_representations(patches_list, n_components: int, seed: int):
     return reps, traces
 
 
+def text_shapes(reports, nt_mode: str) -> tuple[int, int, int]:
+    """(d_t, max_segments, n_text) of a cohort's reports: the segment width,
+    the longest report and the prototype count of ``nt_mode``."""
+    return reports[0].segments.shape[1], max(r.segments.shape[0] for r in reports), compute_n_t(reports, nt_mode)
+
+
 def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=None, max_segments=None):
-    """Compute prototype shapes from the cohort and pack it for training.
+    """Compute prototype shapes from the cohort and pack it for training:
+    reports padded, slide representations stacked and expression vectors
+    sliced per pathway.
 
     Returns (prepared, dims, mask_set); mask_set is None without the pathway
     modality. Slide representations are fitted here when not supplied;
@@ -47,50 +55,43 @@ def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=
     prototype stage already froze them.
     """
     modalities = config.modalities
+    times, events = _records_to_arrays(cohort.records)
+    prepared = PreparedCohort(patient_ids=list(cohort.patient_ids), times=times, events=events)
     mask_set: PathwayMaskSet | None = None
-    pathway_widths: tuple[int, ...] = ()
-    d_t = d_h = 1
-    m = n_t = 1
+    d_t = d_h = m = n_t = 1
     if "t" in modalities:
-        d_t = cohort.reports[0].segments.shape[1]
-        m = max_segments if max_segments is not None else max(r.segments.shape[0] for r in cohort.reports)
-        n_t = n_text if n_text is not None else compute_n_t(cohort.reports, config.text_proto_mode)
+        d_t, m, n_t = text_shapes(cohort.reports, config.text_proto_mode)
+        m = max_segments if max_segments is not None else m
+        n_t = n_text if n_text is not None else n_t
+        batch = pad_batch(cohort.reports, m)
+        prepared.text_data, prepared.text_mask = batch.data, batch.mask
     if "h" in modalities:
         if slide_reps is None:
             slide_reps = cohort.slide_reps
         if slide_reps is None:
             slide_reps, _ = fit_slide_representations(cohort.patches, config.n_histology, config.seed)
-        d_h = (np.asarray(slide_reps[0]).shape[1] - 1) // 2
+        prepared.slides = np.stack([np.asarray(s, dtype=float) for s in slide_reps])
+        d_h = (prepared.slides.shape[2] - 1) // 2
     if "p" in modalities:
         mask_set = build_masks(cohort.gene_sets, cohort.gene_order)
         if mask_set.n_pathways != config.n_pathways:
             raise ValueError(
                 f"{mask_set.n_pathways} pathways in the gene sets, config expects {config.n_pathways}"
             )
-        pathway_widths = mask_set.widths
-    dims = ModelDims(
+        prepared.slices = pathway_slices(np.stack([e.values for e in cohort.expressions]), mask_set)
+    prepared.dims = ModelDims(
         d_t=d_t,
         d_h=d_h,
         max_segments=m,
         n_text=n_t,
         n_histology=config.n_histology,
-        pathway_widths=pathway_widths,
+        pathway_widths=() if mask_set is None else mask_set.widths,
         d_e=config.d_e,
         d_r=config.d_r,
         modalities=modalities,
         shared_beta=config.shared_beta_mlp,
     )
-    prepared = prepare_cohort(
-        patient_ids=cohort.patient_ids,
-        times=[r.time for r in cohort.records],
-        events=[r.event for r in cohort.records],
-        dims=dims,
-        reports=cohort.reports if "t" in modalities else None,
-        slide_reps=slide_reps if "h" in modalities else None,
-        expressions=cohort.expressions if "p" in modalities else None,
-        mask_set=mask_set,
-    )
-    return prepared, dims, mask_set
+    return prepared, prepared.dims, mask_set
 
 
 @dataclass
@@ -125,12 +126,16 @@ class CrossValResult:
 def run_fold(prepared: PreparedCohort, config: TrainConfig, held_ids, fold_no: int) -> FoldResult:
     """Train on the complement of ``held_ids`` and score the held-out fold.
 
-    Held-out risks follow the order of ``held_ids``.
+    Held-out risks follow the order of ``held_ids``; a diverging run raises
+    :class:`NonFiniteLoss` with the fold named.
     """
     held_set = set(held_ids)
     position = {pid: i for i, pid in enumerate(prepared.patient_ids)}
     train_idx = np.asarray([i for i, p in enumerate(prepared.patient_ids) if p not in held_set], dtype=int)
-    model, history = train(prepared.subset(train_idx), config)
+    try:
+        model, history = train(prepared.subset(train_idx), config)
+    except NonFiniteLoss as exc:
+        raise NonFiniteLoss(f"fold {fold_no}: {exc}") from exc
     held = prepared.subset(np.asarray([position[p] for p in held_ids], dtype=int))
     risks = predict_cohort(model, held, config.fusion_mode)
     records = [SurvivalRecord(p, float(t), int(e)) for p, t, e in zip(held.patient_ids, held.times, held.events)]

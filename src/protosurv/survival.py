@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import BadMagic, NoEvents, ShapeOverflow
+from .errors import BadMagic, NoEvents, NonFiniteLoss, NonFiniteValue, ShapeOverflow
+from .evaluation import _records_to_arrays
+from .fusion import FUSION_MODES
 from .model import (
     ModelDims,
     ModelParams,
@@ -67,7 +69,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive, weight_decay nonnegative")
         if self.schedule != "cosine":
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.fusion_mode not in ("full", "late", "hierarchical"):
+        if self.fusion_mode not in FUSION_MODES:
             raise ValueError(f"unknown fusion mode {self.fusion_mode!r}")
         self.modalities = canonical_modalities(self.modalities)
 
@@ -77,12 +79,6 @@ class EpochStats:
     epoch: int
     learning_rate: float
     mean_loss: float
-
-
-def _records_to_arrays(records):
-    times = np.asarray([r.time for r in records], dtype=float)
-    events = np.asarray([r.event for r in records], dtype=int)
-    return times, events
 
 
 def cox_loss(risks, records):
@@ -116,8 +112,14 @@ def cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
+@np.errstate(all="ignore")  # divergence is checked on the loss and gradients instead
 def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
-    """Minibatch Cox training; deterministic given (cohort, config)."""
+    """Minibatch Cox training; deterministic given (cohort, config).
+
+    An epoch's ``mean_loss`` averages the batches that have an event. A
+    non-finite loss or gradient raises :class:`NonFiniteLoss` naming the
+    epoch and batch.
+    """
     n = len(prepared)
     if n == 0:
         raise NoEvents("empty cohort")
@@ -137,16 +139,18 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
     for epoch in range(config.epochs):
         lr = cosine_lr(config.learning_rate, epoch, config.epochs)
         order = substream(config.seed, "shuffle", epoch).permutation(n)
-        losses = []
+        losses = []  # batches with events only: a zero-event batch has no loss
         for start in range(0, n, config.batch_size):
             batch = prepared.subset(order[start : start + config.batch_size])
             leaves = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
             risks = forward_risks(batch, leaves, dims, config.fusion_mode)
             loss, degenerate = cox_loss(risks, (batch.times, batch.events))
             if degenerate:
-                losses.append(0.0)
                 continue
             loss.backward()
+            if not (np.isfinite(loss.data) and all(np.isfinite(leaf.grad).all() for leaf in leaves.values())):
+                where = f"epoch {epoch}, batch {start // config.batch_size}"
+                raise NonFiniteLoss(f"{where}: non-finite loss or gradient (loss {float(loss.data)})")
             step += 1
             for name, leaf in leaves.items():
                 grad = leaf.grad
@@ -184,8 +188,14 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, model: ModelParams, config: TrainConfig, fingerprint: str = "") -> None:
     """Versioned binary container: named float32 little-endian tensors plus
-    the full training config, model dims and gene/pathway fingerprint."""
+    the full training config, model dims and gene/pathway fingerprint.
+    A tensor that is not finite as float32 raises before the file opens."""
     spec = model.spec
+    with np.errstate(over="ignore"):
+        tensors = [np.ascontiguousarray(model.values[name], dtype="<f4") for name, _ in spec]
+    for (name, _), tensor in zip(spec, tensors):
+        if not np.isfinite(tensor).all():
+            raise NonFiniteValue(f"{path}: refusing to write tensor {name}, not finite as float32")
     header = {
         "config": asdict(config),
         "dims": {**asdict(model.dims), "pathway_widths": list(model.dims.pathway_widths)},
@@ -197,8 +207,8 @@ def save_checkpoint(path, model: ModelParams, config: TrainConfig, fingerprint: 
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<BI", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for name, _ in spec:
-            fh.write(np.ascontiguousarray(model.values[name], dtype="<f4").tobytes())
+        for tensor in tensors:
+            fh.write(tensor.tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, str]:

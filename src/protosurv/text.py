@@ -34,9 +34,9 @@ class PaddedBatch:
 
 @dataclass
 class DiagnosticPrototypes:
-    embeddings: np.ndarray  # (n_t, d_t); rows with validity 0 are zero
-    validity: np.ndarray  # (n_t,)
-    source_indices: list[int]  # original segment index per valid row
+    embeddings: np.ndarray  # (..., n_t, d_t), a Tensor for Tensor input; rows with validity 0 are zero
+    validity: np.ndarray  # (..., n_t)
+    source_indices: list  # original segment index per valid row; one list per report of a batch
 
 
 @dataclass
@@ -105,12 +105,14 @@ def importance_scores(attention, mask) -> np.ndarray:
 
 def top_segment_indices(scores: np.ndarray, mask: np.ndarray, n_t: int):
     """Indices of the ``n_t`` highest-scoring valid segments plus a validity
-    mask for the selected slots. Ties break toward the lower original index;
-    short reports leave trailing slots invalid."""
+    mask for the selected slots, both (..., n_t). Ties break toward the lower
+    original index; short reports leave trailing slots invalid, and slots
+    beyond the padded length ``m`` hold index 0."""
     scores = np.asarray(scores, dtype=float)
     mask = np.asarray(mask, dtype=float)
     adjusted = np.where(mask > 0.5, scores, -np.inf)
     order = np.argsort(-adjusted, axis=-1, kind="stable")[..., :n_t]
+    order = np.pad(order, [(0, 0)] * (order.ndim - 1) + [(0, n_t - order.shape[-1])])
     n_valid = mask.sum(axis=-1).astype(int)
     validity = (np.arange(n_t) < np.minimum(n_valid, n_t)[..., None]).astype(float)
     return order, validity
@@ -118,15 +120,18 @@ def top_segment_indices(scores: np.ndarray, mask: np.ndarray, n_t: int):
 
 def select_prototypes(z, scores, mask, n_t: int) -> DiagnosticPrototypes:
     """Keep the post-attention rows of the top-``n_t`` scoring segments,
-    ordered by descending score, zero-filling unused slots."""
+    ordered by descending score, zero-filling unused slots.
+
+    Takes one report, ``z`` (m, d_t) with ``scores`` and ``mask`` (m,), or a
+    batch (b, m, d_t) with (b, m); Tensor ``z`` gives Tensor embeddings.
+    """
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
-    z = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=float)
     order, validity = top_segment_indices(scores, mask, n_t)
-    k = int(validity.sum())
-    embeddings = np.zeros((n_t, z.shape[-1]))
-    embeddings[:k] = z[order[:k]]
-    return DiagnosticPrototypes(embeddings, validity, [int(j) for j in order[:k]])
+    embeddings = nm.unwrap(nm.gather_rows(z, order) * validity[..., None], z)
+    counts = np.atleast_1d(validity.sum(axis=-1).astype(int))
+    sources = [[int(j) for j in row[:k]] for row, k in zip(np.atleast_2d(order), counts)]
+    return DiagnosticPrototypes(embeddings, validity, sources if order.ndim > 1 else sources[0])
 
 
 def project_text(protos: DiagnosticPrototypes, weight, bias):

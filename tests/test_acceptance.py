@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The synthetic end-to-end
-criteria (7 and 8) dominate the runtime (six to nine minutes on a 2-vCPU
+criteria (7 and 8) dominate the runtime (about seven minutes on a 2-vCPU
 machine); everything else finishes in seconds.
 """
 

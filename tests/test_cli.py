@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from protosurv.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -329,3 +335,18 @@ def test_eval_attention_rows_match_per_patient_forward(cohort_dir, proto_dir, tm
         # near-equal weights amplify that relative to a small dispersion
         # (up to ~5e-10 relative here), so the bound is absolute, in weight units.
         assert abs(float(got[6]) - want[6]) <= 1e-15
+
+
+def test_train_divergence_is_one_line_error_without_checkpoints(cohort_dir, proto_dir, tmp_path):
+    # a subprocess, so that numpy's floating-point warnings would reach stderr too
+    run = tmp_path / "run"
+    argv = [
+        "train", "--manifest", str(cohort_dir / "manifest.json"), "--prototypes", str(proto_dir),
+        "--out", str(run), "--seed", "3", "--folds", "3", "--epochs", "5", "--batch-size", "8", "--lr", "1e12",
+        "--d-e", "8", "--d-r", "4", "--n-histology", "4", "--n-pathways", "8",
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "protosurv.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: fold 0: epoch 3, batch 1: non-finite loss or gradient (loss nan)"]
+    assert not list(run.glob("fold*.ckpt"))

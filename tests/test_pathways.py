@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from protosurv import numerics as nm
 from protosurv.errors import EmptyPathway, ShapeMismatch
 from protosurv.numerics import snn_forward
 from protosurv.pathways import (
@@ -117,6 +118,25 @@ def test_embed_pathways_fixed_output_shape():
     slices = [rng.normal(size=w) for w in (5, 1, 9)]
     snns = [_tiny_snn(rng, w) for w in (5, 1, 9)]
     assert embed_pathways(slices, snns).shape == (3, 3)
+
+
+def test_embed_pathways_batch_equals_per_patient_calls_and_reaches_every_leaf():
+    rng = np.random.default_rng(5)
+    widths = (2, 5, 1)
+    snns = [_tiny_snn(rng, w) for w in widths]
+    x = rng.normal(size=(4, 8))
+    slices = [x[:, :2], x[:, 2:7], x[:, 7:]]
+    batched = embed_pathways(slices, snns)
+    assert batched.shape == (4, 3, 3)
+    for i in range(4):
+        np.testing.assert_allclose(batched[i], embed_pathways([s[i] for s in slices], snns), rtol=1e-12, atol=0)
+    leaves = [[(nm.Tensor(w, requires_grad=True), nm.Tensor(b, requires_grad=True)) for w, b in net] for net in snns]
+    taped = embed_pathways(slices, leaves)
+    np.testing.assert_array_equal(taped.data, batched)
+    nm.tsum(taped * rng.normal(size=taped.shape)).backward()
+    for net in leaves:
+        for w, b in net:
+            assert np.any(w.grad != 0) and np.any(b.grad != 0)
 
 
 def test_masking_soundness_nonmember_perturbation():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from protosurv import numerics as nm
+from protosurv import survival
 from protosurv.data import SyntheticSpec, synth_cohort
-from protosurv.errors import NoEvents
+from protosurv.errors import NoEvents, NonFiniteLoss, NonFiniteValue
 from protosurv.fusion import FusionOutput
 from protosurv.model import (
     flatten_params,
@@ -249,6 +250,33 @@ def test_train_loss_decreases_on_signal_cohort():
     assert history[-1].mean_loss < history[0].mean_loss
 
 
+def test_mean_loss_averages_only_batches_with_events(monkeypatch):
+    cohort = _small_cohort()
+    for record in cohort.records[::2]:
+        record.event = 0  # censor half the cohort so that some batches of 3 hold no event
+    config = _small_config(epochs=1, batch_size=3)
+    prepared, _, _ = build_prepared(cohort, config)
+    losses = []
+
+    def recording_cox_loss(risks, records):
+        loss, degenerate = cox_loss(risks, records)
+        losses.append(None if degenerate else float(loss.data))
+        return loss, degenerate
+
+    monkeypatch.setattr(survival, "cox_loss", recording_cox_loss)
+    _, history = train(prepared, config)
+    assert None in losses
+    assert history[0].mean_loss == np.mean([v for v in losses if v is not None])
+
+
+def test_train_divergence_raises_with_epoch_and_batch():
+    cohort = _small_cohort(n=40)
+    config = _small_config(epochs=3, batch_size=16, learning_rate=1e12)
+    prepared, _, _ = build_prepared(cohort, config)
+    with pytest.raises(NonFiniteLoss, match=r"^epoch 2, batch 1: non-finite loss or gradient"):
+        train(prepared, config)
+
+
 def test_predict_matches_training_forward_and_is_pure():
     cohort = _small_cohort()
     config = _small_config()
@@ -290,6 +318,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(
             loaded.values[name], model.values[name].astype(np.float32).astype(np.float64)
         )
+
+
+def test_checkpoint_refuses_values_not_finite_as_float32(tmp_path):
+    cohort = _small_cohort()
+    config = _small_config(epochs=0)
+    prepared, _, _ = build_prepared(cohort, config)
+    model, _ = train(prepared, config)
+    model.values["fusion.w_q"][0, 0] = 1e39  # finite in float64, overflows float32
+    with pytest.raises(NonFiniteValue, match="fusion.w_q"):
+        save_checkpoint(tmp_path / "m.ckpt", model, config, "")
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_checkpoint_prediction_consistency(tmp_path):

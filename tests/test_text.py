@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from protosurv import numerics as nm
 from protosurv.errors import EmptyReport, EmptyTrainingSet
 from protosurv.text import (
     DiagnosticPrototypes,
@@ -16,6 +17,7 @@ from protosurv.text import (
     segment_report,
     select_prototypes,
     text_self_attention,
+    top_segment_indices,
 )
 
 
@@ -191,6 +193,27 @@ def test_select_prototypes_permutation_equivariant():
     permuted = select_prototypes(z[perm], scores[perm], mask, 3)
     np.testing.assert_allclose(np.sort(base.embeddings, axis=0), np.sort(permuted.embeddings, axis=0))
     assert [int(perm[j]) for j in permuted.source_indices] == base.source_indices
+
+
+@pytest.mark.parametrize("n_t", [2, 5, 7])
+def test_select_prototypes_batch_equals_per_report_calls(n_t):
+    rng = np.random.default_rng(27)
+    reports = [ReportFeatures(f"p{i}", rng.normal(size=(k, 4))) for i, k in enumerate((5, 3, 1))]
+    batch = pad_batch(reports, 5)  # n_t = 7 asks for more slots than the padded length
+    z, att = text_self_attention(batch, TextAttentionParams(*rng.normal(size=(3, 4, 4))))
+    scores = importance_scores(att, batch.mask)
+    order, validity = top_segment_indices(scores, batch.mask, n_t)
+    assert order.shape == validity.shape == (3, n_t)
+    batched = select_prototypes(z, scores, batch.mask, n_t)
+    assert batched.embeddings.shape == (3, n_t, 4)
+    for i in range(3):
+        single = select_prototypes(z[i], scores[i], batch.mask[i], n_t)
+        np.testing.assert_array_equal(batched.embeddings[i], single.embeddings)
+        np.testing.assert_array_equal(batched.validity[i], single.validity)
+        assert batched.source_indices[i] == single.source_indices
+    taped = select_prototypes(nm.Tensor(z), scores, batch.mask, n_t)
+    assert isinstance(taped.embeddings, nm.Tensor)
+    np.testing.assert_array_equal(taped.embeddings.data, batched.embeddings)
 
 
 def test_project_text_zero_and_identity():
