@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -28,24 +29,49 @@ from .data import (
     write_matrix,
     write_survival,
 )
-from .errors import FingerprintMismatch, NoEvents, ProtosurvError
+from .errors import FingerprintMismatch, ProtosurvError
 from .evaluation import concordance_index, cross_attention_summary, km_curve, log_rank, stratify_median
 from .fusion import FUSION_MODES
 from .model import forward_diagnostics
 from .pathways import fingerprint
-from .pipeline import build_prepared, fit_slide_representations, run_fold, text_shapes
+from .pipeline import build_prepared, cross_validate, fit_slide_representations, text_shapes
 from .survival import SurvivalRecord, TrainConfig, load_checkpoint, save_checkpoint
 
 MODALITY_CHOICES = ("pht", "ht", "pt", "ph", "p", "h", "t")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """Comma-joined tuples, LF line endings. A column whose first row holds a float
+    (float64 too) prints with 17 significant digits, any other with ``str``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        line = None
+        for row in rows:
+            if line is None:
+                line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in row) + "\n"
+            fh.write(line % row)
+
+
+def _write_json(path: Path, doc) -> None:
+    """Indented JSON with sorted keys and a final LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _c_index_rows(fold_values: list[tuple[int, float]]) -> list[tuple]:
+    """``fold,metric,value`` rows of per-fold C-indices, then their mean and std."""
+    values = np.asarray([v for _, v in fold_values])
+    return [
+        *((fold, "c_index", v) for fold, v in fold_values),
+        ("mean", "c_index", values.mean()),
+        ("std", "c_index", values.std()),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +118,7 @@ def cmd_synth(args) -> int:
         "survival": "survival.csv",
         "patients": patients,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", doc)
     print(f"wrote {len(patients)}-patient synthetic cohort to {out}")
     return 0
 
@@ -109,7 +133,7 @@ def cmd_prototype(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    trace_rows: list[str] = []
+    trace_rows: list[tuple] = []
     meta = {
         "modalities": manifest.modalities,
         "seed": args.seed,
@@ -132,21 +156,16 @@ def cmd_prototype(args) -> int:
                 path = out / f"{patches.slide_id}.slide.ps3e"
                 write_matrix(path, rep)
                 written.append(path)
-                for it, ll in enumerate(trace.log_likelihoods):
-                    trace_rows.append(
-                        f"{patches.slide_id},{it},{_fmt(ll)},{int(trace.converged)}"
-                    )
+                trace_rows.extend(
+                    (patches.slide_id, it, ll, int(trace.converged)) for it, ll in enumerate(trace.log_likelihoods)
+                )
     except (ProtosurvError, FileNotFoundError, OSError) as exc:
         for path in written:
             path.unlink(missing_ok=True)
         return _fail(str(exc))
     if trace_rows:
-        with open(out / "em_trace.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("patient_id,iteration,avg_log_likelihood,converged\n")
-            fh.writelines(row + "\n" for row in trace_rows)
-    with open(out / "prototype_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        _write_csv(out / "em_trace.csv", ("patient_id", "iteration", "avg_log_likelihood", "converged"), trace_rows)
+    _write_json(out / "prototype_meta.json", meta)
     print(f"prototype stage complete: {len(written)} matrices in {out}")
     return 0
 
@@ -161,7 +180,7 @@ _RUN_METADATA_KEYS = {"folds", "manifest", "prototypes", "out"}
 
 
 def _effective_config(args) -> tuple[TrainConfig, int]:
-    """Defaults, overlaid by --config JSON, overlaid by explicit flags."""
+    """Defaults, overlaid by --config JSON, overlaid by flags (whose dests are TrainConfig fields)."""
     known = {f.name for f in fields(TrainConfig)}
     merged: dict = {}
     folds = None
@@ -173,22 +192,7 @@ def _effective_config(args) -> tuple[TrainConfig, int]:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         folds = doc.get("folds")
         merged.update({k: v for k, v in doc.items() if k in known})
-    flag_map = {
-        "seed": args.seed,
-        "fusion_mode": args.fusion_mode,
-        "modalities": args.modalities,
-        "epochs": args.epochs,
-        "learning_rate": args.lr,
-        "batch_size": args.batch_size,
-        "weight_decay": args.weight_decay,
-        "d_e": args.d_e,
-        "d_r": args.d_r,
-        "n_histology": args.n_histology,
-        "n_pathways": args.n_pathways,
-        "text_proto_mode": args.nt_mode,
-        "shared_beta_mlp": args.shared_beta or None,
-    }
-    merged.update({k: v for k, v in flag_map.items() if v is not None})
+    merged.update({k: v for k, v in vars(args).items() if k in known and v is not None})
     if args.folds is not None:
         folds = args.folds
     return TrainConfig(**merged), int(folds) if folds is not None else 5
@@ -229,32 +233,18 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     folds = kfold_split(prepared.patient_ids, n_folds, config.seed)
-    with open(out / "folds.json", "w", encoding="utf-8") as fh:
-        json.dump({"seed": config.seed, "k": n_folds, "folds": folds}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-    results = []
-    for fold_no, held_ids in enumerate(folds):
-        try:
-            results.append(run_fold(prepared, config, held_ids, fold_no))
-        except NoEvents as exc:
-            print(f"fold {fold_no} aborted: {exc}", file=sys.stderr)
-            continue
-        save_checkpoint(out / f"fold{fold_no}.ckpt", results[-1].model, config, digest)
-
-    with open(out / "history.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fold,epoch,learning_rate,mean_loss\n")
-        for result in results:
-            for stats in result.history:
-                fh.write(f"{result.fold},{stats.epoch},{_fmt(stats.learning_rate)},{_fmt(stats.mean_loss)}\n")
-    values = np.asarray([result.c_index for result in results])
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fold,metric,value\n")
-        for result in results:
-            fh.write(f"{result.fold},c_index,{_fmt(result.c_index)}\n")
-        if results:
-            fh.write(f"mean,c_index,{_fmt(values.mean())}\n")
-            fh.write(f"std,c_index,{_fmt(values.std())}\n")
+    _write_json(out / "folds.json", {"seed": config.seed, "k": n_folds, "folds": folds})
+    # checkpoints only once every fold has run, so a failing fold leaves none
+    result = cross_validate(prepared, config, folds=folds)
+    for f in result.folds:
+        save_checkpoint(out / f"fold{f.fold}.ckpt", f.model, config, digest)
+    _write_csv(
+        out / "history.csv",
+        ("fold", "epoch", "learning_rate", "mean_loss"),
+        ((f.fold, stats.epoch, stats.learning_rate, stats.mean_loss) for f in result.folds for stats in f.history),
+    )
+    c_indices = [(f.fold, f.c_index) for f in result.folds]
+    _write_csv(out / "summary.csv", ("fold", "metric", "value"), _c_index_rows(c_indices))
     effective = {
         **asdict(config),
         "folds": n_folds,
@@ -262,12 +252,9 @@ def cmd_train(args) -> int:
         "prototypes": str(args.prototypes) if args.prototypes else None,
         "out": str(out),
     }
-    with open(out / "effective_config.json", "w", encoding="utf-8") as fh:
-        json.dump(effective, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    if results:
-        print(f"trained {len(results)}/{len(folds)} folds, mean held-out c_index {float(values.mean()):.4f}")
-    return 0 if len(results) == len(folds) else 1
+    _write_json(out / "effective_config.json", effective)
+    print(f"trained {n_folds}/{n_folds} folds, mean held-out c_index {result.mean_c_index:.4f}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +298,7 @@ def cmd_eval(args) -> int:
     fold_cindex: list[tuple[int, float]] = []
     pooled_risks: list[float] = []
     pooled_records: list[SurvivalRecord] = []
-    attention_rows: list[str] = []
+    attention_rows: list[tuple] = []
     pairs = [tuple(p.split(":")) for p in (args.attention or [])]
     for fold_no, model, _, _ in models:
         held = prepared.subset(np.asarray([position[p] for p in folds[fold_no]]))
@@ -339,39 +326,29 @@ def cmd_eval(args) -> int:
                     key_validity=validity[key][j],
                 )
                 for rank, (token, score) in enumerate(summary.ranking):
-                    attention_rows.append(f"{fold_no},{pid},{query},{key},{rank},{token},{_fmt(score)}")
+                    attention_rows.append((fold_no, pid, query, key, rank, token, score))
 
-    with open(out / "metrics.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fold,metric,value\n")
-        for fold_no, value in fold_cindex:
-            fh.write(f"{fold_no},c_index,{_fmt(value)}\n")
-        values = np.asarray([v for _, v in fold_cindex])
-        fh.write(f"mean,c_index,{_fmt(values.mean())}\n")
-        fh.write(f"std,c_index,{_fmt(values.std())}\n")
-
+    _write_csv(out / "metrics.csv", ("fold", "metric", "value"), _c_index_rows(fold_cindex))
     labels = stratify_median(np.asarray(pooled_risks))
     groups = {
         "high": [r for r, g in zip(pooled_records, labels) if g == "high"],
         "low": [r for r, g in zip(pooled_records, labels) if g == "low"],
     }
-    with open(out / "km_curves.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("group,time,survival,at_risk\n")
-        for group, records in groups.items():
-            if not records:
-                continue
-            curve = km_curve(records)
-            for t, s, n in zip(curve.times, curve.survival, curve.at_risk):
-                fh.write(f"{group},{_fmt(t)},{_fmt(s)},{n}\n")
-    with open(out / "logrank.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("statistic,p_value\n")
-        if groups["high"] and groups["low"]:
-            result = log_rank(groups["high"], groups["low"])
-            fh.write(f"{_fmt(result.statistic)},{_fmt(result.p_value)}\n")
+    curves = {group: km_curve(records) for group, records in groups.items() if records}
+    _write_csv(
+        out / "km_curves.csv",
+        ("group", "time", "survival", "at_risk"),
+        ((group, t, s, n) for group, c in curves.items() for t, s, n in zip(c.times, c.survival, c.at_risk)),
+    )
+    logrank = [log_rank(groups["high"], groups["low"])] if groups["high"] and groups["low"] else []
+    _write_csv(out / "logrank.csv", ("statistic", "p_value"), ((r.statistic, r.p_value) for r in logrank))
     if pairs:
-        with open(out / "attention_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("fold,patient_id,query_block,key_block,rank,token,dispersion\n")
-            fh.writelines(row + "\n" for row in attention_rows)
-    print(f"evaluated {len(fold_cindex)} folds, mean c_index {float(values.mean()):.4f}")
+        _write_csv(
+            out / "attention_summary.csv",
+            ("fold", "patient_id", "query_block", "key_block", "rank", "token", "dispersion"),
+            attention_rows,
+        )
+    print(f"evaluated {len(fold_cindex)} folds, mean c_index {np.mean([v for _, v in fold_cindex]):.4f}")
     return 0
 
 
@@ -417,15 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--fusion-mode", choices=FUSION_MODES, default=None)
     p_train.add_argument("--modalities", choices=MODALITY_CHOICES, default=None)
     p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--lr", type=float, default=None)
+    p_train.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p_train.add_argument("--batch-size", type=int, default=None)
     p_train.add_argument("--weight-decay", type=float, default=None)
     p_train.add_argument("--d-e", type=int, default=None)
     p_train.add_argument("--d-r", type=int, default=None)
     p_train.add_argument("--n-histology", type=int, default=None)
     p_train.add_argument("--n-pathways", type=int, default=None)
-    p_train.add_argument("--nt-mode", choices=("average", "p90"), default=None)
-    p_train.add_argument("--shared-beta", action="store_true")
+    p_train.add_argument("--nt-mode", dest="text_proto_mode", choices=("average", "p90"), default=None)
+    p_train.add_argument("--shared-beta", dest="shared_beta_mlp", action="store_const", const=True, default=None)
 
     p_eval = sub.add_parser("eval", help="held-out metrics, KM curves, log-rank, attention summaries")
     p_eval.add_argument("--manifest", required=True)

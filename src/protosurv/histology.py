@@ -99,20 +99,25 @@ def _component_log_densities(data: _Centred, params: GmmParams) -> np.ndarray:
     return -0.5 * (d * math.log(2.0 * math.pi) + log_det[None, :] + quad)
 
 
+def _posterior(data: _Centred, params: GmmParams) -> tuple[np.ndarray, np.ndarray]:
+    """(n,) mixture log-likelihood of each patch and the (n, k) posterior
+    component probabilities, by log-sum-exp over the components."""
+    log_joint = _component_log_densities(data, params) + np.log(params.weights)[None, :]
+    row_max = log_joint.max(axis=1, keepdims=True)
+    shifted = np.exp(log_joint - row_max)
+    row_sum = shifted.sum(axis=1, keepdims=True)
+    return (row_max + np.log(row_sum)).squeeze(1), shifted / row_sum
+
+
 def log_density(x: np.ndarray, params: GmmParams) -> float:
     """log-likelihood of one embedding under the mixture (log-sum-exp)."""
-    x = np.asarray(x, dtype=float)[None, :]
-    log_joint = _component_log_densities(_centre(x), params) + np.log(params.weights)[None, :]
-    m = log_joint.max()
-    return float(m + np.log(np.exp(log_joint - m).sum()))
+    log_lik, _ = _posterior(_centre(np.asarray(x, dtype=float)[None, :]), params)
+    return float(log_lik[0])
 
 
 def responsibilities(patches: PatchFeatures, params: GmmParams) -> np.ndarray:
     """(n, k) posterior component probabilities per patch."""
-    log_joint = _component_log_densities(_centre(patches.patches), params) + np.log(params.weights)[None, :]
-    log_joint -= log_joint.max(axis=1, keepdims=True)
-    resp = np.exp(log_joint)
-    return resp / resp.sum(axis=1, keepdims=True)
+    return _posterior(_centre(patches.patches), params)[1]
 
 
 def _em_step(data: _Centred, params: GmmParams, rng) -> tuple[GmmParams, float, np.ndarray]:
@@ -120,12 +125,8 @@ def _em_step(data: _Centred, params: GmmParams, rng) -> tuple[GmmParams, float, 
     n, _ = data.x.shape
     k = params.weights.shape[0]
 
-    log_joint = _component_log_densities(data, params) + np.log(params.weights)[None, :]
-    row_max = log_joint.max(axis=1, keepdims=True)
-    shifted = np.exp(log_joint - row_max)
-    row_sum = shifted.sum(axis=1, keepdims=True)
-    avg_ll = float(np.mean(row_max.squeeze(1) + np.log(row_sum.squeeze(1))))
-    resp = shifted / row_sum
+    log_lik, resp = _posterior(data, params)
+    avg_ll = float(np.mean(log_lik))
 
     nk = resp.sum(axis=0)
     nk_safe = np.maximum(nk, 1e-300)

@@ -252,9 +252,6 @@ def gather_rows(x, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        if x.data.ndim == 2:
-            np.add.at(gx, idx, g)
-            return (gx,)
         lead = int(np.prod(x.data.shape[:-2]))
         m, d = x.data.shape[-2:]
         k = idx.shape[-1]
@@ -269,10 +266,11 @@ def gather_rows(x, idx: np.ndarray) -> Tensor:
 def selu(x) -> Tensor:
     x = as_tensor(x)
     positive = x.data > 0
-    out_data = SELU_SCALE * np.where(positive, x.data, SELU_ALPHA * np.expm1(x.data))
+    # min(x, 0), recomputed in backward: exp of the dropped positives overflows above ~709
+    out_data = SELU_SCALE * np.where(positive, x.data, SELU_ALPHA * np.expm1(np.minimum(x.data, 0.0)))
 
     def backward(g):
-        slope = SELU_SCALE * np.where(positive, 1.0, SELU_ALPHA * np.exp(x.data))
+        slope = SELU_SCALE * np.where(positive, 1.0, SELU_ALPHA * np.exp(np.minimum(x.data, 0.0)))
         return (g * slope,)
 
     return _node(out_data, (x,), backward)
@@ -282,21 +280,19 @@ def selu(x) -> Tensor:
 # masked softmax / masked log-sum-exp
 # ---------------------------------------------------------------------------
 
-def _check_mask(mask: np.ndarray) -> np.ndarray:
+def _masked_exp(x: np.ndarray, mask):
+    """``exp(x - row max)`` along the last axis, the max taken over the 0/1
+    ``mask``'s entries only (masked entries end at exactly 0), with the row
+    max and row sum (keepdims). Raises AllMasked for an all-zero mask row."""
     mask = np.asarray(mask, dtype=np.float64)
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ValueError("mask entries must be 0 or 1")
     if np.any(mask.sum(axis=-1) < 1):
         raise AllMasked("softmax row with every key masked")
-    return mask
-
-
-def _softmax_forward(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # max-subtraction over the unmasked keys only; masked entries end at exactly 0
-    shifted = np.where(mask > 0.5, logits, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    shifted = np.where(mask > 0.5, x, -np.inf)
+    row_max = shifted.max(axis=-1, keepdims=True)
+    weights = np.exp(shifted - row_max)
+    return weights, row_max, weights.sum(axis=-1, keepdims=True)
 
 
 def masked_softmax(logits, key_mask):
@@ -307,9 +303,9 @@ def masked_softmax(logits, key_mask):
     plain array (returns an array) or a :class:`Tensor` (returns a graph
     node whose backward treats the mask as constant).
     """
-    mask = _check_mask(key_mask)
     x = as_tensor(logits)
-    out_data = _softmax_forward(x.data, mask)
+    weights, _, total = _masked_exp(x.data, key_mask)
+    out_data = weights / total
 
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
@@ -320,12 +316,8 @@ def masked_softmax(logits, key_mask):
 
 def masked_logsumexp(x, mask) -> Tensor:
     """log Σ_j∈mask exp(x_j) along the last axis, computed stably."""
-    mask = _check_mask(mask)
     x = as_tensor(x)
-    shifted = np.where(mask > 0.5, x.data, -np.inf)
-    row_max = shifted.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted - row_max)
-    total = weights.sum(axis=-1, keepdims=True)
+    weights, row_max, total = _masked_exp(x.data, mask)
     out_data = (row_max + np.log(total)).squeeze(-1)
 
     def backward(g):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Cohort, kfold_split
-from .errors import NonFiniteLoss, ProtosurvError
+from .errors import NoEvents, NonFiniteLoss, ProtosurvError
 from .evaluation import _records_to_arrays, concordance_index
 from .histology import EmTrace, fit_gmm, slide_representation
 from .model import ModelDims, ModelParams, PreparedCohort
@@ -126,16 +126,17 @@ class CrossValResult:
 def run_fold(prepared: PreparedCohort, config: TrainConfig, held_ids, fold_no: int) -> FoldResult:
     """Train on the complement of ``held_ids`` and score the held-out fold.
 
-    Held-out risks follow the order of ``held_ids``; a diverging run raises
-    :class:`NonFiniteLoss` with the fold named.
+    Held-out risks follow the order of ``held_ids``. A diverging run
+    (:class:`NonFiniteLoss`) or a training complement without events
+    (:class:`NoEvents`) raises with the fold named.
     """
     held_set = set(held_ids)
     position = {pid: i for i, pid in enumerate(prepared.patient_ids)}
     train_idx = np.asarray([i for i, p in enumerate(prepared.patient_ids) if p not in held_set], dtype=int)
     try:
         model, history = train(prepared.subset(train_idx), config)
-    except NonFiniteLoss as exc:
-        raise NonFiniteLoss(f"fold {fold_no}: {exc}") from exc
+    except (NonFiniteLoss, NoEvents) as exc:
+        raise type(exc)(f"fold {fold_no}: {exc}") from exc
     held = prepared.subset(np.asarray([position[p] for p in held_ids], dtype=int))
     risks = predict_cohort(model, held, config.fusion_mode)
     records = [SurvivalRecord(p, float(t), int(e)) for p, t, e in zip(held.patient_ids, held.times, held.events)]

@@ -118,7 +118,8 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
 
     An epoch's ``mean_loss`` averages the batches that have an event. A
     non-finite loss or gradient raises :class:`NonFiniteLoss` naming the
-    epoch and batch.
+    epoch and batch. After the last epoch, a parameter that is not finite
+    as float32 (the precision checkpoints store) raises it too.
     """
     n = len(prepared)
     if n == 0:
@@ -162,6 +163,9 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
                 values[name] = w - lr * (m_hat / (np.sqrt(v_hat) + adam_eps) + config.weight_decay * w)
             losses.append(float(loss.data))
         history.append(EpochStats(epoch, lr, float(np.mean(losses))))
+    for name, v in values.items():
+        if not np.isfinite(v.astype(np.float32)).all():
+            raise NonFiniteLoss(f"after epoch {config.epochs - 1}: parameter {name} is not finite as float32")
     return ModelParams(values, dims), history
 
 

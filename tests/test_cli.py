@@ -337,16 +337,79 @@ def test_eval_attention_rows_match_per_patient_forward(cohort_dir, proto_dir, tm
         assert abs(float(got[6]) - want[6]) <= 1e-15
 
 
+def _cli_subprocess(argv):
+    """Run the CLI in a subprocess, so that numpy's floating-point warnings
+    would reach stderr too."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "protosurv.cli", *argv], capture_output=True, text=True, env=env)
+
+
 def test_train_divergence_is_one_line_error_without_checkpoints(cohort_dir, proto_dir, tmp_path):
-    # a subprocess, so that numpy's floating-point warnings would reach stderr too
     run = tmp_path / "run"
     argv = [
         "train", "--manifest", str(cohort_dir / "manifest.json"), "--prototypes", str(proto_dir),
         "--out", str(run), "--seed", "3", "--folds", "3", "--epochs", "5", "--batch-size", "8", "--lr", "1e12",
         "--d-e", "8", "--d-r", "4", "--n-histology", "4", "--n-pathways", "8",
     ]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "protosurv.cli", *argv], capture_output=True, text=True, env=env)
+    proc = _cli_subprocess(argv)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: fold 0: epoch 3, batch 1: non-finite loss or gradient (loss nan)"]
     assert not list(run.glob("fold*.ckpt"))
+
+
+def test_train_float32_overflow_is_one_line_error_without_checkpoints(tmp_path):
+    # float64 weights stay finite through three epochs at lr 1e12, but not as float32
+    cohort, run = tmp_path / "c", tmp_path / "r"
+    assert main(["synth", "--out", str(cohort), "--patients", "40", "--seed", "0"]) == 0
+    proc = _cli_subprocess([
+        "train", "--manifest", str(cohort / "manifest.json"), "--out", str(run),
+        "--epochs", "3", "--batch-size", "16", "--lr", "1e12", "--folds", "2",
+    ])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: fold 0: after epoch 2: parameter text.w_q is not finite as float32"]
+    assert sorted(p.name for p in run.iterdir()) == ["folds.json"]
+
+
+@pytest.mark.parametrize("events_in", ["none", "fold0"])
+def test_train_without_training_events_names_the_fold(cohort_dir, proto_dir, tmp_path, events_in):
+    from protosurv.data import kfold_split
+
+    doc = json.loads((cohort_dir / "manifest.json").read_text())
+    held = set(kfold_split([p["patient_id"] for p in doc["patients"]], 3, 3)[0]) if events_in == "fold0" else set()
+    rows = (cohort_dir / "survival.csv").read_text().splitlines()
+    lines = [rows[0]]
+    for row in rows[1:]:
+        pid, time, _ = row.split(",")
+        lines.append(f"{pid},{time},{int(pid in held)}")
+    # paths resolve relative to the manifest, so the edited copies live alongside
+    (cohort_dir / f"survival_{events_in}.csv").write_text("\n".join(lines) + "\n")
+    manifest = cohort_dir / f"events_{events_in}.json"
+    manifest.write_text(json.dumps({**doc, "survival": f"survival_{events_in}.csv"}))
+    run = tmp_path / "run"
+    proc = _cli_subprocess([
+        "train", "--manifest", str(manifest), "--prototypes", str(proto_dir), "--out", str(run),
+        "--seed", "3", "--folds", "3", "--epochs", "2",
+        "--d-e", "8", "--d-r", "4", "--n-histology", "4", "--n-pathways", "8",
+    ])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: fold 0: cohort has no observed events"]
+    assert not list(run.glob("fold*.ckpt"))
+
+
+def test_train_flags_and_config_file_reach_effective_config(cohort_dir, proto_dir, tmp_path):
+    run = tmp_path / "flags"
+    assert _train(cohort_dir, proto_dir, run, extra=("--lr", "0.003", "--nt-mode", "p90", "--shared-beta")) == 0
+    effective = json.loads((run / "effective_config.json").read_text())
+    assert effective["learning_rate"] == 0.003
+    assert effective["text_proto_mode"] == "p90"
+    assert effective["shared_beta_mlp"] is True
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "epochs": 1, "d_e": 8, "d_r": 4, "n_histology": 4, "n_pathways": 8, "shared_beta_mlp": True,
+    }))
+    run = tmp_path / "config"
+    assert main([
+        "train", "--manifest", str(cohort_dir / "manifest.json"), "--prototypes", str(proto_dir),
+        "--out", str(run), "--config", str(config_path), "--folds", "3",
+    ]) == 0
+    assert json.loads((run / "effective_config.json").read_text())["shared_beta_mlp"] is True

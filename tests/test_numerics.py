@@ -310,3 +310,13 @@ def test_grad_masked_attention():
         return nm.tsum(out * np.arange(6.0).reshape(3, 2)) + nm.tsum(att * att)
 
     _check_op(loss, 12, seed=23)
+
+
+
+def test_selu_large_input_does_not_overflow():
+    x = nm.Tensor(np.array([1000.0, -1.0]), requires_grad=True)
+    with np.errstate(all="raise"):
+        out = nm.selu(x)
+        nm.tsum(out).backward()
+    np.testing.assert_allclose(out.data, [_selu_scalar(1000.0), _selu_scalar(-1.0)], rtol=1e-15)
+    np.testing.assert_allclose(x.grad, [nm.SELU_SCALE, nm.SELU_SCALE * nm.SELU_ALPHA * math.exp(-1.0)], rtol=1e-15)
