@@ -30,12 +30,11 @@ from .data import (
     write_survival,
 )
 from .errors import FingerprintMismatch, ProtosurvError
-from .evaluation import concordance_index, cross_attention_summary, km_curve, log_rank, stratify_median
+from .evaluation import cross_attention_summary, km_curve, log_rank, stratify_median
 from .fusion import FUSION_MODES
-from .model import forward_diagnostics
 from .pathways import fingerprint
-from .pipeline import build_prepared, cross_validate, fit_slide_representations, text_shapes
-from .survival import SurvivalRecord, TrainConfig, load_checkpoint, save_checkpoint
+from .pipeline import build_prepared, cross_validate, fit_slide_representations, score_fold, text_shapes
+from .survival import TrainConfig, load_checkpoint, save_checkpoint
 
 MODALITY_CHOICES = ("pht", "ht", "pt", "ph", "p", "h", "t")
 
@@ -204,18 +203,19 @@ def _load_prepared(args, config: TrainConfig):
     then ``build_prepared``. Returns (prepared, mask_set, gene-set digest)."""
     manifest = load_manifest(args.manifest)
     manifest.modalities = config.modalities
-    cohort = load_cohort(manifest)
     slide_reps = meta = None
     if args.prototypes:
         proto_dir = Path(args.prototypes)
         with open(proto_dir / "prototype_meta.json", encoding="utf-8") as fh:
             meta = json.load(fh)
-        if "h" in config.modalities:
-            if meta.get("n_histology") != config.n_histology:
-                raise ProtosurvError(
-                    f"prototypes fitted with n_histology={meta.get('n_histology')}, config asks {config.n_histology}"
-                )
-            slide_reps = [load_matrix(proto_dir / f"{pid}.slide.ps3e") for pid in cohort.patient_ids]
+        for letter, key, asked in (("h", "n_histology", config.n_histology), ("t", "nt_mode", config.text_proto_mode)):
+            if letter in config.modalities and meta.get(key) != asked:
+                raise ProtosurvError(f"prototypes fitted with {key}={meta.get(key)}, config asks {asked}")
+        # the fitted slide representations stand in for the patch matrices, left unread
+        manifest.modalities = config.modalities.replace("h", "")
+    cohort = load_cohort(manifest)
+    if meta is not None and "h" in config.modalities:
+        slide_reps = [load_matrix(proto_dir / f"{pid}.slide.ps3e") for pid in cohort.patient_ids]
     prepared, _, mask_set = build_prepared(
         cohort,
         config,
@@ -294,21 +294,15 @@ def cmd_eval(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    position = {pid: i for i, pid in enumerate(prepared.patient_ids)}
     fold_cindex: list[tuple[int, float]] = []
-    pooled_risks: list[float] = []
-    pooled_records: list[SurvivalRecord] = []
+    pooled: list[tuple] = []  # (risks, times, events) of each held-out fold
     attention_rows: list[tuple] = []
     pairs = [tuple(p.split(":")) for p in (args.attention or [])]
     for fold_no, model, _, _ in models:
-        held = prepared.subset(np.asarray([position[p] for p in folds[fold_no]]))
         # one batched forward gives the risks and every patient's attention
-        risks, fused, validity = forward_diagnostics(held, model.values, model.dims, config.fusion_mode)
-        risks = np.asarray(risks.data)
-        records = [SurvivalRecord(p, float(t), int(e)) for p, t, e in zip(held.patient_ids, held.times, held.events)]
-        fold_cindex.append((fold_no, concordance_index(risks, records)))
-        pooled_risks.extend(float(r) for r in risks)
-        pooled_records.extend(records)
+        held, risks, c_index, fused, validity = score_fold(model, prepared, folds[fold_no], config.fusion_mode, fold_no)
+        fold_cindex.append((fold_no, c_index))
+        pooled.append((risks, held.times, held.events))
         spans, start = {}, 0
         for name, size in fused.block_sizes.items():
             spans[name] = (start, start + size)
@@ -329,18 +323,16 @@ def cmd_eval(args) -> int:
                     attention_rows.append((fold_no, pid, query, key, rank, token, score))
 
     _write_csv(out / "metrics.csv", ("fold", "metric", "value"), _c_index_rows(fold_cindex))
-    labels = stratify_median(np.asarray(pooled_risks))
-    groups = {
-        "high": [r for r, g in zip(pooled_records, labels) if g == "high"],
-        "low": [r for r, g in zip(pooled_records, labels) if g == "low"],
-    }
-    curves = {group: km_curve(records) for group, records in groups.items() if records}
+    risks, times, events = (np.concatenate(column) for column in zip(*pooled))
+    high = np.asarray(stratify_median(risks)) == "high"
+    groups = {"high": (times[high], events[high]), "low": (times[~high], events[~high])}
+    curves = {group: km_curve(labels) for group, labels in groups.items() if labels[0].size}
     _write_csv(
         out / "km_curves.csv",
         ("group", "time", "survival", "at_risk"),
         ((group, t, s, n) for group, c in curves.items() for t, s, n in zip(c.times, c.survival, c.at_risk)),
     )
-    logrank = [log_rank(groups["high"], groups["low"])] if groups["high"] and groups["low"] else []
+    logrank = [log_rank(groups["high"], groups["low"])] if len(curves) == 2 else []
     _write_csv(out / "logrank.csv", ("statistic", "p_value"), ((r.statistic, r.p_value) for r in logrank))
     if pairs:
         _write_csv(

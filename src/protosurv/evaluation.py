@@ -37,7 +37,10 @@ class AttentionSummary:
 
 
 def _records_to_arrays(records):
-    """(times, events) arrays of a sequence of SurvivalRecords."""
+    """(times, events) arrays of a sequence of SurvivalRecords or of a
+    (times, events) pair, the label form every metric and the loss accept."""
+    if isinstance(records, tuple):
+        return np.asarray(records[0], dtype=float), np.asarray(records[1], dtype=int)
     times = np.asarray([r.time for r in records], dtype=float)
     events = np.asarray([r.event for r in records], dtype=int)
     return times, events

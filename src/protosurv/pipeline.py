@@ -12,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Cohort, kfold_split
-from .errors import NoEvents, NonFiniteLoss, ProtosurvError
+from .errors import NoComparablePairs, NoEvents, NonFiniteLoss, ProtosurvError
 from .evaluation import _records_to_arrays, concordance_index
 from .histology import EmTrace, fit_gmm, slide_representation
-from .model import ModelDims, ModelParams, PreparedCohort
+from .model import ModelDims, ModelParams, PreparedCohort, forward_diagnostics
 from .pathways import PathwayMaskSet, build_masks, pathway_slices
 from .rng import substream
-from .survival import EpochStats, SurvivalRecord, TrainConfig, predict_cohort, train
+from .survival import EpochStats, TrainConfig, train
 from .text import compute_n_t, pad_batch
 
 
@@ -123,6 +123,21 @@ class CrossValResult:
         return ids, risks
 
 
+def score_fold(model: ModelParams, prepared: PreparedCohort, held_ids, fusion_mode: str, fold_no: int):
+    """Score the held-out patients ``held_ids``, in that order, with one batched
+    forward. Returns (held cohort, risks, C-index, FusionOutput, per-modality
+    validity); a fold without a comparable pair raises with the fold named."""
+    position = {pid: i for i, pid in enumerate(prepared.patient_ids)}
+    held = prepared.subset(np.asarray([position[p] for p in held_ids], dtype=int))
+    risks, fused, validity = forward_diagnostics(held, model.values, model.dims, fusion_mode)
+    risks = np.asarray(risks.data)
+    try:
+        c_index = concordance_index(risks, (held.times, held.events))
+    except NoComparablePairs as exc:
+        raise NoComparablePairs(f"fold {fold_no}: {exc}") from exc
+    return held, risks, c_index, fused, validity
+
+
 def run_fold(prepared: PreparedCohort, config: TrainConfig, held_ids, fold_no: int) -> FoldResult:
     """Train on the complement of ``held_ids`` and score the held-out fold.
 
@@ -131,16 +146,13 @@ def run_fold(prepared: PreparedCohort, config: TrainConfig, held_ids, fold_no: i
     (:class:`NoEvents`) raises with the fold named.
     """
     held_set = set(held_ids)
-    position = {pid: i for i, pid in enumerate(prepared.patient_ids)}
     train_idx = np.asarray([i for i, p in enumerate(prepared.patient_ids) if p not in held_set], dtype=int)
     try:
         model, history = train(prepared.subset(train_idx), config)
     except (NonFiniteLoss, NoEvents) as exc:
         raise type(exc)(f"fold {fold_no}: {exc}") from exc
-    held = prepared.subset(np.asarray([position[p] for p in held_ids], dtype=int))
-    risks = predict_cohort(model, held, config.fusion_mode)
-    records = [SurvivalRecord(p, float(t), int(e)) for p, t, e in zip(held.patient_ids, held.times, held.events)]
-    return FoldResult(fold_no, list(held_ids), risks, concordance_index(risks, records), model, history)
+    _, risks, c_index, _, _ = score_fold(model, prepared, held_ids, config.fusion_mode, fold_no)
+    return FoldResult(fold_no, list(held_ids), risks, c_index, model, history)
 
 
 def cross_validate(

@@ -88,10 +88,7 @@ def cox_loss(risks, records):
     (loss, degenerate): with zero events in the batch the loss is 0 and the
     degenerate flag is set. Tensor risks give a Tensor loss.
     """
-    if isinstance(records, tuple):
-        times, events = np.asarray(records[0], dtype=float), np.asarray(records[1], dtype=int)
-    else:
-        times, events = _records_to_arrays(records)
+    times, events = _records_to_arrays(records)
     n = times.shape[0]
     event_idx = np.flatnonzero(events == 1)
     n_events = event_idx.size

@@ -33,6 +33,16 @@ def proto_dir(cohort_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def proto_p90_dir(cohort_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("proto_p90")
+    assert main([
+        "prototype", "--manifest", str(cohort_dir / "manifest.json"),
+        "--out", str(out), "--seed", "7", "--n-histology", "4", "--nt-mode", "p90",
+    ]) == 0
+    return out
+
+
 def _train(cohort_dir, proto_dir, out, seed="3", extra=()):
     return main([
         "train", "--manifest", str(cohort_dir / "manifest.json"),
@@ -205,6 +215,36 @@ def test_eval_outputs(cohort_dir, proto_dir, tmp_path):
     att = (out / "attention_summary.csv").read_text().splitlines()
     assert att[0] == "fold,patient_id,query_block,key_block,rank,token,dispersion"
     assert any(",PW_" in row for row in att[1:])
+
+    # the KM curves and the log-rank test of the median split of the pooled
+    # held-out risks, recomputed per checkpoint on SurvivalRecord lists
+    from protosurv.data import load_cohort, load_manifest, load_matrix
+    from protosurv.evaluation import km_curve, log_rank, stratify_median
+    from protosurv.pipeline import build_prepared
+    from protosurv.survival import load_checkpoint, predict_cohort
+
+    cohort = load_cohort(load_manifest(cohort_dir / "manifest.json"))
+    record_of = dict(zip(cohort.patient_ids, cohort.records))
+    meta = json.loads((proto_dir / "prototype_meta.json").read_text())
+    slides = [load_matrix(proto_dir / f"{pid}.slide.ps3e") for pid in cohort.patient_ids]
+    risks, records = [], []
+    for fold_no, held_ids in enumerate(json.loads((run / "folds.json").read_text())["folds"]):
+        model, config, _ = load_checkpoint(run / f"fold{fold_no}.ckpt")
+        prepared, _, _ = build_prepared(
+            cohort, config, slide_reps=slides, n_text=meta["n_text"], max_segments=meta["max_segments"]
+        )
+        held = prepared.subset([prepared.patient_ids.index(pid) for pid in held_ids])
+        risks.extend(predict_cohort(model, held, config.fusion_mode))
+        records.extend(record_of[pid] for pid in held_ids)
+    labels = stratify_median(risks)
+    groups = {g: [r for r, label in zip(records, labels) if label == g] for g in ("high", "low")}
+    assert groups["high"] and groups["low"]
+    curves = {g: km_curve(groups[g]) for g in ("high", "low")}
+    expected_km = [(g, t, s, n) for g, c in curves.items() for t, s, n in zip(c.times, c.survival, c.at_risk)]
+    got_km = [(g, float(t), float(s), int(n)) for g, t, s, n in (row.split(",") for row in km[1:])]
+    assert got_km == expected_km
+    expected_logrank = log_rank(groups["high"], groups["low"])
+    assert (stat, p) == (expected_logrank.statistic, expected_logrank.p_value)
 
 
 def test_eval_fingerprint_mismatch_is_hard_error(cohort_dir, proto_dir, tmp_path, capsys):
@@ -396,9 +436,9 @@ def test_train_without_training_events_names_the_fold(cohort_dir, proto_dir, tmp
     assert not list(run.glob("fold*.ckpt"))
 
 
-def test_train_flags_and_config_file_reach_effective_config(cohort_dir, proto_dir, tmp_path):
+def test_train_flags_and_config_file_reach_effective_config(cohort_dir, proto_dir, proto_p90_dir, tmp_path):
     run = tmp_path / "flags"
-    assert _train(cohort_dir, proto_dir, run, extra=("--lr", "0.003", "--nt-mode", "p90", "--shared-beta")) == 0
+    assert _train(cohort_dir, proto_p90_dir, run, extra=("--lr", "0.003", "--nt-mode", "p90", "--shared-beta")) == 0
     effective = json.loads((run / "effective_config.json").read_text())
     assert effective["learning_rate"] == 0.003
     assert effective["text_proto_mode"] == "p90"
@@ -413,3 +453,74 @@ def test_train_flags_and_config_file_reach_effective_config(cohort_dir, proto_di
         "--out", str(run), "--config", str(config_path), "--folds", "3",
     ]) == 0
     assert json.loads((run / "effective_config.json").read_text())["shared_beta_mlp"] is True
+
+
+def test_prototypes_fitted_with_another_nt_mode_are_rejected(cohort_dir, proto_dir, proto_p90_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert _train(cohort_dir, proto_dir, tmp_path / "x", extra=("--nt-mode", "p90")) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: prototypes fitted with nt_mode=average, config asks p90"]
+    # without the text modality the text prototype count does not enter
+    assert _train(cohort_dir, proto_dir, tmp_path / "ph", extra=("--modalities", "ph", "--nt-mode", "p90")) == 0
+    # eval takes the mode from the checkpoints
+    run = tmp_path / "p90"
+    assert _train(cohort_dir, proto_p90_dir, run, extra=("--nt-mode", "p90")) == 0
+    capsys.readouterr()
+    assert _eval(cohort_dir, proto_dir, run, tmp_path / "e") == 1
+    assert capsys.readouterr().err.splitlines() == ["error: prototypes fitted with nt_mode=average, config asks p90"]
+
+
+def test_prototype_runs_read_no_patch_matrix(cohort_dir, proto_dir, tmp_path, monkeypatch):
+    import protosurv.data
+
+    opened = []
+    load_matrix = protosurv.data.load_matrix
+
+    def recording_load_matrix(path):
+        opened.append(Path(path).name)
+        return load_matrix(path)
+
+    monkeypatch.setattr(protosurv.data, "load_matrix", recording_load_matrix)
+    run = tmp_path / "run"
+    assert _train(cohort_dir, proto_dir, run) == 0
+    assert _eval(cohort_dir, proto_dir, run, tmp_path / "eval") == 0
+    assert any(name.endswith(".report.ps3e") for name in opened)
+    assert not [name for name in opened if name.endswith(".patches.ps3e")]
+
+
+def _manifest_censoring_fold0(cohort_dir):
+    """A copy of the cohort whose fold-0 patients (seed 3, three folds) are
+    all censored and every other patient has an event."""
+    from protosurv.data import kfold_split
+
+    doc = json.loads((cohort_dir / "manifest.json").read_text())
+    held = set(kfold_split([p["patient_id"] for p in doc["patients"]], 3, 3)[0])
+    rows = (cohort_dir / "survival.csv").read_text().splitlines()
+    lines = [rows[0]] + [f"{pid},{time},{int(pid not in held)}" for pid, time, _ in (r.split(",") for r in rows[1:])]
+    # paths resolve relative to the manifest, so the edited copies live alongside
+    (cohort_dir / "survival_censored0.csv").write_text("\n".join(lines) + "\n")
+    manifest = cohort_dir / "censored0.json"
+    manifest.write_text(json.dumps({**doc, "survival": "survival_censored0.csv"}))
+    return manifest
+
+
+def test_train_fold_without_comparable_pair_names_the_fold(cohort_dir, proto_dir, tmp_path):
+    run = tmp_path / "run"
+    proc = _cli_subprocess([
+        "train", "--manifest", str(_manifest_censoring_fold0(cohort_dir)), "--prototypes", str(proto_dir),
+        "--out", str(run), "--seed", "3", "--folds", "3", "--epochs", "2",
+        "--d-e", "8", "--d-r", "4", "--n-histology", "4", "--n-pathways", "8",
+    ])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: fold 0: no comparable pair of records"]
+    assert not list(run.glob("fold*.ckpt"))
+
+
+def test_eval_fold_without_comparable_pair_names_the_fold(cohort_dir, proto_dir, tmp_path):
+    run = tmp_path / "run"
+    assert _train(cohort_dir, proto_dir, run) == 0
+    proc = _cli_subprocess([
+        "eval", "--manifest", str(_manifest_censoring_fold0(cohort_dir)), "--prototypes", str(proto_dir),
+        "--models", str(run), "--out", str(tmp_path / "eval"),
+    ])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: fold 0: no comparable pair of records"]

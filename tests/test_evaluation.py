@@ -143,6 +143,25 @@ def test_cindex_complement_and_monotone_invariance():
     assert concordance_index(np.exp(risks), records) == concordance_index(risks, records)
 
 
+def test_cindex_pair_form_matches_brute_force_oracle_and_records():
+    rng = np.random.default_rng(0)
+    scored = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 30))
+        times = rng.integers(1, 12, size=n).astype(float)
+        events = rng.integers(0, 2, size=n)
+        risks = rng.integers(0, 6, size=n).astype(float)
+        try:
+            got = concordance_index(risks, (times, events))
+        except NoComparablePairs:
+            with pytest.raises(NoComparablePairs):
+                concordance_index(risks, _rec(times, events))
+            continue
+        assert got == brute_force_cindex(risks, times, events) == concordance_index(risks, _rec(times, events))
+        scored += 1
+    assert scored > 40
+
+
 # ---------------------------------------------------------------------------
 # Kaplan-Meier
 # ---------------------------------------------------------------------------
@@ -185,6 +204,20 @@ def test_km_bit_identical_to_loop_oracle_at_cohort_scale():
     assert np.array_equal(curve.times, event_times)
     assert np.array_equal(curve.survival, survival)
     assert np.array_equal(curve.at_risk, at_risk) and curve.at_risk.dtype == at_risk.dtype
+
+
+def test_km_pair_form_bit_identical_to_loop_oracle_and_records():
+    times, events, _ = _tied_cohort(2000, 21)
+    curve = km_curve((times, events))
+    from_records = km_curve(_rec(times, events))
+    event_times, survival, at_risk = loop_km_curve(times, events)
+    for got, records_value, want in zip(
+        (curve.times, curve.survival, curve.at_risk),
+        (from_records.times, from_records.survival, from_records.at_risk),
+        (event_times, survival, at_risk),
+    ):
+        assert np.array_equal(got, want) and np.array_equal(got, records_value)
+        assert got.dtype == want.dtype == records_value.dtype
 
 
 def test_km_no_censoring_ends_at_zero():
@@ -240,6 +273,18 @@ def test_log_rank_bit_identical_to_loop_oracle_at_cohort_scale():
     expect = loop_log_rank(times[order], events[order], high[order])
     assert result.statistic == expect
     assert result.p_value == chi2_1df_sf(expect)
+
+
+def test_log_rank_pair_form_bit_identical_to_loop_oracle_and_records():
+    times, events, risks = _tied_cohort(2000, 22)
+    high = np.array(stratify_median(risks)) == "high"
+    result = log_rank((times[high], events[high]), (times[~high], events[~high]))
+    records = _rec(times, events)
+    from_records = log_rank([r for r, h in zip(records, high) if h], [r for r, h in zip(records, high) if not h])
+    order = np.concatenate([np.flatnonzero(high), np.flatnonzero(~high)])
+    expect = loop_log_rank(times[order], events[order], high[order])
+    assert result.statistic == expect == from_records.statistic
+    assert result.p_value == chi2_1df_sf(expect) == from_records.p_value
 
 
 def test_log_rank_no_events():
