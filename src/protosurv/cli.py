@@ -285,6 +285,12 @@ def cmd_eval(args) -> int:
             raise ProtosurvError(f"{path}: no fold {fold_no} in {folds_path}")
         models.append((int(fold_no), *load_checkpoint(path)))
     config = models[0][2]
+    # every fold is scored with one config, so every checkpoint must carry it
+    for path, (_, _, other, _) in zip(checkpoint_paths, models):
+        name = next((f.name for f in fields(config) if getattr(other, f.name) != getattr(config, f.name)), None)
+        if name is not None:
+            first = f"{checkpoint_paths[0]} has {getattr(config, name)!r}"
+            raise ProtosurvError(f"{path}: trained with {name}={getattr(other, name)!r}, but {first}")
     prepared, mask_set, digest = _load_prepared(args, config)
     for fold_no, _, _, stored in models:
         if stored != digest:

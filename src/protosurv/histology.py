@@ -9,7 +9,11 @@ Each fit centres the patches once on the slide's mean patch c and keeps
 xc = x - c and xc^2. The E-step quadratic is two (n, d) x (d, k) products,
 xc^2 (1/var)^T - 2 xc ((mu - c)/var)^T + sum((mu - c)^2/var), clamped at 0;
 the M-step takes the first and second moments of xc, so a large common
-offset in the features costs no precision in the variances.
+offset in the features costs no precision in the variances. Before those
+products the M-step zeroes responsibilities below the smallest normal
+float64: on x86 each product with a sub-normal is many times slower, and
+terms below 1e-306 vanish against the component sums, so the fitted bytes
+do not change.
 """
 
 from __future__ import annotations
@@ -127,6 +131,10 @@ def _em_step(data: _Centred, params: GmmParams, rng) -> tuple[GmmParams, float, 
 
     log_lik, resp = _posterior(data, params)
     avg_ll = float(np.mean(log_lik))
+    # products with sub-normal responsibilities run many times slower on x86;
+    # each term is below 1e-306, lost against any nk >= RESCUE_FRACTION * n
+    # (a smaller one is re-seeded), so zeroing them keeps the fitted bytes
+    resp *= resp >= np.finfo(float).tiny
 
     nk = resp.sum(axis=0)
     nk_safe = np.maximum(nk, 1e-300)

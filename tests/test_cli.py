@@ -524,3 +524,21 @@ def test_eval_fold_without_comparable_pair_names_the_fold(cohort_dir, proto_dir,
     ])
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: fold 0: no comparable pair of records"]
+
+
+def test_eval_checkpoints_with_different_configs_are_one_line_error(cohort_dir, proto_dir, tmp_path):
+    import shutil
+
+    full, late = tmp_path / "full", tmp_path / "late"
+    assert _train(cohort_dir, proto_dir, full) == 0
+    assert _train(cohort_dir, proto_dir, late, extra=("--fusion-mode", "late")) == 0
+    # eval scores every fold in the first checkpoint's fusion mode
+    shutil.copy(late / "fold1.ckpt", full / "fold1.ckpt")
+    proc = _cli_subprocess([
+        "eval", "--manifest", str(cohort_dir / "manifest.json"), "--prototypes", str(proto_dir),
+        "--models", str(full), "--out", str(tmp_path / "eval"),
+    ])
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"error: {full / 'fold1.ckpt'}: trained with fusion_mode='late', but {full / 'fold0.ckpt'} has 'full'"
+    ]

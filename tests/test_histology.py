@@ -10,6 +10,7 @@ from protosurv.histology import (
     EmTrace,
     GmmParams,
     PatchFeatures,
+    RESCUE_FRACTION,
     VAR_FLOOR,
     em_step,
     fit_gmm,
@@ -269,6 +270,35 @@ def test_fit_gmm_memory_linear_in_patches():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * x.nbytes
+
+
+def test_em_step_flushes_sub_normal_responsibilities_without_changing_the_fit():
+    # a scaled-down slides_paper slide: from the fourth EM step on, some
+    # posterior entries fall below the smallest normal float64
+    rng = np.random.default_rng([0, 0])
+    n, d = 256, 32
+    centres = rng.normal(0.0, 2.0, size=(8, d))
+    x = centres[rng.permutation(np.repeat(np.arange(8), n // 8))] + rng.normal(0.0, 0.5, size=(n, d))
+    patches = PatchFeatures("paper_small", x)
+    params = init_gmm(4, d, np.random.default_rng([0, 0, 1]))
+    tiny = np.finfo(float).tiny
+    sub_normal_steps = 0
+    for _ in range(6):
+        resp = responsibilities(patches, params)  # keeps its sub-normal entries
+        sub_normal_steps += bool(np.any((resp > 0) & (resp < tiny)))
+        # the M-step on the unflushed posterior, moments about the mean patch
+        centre = x.mean(axis=0)
+        xc = x - centre
+        nk = resp.sum(axis=0)
+        assert np.all(nk >= RESCUE_FRACTION * n)
+        nk_safe = np.maximum(nk, 1e-300)
+        mc = (resp.T @ xc) / nk_safe[:, None]
+        variances = np.maximum((resp.T @ (xc * xc)) / nk_safe[:, None] - mc * mc, VAR_FLOOR)
+        params, _ = em_step(patches, params)
+        np.testing.assert_array_equal(params.weights, nk / n)
+        np.testing.assert_array_equal(params.means, mc + centre)
+        np.testing.assert_array_equal(params.variances, variances)
+    assert sub_normal_steps >= 2
 
 
 def test_slide_representation_shape_and_order():
