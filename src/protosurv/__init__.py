@@ -20,7 +20,7 @@ from .evaluation import (
 )
 from .fusion import FusionOutput, FusionParams, ModalityTokens, append_learnable, block_attention, fuse
 from .histology import EmTrace, GmmParams, PatchFeatures, em_step, fit_gmm, init_gmm, log_density, slide_representation
-from .model import ModelDims, ModelParams, PreparedCohort, forward_risks, risk_head
+from .model import ModelDims, ModelParams, PreparedCohort, forward_risks
 from .numerics import GradReport, Tensor, grad_check, layer_norm, masked_attention, masked_softmax, snn_forward
 from .pathways import ExpressionProfile, GeneOrder, PathwayMaskSet, build_masks, embed_pathways, pathway_slices
 from .pipeline import CrossValResult, build_prepared, cross_validate, fit_slide_representations
@@ -30,7 +30,6 @@ from .survival import (
     TrainConfig,
     cox_loss,
     load_checkpoint,
-    predict,
     predict_cohort,
     save_checkpoint,
     train,

@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import FingerprintMismatch, ProtosurvError
 from .evaluation import cross_attention_summary, km_curve, log_rank, stratify_median
-from .fusion import FUSION_MODES
+from .fusion import FUSION_MODES, MODALITY_ORDER
 from .pathways import fingerprint
 from .pipeline import build_prepared, cross_validate, fit_slide_representations, score_fold, text_shapes
 from .survival import TrainConfig, load_checkpoint, save_checkpoint
@@ -178,17 +178,30 @@ def cmd_prototype(args) -> int:
 _RUN_METADATA_KEYS = {"folds", "manifest", "prototypes", "out"}
 
 
+def _fits(value, type_name: str) -> bool:
+    """Whether a JSON value may fill a config field annotated ``type_name``:
+    an int fills a float field, and a bool fills a bool field only."""
+    if isinstance(value, bool):
+        return type_name == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}.get(type_name, ()))
+
+
 def _effective_config(args) -> tuple[TrainConfig, int]:
     """Defaults, overlaid by --config JSON, overlaid by flags (whose dests are TrainConfig fields)."""
-    known = {f.name for f in fields(TrainConfig)}
+    known = {f.name: f.type for f in fields(TrainConfig)}
     merged: dict = {}
     folds = None
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-        unknown = set(doc) - known - _RUN_METADATA_KEYS
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of config keys, got a {type(doc).__name__}")
+        unknown = doc.keys() - known - _RUN_METADATA_KEYS
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
+        for key, type_name in {**known, "folds": "int"}.items():
+            if key in doc and not _fits(doc[key], type_name):
+                raise ValueError(f"{args.config}: key {key!r} must be {type_name}, got {doc[key]!r}")
         folds = doc.get("folds")
         merged.update({k: v for k, v in doc.items() if k in known})
     merged.update({k: v for k, v in vars(args).items() if k in known and v is not None})
@@ -270,6 +283,14 @@ def _token_names(block: str, size: int, mask_set) -> list[str]:
     return [f"{_TOKEN_PREFIX.get(block, 'X')}{i}" for i in range(size)]
 
 
+def _attention_pair(text: str) -> tuple[str, str]:
+    """``QUERY:KEY`` of two fused block names, as ``eval --attention`` takes it."""
+    query, sep, key = text.partition(":")
+    if not sep or query not in MODALITY_ORDER or key not in MODALITY_ORDER:
+        raise argparse.ArgumentTypeError(f"expected QUERY:KEY, each one of {', '.join(MODALITY_ORDER)}; got {text!r}")
+    return query, key
+
+
 def cmd_eval(args) -> int:
     models_dir = Path(args.models)
     checkpoint_paths = sorted(models_dir.glob("fold*.ckpt"))
@@ -291,6 +312,11 @@ def cmd_eval(args) -> int:
         if name is not None:
             first = f"{checkpoint_paths[0]} has {getattr(config, name)!r}"
             raise ProtosurvError(f"{path}: trained with {name}={getattr(other, name)!r}, but {first}")
+    pairs = args.attention or []
+    lacking = [block for pair in pairs for block in pair if block not in models[0][1].dims.enabled]
+    if lacking:
+        trained = f"checkpoints trained on modalities {config.modalities!r}"
+        raise ProtosurvError(f"--attention: {trained} have no {lacking[0]} block")
     prepared, mask_set, digest = _load_prepared(args, config)
     for fold_no, _, _, stored in models:
         if stored != digest:
@@ -303,7 +329,6 @@ def cmd_eval(args) -> int:
     fold_cindex: list[tuple[int, float]] = []
     pooled: list[tuple] = []  # (risks, times, events) of each held-out fold
     attention_rows: list[tuple] = []
-    pairs = [tuple(p.split(":")) for p in (args.attention or [])]
     for fold_no, model, _, _ in models:
         # one batched forward gives the risks and every patient's attention
         held, risks, c_index, fused, validity = score_fold(model, prepared, folds[fold_no], config.fusion_mode, fold_no)
@@ -410,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--attention",
         action="append",
+        type=_attention_pair,
         default=None,
         metavar="QUERY:KEY",
         help="emit per-patient attention dispersion for a query/key block pair",

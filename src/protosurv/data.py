@@ -127,7 +127,12 @@ def load_survival(path) -> list[SurvivalRecord]:
             if pid in seen:
                 raise DuplicatePatient(f"{path}: patient {pid!r} repeated")
             seen.add(pid)
-            time = float(time_s)
+            try:
+                time = float(time_s)
+            except ValueError:
+                raise MalformedLine(f"{path}: patient {pid!r} has time {time_s!r}, not a number") from None
+            if not np.isfinite(time):
+                raise NonFiniteValue(f"{path}: patient {pid!r} has time {time}")
             if time < 0:
                 raise NegativeTime(f"{path}: patient {pid!r} has time {time}")
             if event_s not in ("0", "1"):

@@ -4,8 +4,8 @@ forward pass from prepared modality inputs to per-patient risk scores.
 The forward pass composes the public stage functions:
 ``text.select_prototypes`` and ``text.project_text``,
 ``histology.project_histo``, ``pathways.embed_pathways``, ``fusion.fuse``
-and the risk head. Training and the single-patient API run the same body
-for each stage.
+and the risk head ``_pooled_risk``, which takes a batch: a single patient is
+a batch of one (``PreparedCohort.subset``), run through the training bodies.
 
 The learnable values are a dict of named float64 arrays laid out by
 ``param_spec``. Training hands the forward pass one leaf Tensor per name, so
@@ -24,7 +24,6 @@ import numpy as np
 
 from . import numerics as nm
 from . import text as text_mod
-from .errors import ShapeMismatch
 from .fusion import MODALITY_ORDER, FusionParams, ModalityTokens, fuse
 from .histology import project_histo
 from .numerics import Tensor
@@ -146,23 +145,10 @@ def flatten_params(values: Mapping[str, np.ndarray], spec) -> np.ndarray:
     return np.concatenate([np.asarray(values[name], dtype=float).ravel() for name, _ in spec])
 
 
-def unflatten_params(flat: np.ndarray, spec) -> dict[str, np.ndarray]:
-    """Named array views of a vector laid out by ``flatten_params``."""
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in spec:
-        size = int(np.prod(shape))
-        out[name] = flat[offset : offset + size].reshape(shape)
-        offset += size
-    if offset != flat.size:
-        raise ShapeMismatch(f"flat vector has {flat.size} values, spec expects {offset}")
-    return out
-
-
 def unflatten_tensors(flat: Tensor, spec) -> dict[str, Tensor]:
-    """Named Tensor views of one leaf laid out by ``flatten_params``, for
-    functions of the whole parameter vector such as ``grad_check``; the
-    gradients of every view accumulate in that leaf."""
+    """Named Tensor views of a vector (leaf Tensor or array) laid out by
+    ``flatten_params``, for functions of the whole parameter vector such as
+    ``grad_check``; the gradients of every view accumulate in that leaf."""
     out: dict[str, Tensor] = {}
     offset = 0
     for name, shape in spec:
@@ -261,48 +247,17 @@ def forward_diagnostics(prepared: PreparedCohort, pt: Mapping, dims: ModelDims, 
 
 
 def _pooled_risk(blocks: Mapping, validity: Mapping, pt: Mapping, dims: ModelDims):
-    """Risk of each patient from the fused blocks of the enabled modalities."""
-    return _head_risk({name: blocks[name] for name in dims.enabled}, validity, risk_head_from_values(pt, dims))
-
-
-@dataclass
-class RiskHeadParams:
-    """Structured view of the post-fusion head for the single-patient API."""
-
-    beta: Mapping[str, list]  # modality (or "shared") -> [(w, b), (w, b)]
-    ln: Mapping[str, tuple]  # modality (or "shared") -> (gain, bias)
-    risk_w: np.ndarray
-    risk_b: np.ndarray
-    shared: bool = False
-
-
-def _head_risk(blocks: Mapping, validity: Mapping, params: RiskHeadParams):
-    """Per modality, in ``blocks`` order: f_beta each fused token,
-    layer-normalise, mean over the valid tokens; concatenate the pooled
-    vectors and apply the risk layer."""
+    """Risk of each patient in a batch from the fused blocks of the enabled
+    modalities. Per modality, in ``dims.enabled`` order: f_beta each fused
+    token, layer-normalise, mean over the valid tokens; concatenate the
+    pooled vectors and apply the risk layer."""
     pooled = []
-    for name, block in blocks.items():
-        group = "shared" if params.shared else name
-        y = nm.layer_norm(nm.snn_forward(nm.as_tensor(block), params.beta[group]), *params.ln[group])
+    for name in dims.enabled:
+        group = "shared" if dims.shared_beta else name
+        beta = nm.snn_forward(nm.as_tensor(blocks[name]), _snn_layers(pt, f"head.beta.{group}"))
+        y = nm.layer_norm(beta, pt[f"head.ln.{group}.gain"], pt[f"head.ln.{group}.bias"])
         mask = np.asarray(validity[name], dtype=float)
         counts = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
         pooled.append(nm.tsum(y * mask[..., None], axis=-2) * (1.0 / counts))
     stacked = pooled[0] if len(pooled) == 1 else nm.concat(pooled, axis=-1)
-    return nm.affine(stacked, params.risk_w, params.risk_b)
-
-
-def risk_head(fused, validity: Mapping, params: RiskHeadParams) -> float:
-    """Scalar risk for one patient from their fused modality blocks."""
-    blocks = {name: fused.block(name) for name in MODALITY_ORDER if fused.block(name) is not None}
-    return float(nm.as_tensor(_head_risk(blocks, validity, params)).data.reshape(()))
-
-
-def risk_head_from_values(values: Mapping[str, np.ndarray], dims: ModelDims) -> RiskHeadParams:
-    groups = ("shared",) if dims.shared_beta else dims.enabled
-    return RiskHeadParams(
-        beta={g: _snn_layers(values, f"head.beta.{g}") for g in groups},
-        ln={g: (values[f"head.ln.{g}.gain"], values[f"head.ln.{g}.bias"]) for g in groups},
-        risk_w=values["head.risk.w"],
-        risk_b=values["head.risk.b"],
-        shared=dims.shared_beta,
-    )
+    return nm.affine(stacked, pt["head.risk.w"], pt["head.risk.b"])

@@ -180,19 +180,6 @@ def swap_last(x) -> Tensor:
     )
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.exp(x.data)
-    return _node(out_data, (x,), lambda g: (g * out_data,))
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(x.data)
-    return _node(out_data, (x,), lambda g: (g / x.data,))
-
-
 def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
 

@@ -39,8 +39,8 @@ class SurvivalRecord:
     event: int  # 1 observed, 0 censored
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"negative follow-up time for {self.patient_id}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"follow-up time for {self.patient_id} must be finite and nonnegative, got {self.time}")
         if self.event not in (0, 1):
             raise ValueError(f"event flag must be 0 or 1, got {self.event}")
 
@@ -170,13 +170,6 @@ def predict_cohort(model: ModelParams, prepared: PreparedCohort, fusion_mode: st
     """Deterministic risk scores for every prepared patient."""
     risks = forward_risks(prepared, model.values, model.dims, fusion_mode)
     return np.asarray(risks.data)
-
-
-def predict(model: ModelParams, patient: PreparedCohort, fusion_mode: str = "full") -> float:
-    """Risk score for a single prepared patient."""
-    if len(patient) != 1:
-        raise ValueError("predict expects exactly one prepared patient")
-    return float(predict_cohort(model, patient, fusion_mode)[0])
 
 
 # ---------------------------------------------------------------------------

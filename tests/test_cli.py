@@ -192,6 +192,40 @@ def test_train_rejects_unknown_config_keys(cohort_dir, proto_dir, tmp_path, caps
     assert "epochz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ('{"epochs": "2"}', "'epochs' must be int"),
+        ('{"epochs": true}', "'epochs' must be int"),
+        ('{"epochs": 2.0}', "'epochs' must be int"),
+        ('{"learning_rate": "1e-3"}', "'learning_rate' must be float"),
+        ('{"shared_beta_mlp": 1}', "'shared_beta_mlp' must be bool"),
+        ('{"fusion_mode": null}', "'fusion_mode' must be str"),
+        ('{"folds": 2.5}', "'folds' must be int"),
+        ("[1, 2]", "expected a JSON object of config keys, got a list"),
+    ],
+)
+def test_train_config_of_wrong_json_type_is_one_line_error(cohort_dir, tmp_path, capsys, doc, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    code = main([
+        "train", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(tmp_path / "x"), "--config", str(bad),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and key in err[0]
+
+
+def test_train_config_takes_an_int_for_a_float_field(tmp_path):
+    from protosurv.cli import _effective_config, build_parser
+
+    path = tmp_path / "config.json"
+    path.write_text('{"learning_rate": 1, "weight_decay": 0, "shared_beta_mlp": true, "folds": 3}')
+    args = build_parser().parse_args(["train", "--manifest", "m.json", "--out", "o", "--config", str(path)])
+    config, folds = _effective_config(args)
+    assert (config.learning_rate, config.weight_decay, config.shared_beta_mlp, folds) == (1, 0, True, 3)
+
+
 def test_eval_outputs(cohort_dir, proto_dir, tmp_path):
     run = tmp_path / "run"
     assert _train(cohort_dir, proto_dir, run) == 0
@@ -273,6 +307,36 @@ def test_usage_errors_exit_two(cohort_dir):
     with pytest.raises(SystemExit) as err:
         main(["unknowncmd"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("pair", ["text", "foo:text", "text:", "text:pathway:histology", "Text:pathway"])
+def test_eval_malformed_attention_pair_is_usage_error(cohort_dir, tmp_path, capsys, pair):
+    with pytest.raises(SystemExit) as err:
+        _eval(cohort_dir, tmp_path, tmp_path, tmp_path / "e", attention=["histology:text", pair])
+    assert err.value.code == 2
+    assert f"argument --attention: expected QUERY:KEY, each one of pathway, histology, text; got {pair!r}" in (
+        capsys.readouterr().err
+    )
+
+
+def test_eval_attention_block_the_checkpoints_lack_fails_before_scoring(
+    cohort_dir, proto_dir, tmp_path, capsys, monkeypatch
+):
+    from protosurv import cli
+
+    run = tmp_path / "ph_run"
+    assert _train(cohort_dir, proto_dir, run, extra=("--modalities", "ph")) == 0
+
+    def no_scoring(*args):
+        raise AssertionError("a fold was scored")
+
+    monkeypatch.setattr(cli, "score_fold", no_scoring)
+    capsys.readouterr()
+    assert _eval(cohort_dir, proto_dir, run, tmp_path / "e", attention=["histology:pathway", "text:pathway"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --attention: checkpoints trained on modalities 'ph' have no text block"
+    ]
+    assert not (tmp_path / "e").exists()
 
 
 def test_data_errors_exit_one(tmp_path):

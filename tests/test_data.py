@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from protosurv.errors import (
     ShapeOverflow,
     TooFewPatients,
 )
+from protosurv.survival import SurvivalRecord
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +127,23 @@ def test_load_survival_negative_time(tmp_path):
     path.write_text("patient_id,time,event\np1,-5,1\n")
     with pytest.raises(NegativeTime):
         load_survival(path)
+
+
+@pytest.mark.parametrize(
+    "time, error",
+    [("nan", NonFiniteValue), ("inf", NonFiniteValue), ("-inf", NonFiniteValue), ("soon", MalformedLine)],
+)
+def test_load_survival_rejects_time_that_is_not_a_finite_number(tmp_path, time, error):
+    path = tmp_path / "s.csv"
+    path.write_text(f"patient_id,time,event\np1,5,1\np2,{time},1\n")
+    with pytest.raises(error, match=rf"^{re.escape(str(path))}: patient 'p2' has time"):
+        load_survival(path)
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), -1.0])
+def test_survival_record_rejects_time_that_is_not_finite_and_nonnegative(time):
+    with pytest.raises(ValueError, match="follow-up time for p1 must be finite and nonnegative"):
+        SurvivalRecord("p1", time, 1)
 
 
 def test_load_survival_bad_event(tmp_path):
@@ -248,7 +268,6 @@ def test_synth_generator_signal_recoverable_by_cox_oracle():
     train, held = slice(0, 150), slice(150, 300)
     beta = _fit_cox_1d(x[train], times[train], events[train])
     from protosurv.evaluation import concordance_index
-    from protosurv.survival import SurvivalRecord
 
     held_records = [
         SurvivalRecord(p, t, e)

@@ -9,7 +9,7 @@ from protosurv.model import (
     forward_diagnostics,
     init_params,
     param_spec,
-    unflatten_params,
+    unflatten_tensors,
 )
 from protosurv.pipeline import build_prepared, cross_validate
 from protosurv.rng import substream
@@ -66,9 +66,9 @@ def test_flatten_unflatten_roundtrip():
     spec = param_spec(dims)
     values = init_params(dims, substream(0, "init"))
     flat = flatten_params(values, spec)
-    back = unflatten_params(flat, spec)
+    back = unflatten_tensors(flat, spec)
     for name, _ in spec:
-        np.testing.assert_array_equal(values[name], back[name])
+        np.testing.assert_array_equal(values[name], back[name].data)
 
 
 def _cohort(n=20, seed=0):

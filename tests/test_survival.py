@@ -7,14 +7,13 @@ from protosurv import numerics as nm
 from protosurv import survival
 from protosurv.data import SyntheticSpec, synth_cohort
 from protosurv.errors import NoEvents, NonFiniteLoss, NonFiniteValue
-from protosurv.fusion import FusionOutput
 from protosurv.model import (
+    ModelDims,
+    _pooled_risk,
     flatten_params,
     forward_risks,
     init_params,
     param_spec,
-    risk_head,
-    unflatten_params,
     unflatten_tensors,
 )
 from protosurv.pipeline import build_prepared
@@ -25,7 +24,6 @@ from protosurv.survival import (
     cosine_lr,
     cox_loss,
     load_checkpoint,
-    predict,
     predict_cohort,
     save_checkpoint,
     train,
@@ -103,52 +101,62 @@ def test_cox_loss_ranking_monotonicity():
 # risk head
 # ---------------------------------------------------------------------------
 
-def _head_fixture(rng, d, d_e, modalities=("pathway", "histology", "text")):
-    beta = {
-        m: [(rng.normal(size=(d, d_e)), rng.normal(size=d_e)), (rng.normal(size=(d_e, d_e)), rng.normal(size=d_e))]
-        for m in modalities
-    }
-    ln = {m: (np.ones(d_e), np.zeros(d_e)) for m in modalities}
-    return beta, ln
+def _head_fixture(rng, d_e, d_r, modalities="p"):
+    """Dims whose head reads ``d_e + d_r``-wide tokens, and named head values
+    with every f_beta weight and bias drawn from N(0, 1); the risk layer is left
+    to the test."""
+    dims = ModelDims(
+        d_t=1, d_h=1, max_segments=1, n_text=1, n_histology=1, pathway_widths=(1,),
+        d_e=d_e, d_r=d_r, modalities=modalities,
+    )
+    values = {}
+    for m in dims.enabled:
+        values[f"head.beta.{m}.w0"] = rng.normal(size=(dims.d, d_e))
+        values[f"head.beta.{m}.b0"] = rng.normal(size=d_e)
+        values[f"head.beta.{m}.w1"] = rng.normal(size=(d_e, d_e))
+        values[f"head.beta.{m}.b1"] = rng.normal(size=d_e)
+        values[f"head.ln.{m}.gain"] = np.ones(d_e)
+        values[f"head.ln.{m}.bias"] = np.zeros(d_e)
+    return dims, values
+
+
+def _head_risk_of_one(blocks, validity, values, dims):
+    """``_pooled_risk`` on a batch of one patient, as a float."""
+    batch = {name: np.asarray(block)[None] for name, block in blocks.items()}
+    valid = {name: np.asarray(mask)[None] for name, mask in validity.items()}
+    risk = _pooled_risk(batch, valid, values, dims)
+    assert risk.shape == (1, 1)
+    return float(risk.data[0, 0])
 
 
 def test_risk_head_zero_final_layer():
     rng = np.random.default_rng(2)
-    beta, ln = _head_fixture(rng, 4, 3)
-    from protosurv.model import RiskHeadParams
-
-    params = RiskHeadParams(beta, ln, np.zeros((9, 1)), np.zeros(1))
-    fused = FusionOutput(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), rng.normal(size=(1, 4)),
-                         np.zeros((5, 5)), {"pathway": 2, "histology": 2, "text": 1})
+    dims, values = _head_fixture(rng, 3, 1, modalities="pht")
+    values["head.risk.w"], values["head.risk.b"] = np.zeros((9, 1)), np.zeros(1)
+    blocks = {"pathway": rng.normal(size=(2, 4)), "histology": rng.normal(size=(2, 4)), "text": rng.normal(size=(1, 4))}
     validity = {"pathway": np.ones(2), "histology": np.ones(2), "text": np.ones(1)}
-    assert risk_head(fused, validity, params) == 0.0
+    assert _head_risk_of_one(blocks, validity, values, dims) == 0.0
 
 
 def test_risk_head_duplicate_token_mean_pooling():
     rng = np.random.default_rng(3)
-    beta, ln = _head_fixture(rng, 4, 3, modalities=("pathway",))
-    from protosurv.model import RiskHeadParams
-
-    params = RiskHeadParams(beta, ln, rng.normal(size=(3, 1)), rng.normal(size=1))
+    dims, values = _head_fixture(rng, 3, 1)
+    values["head.risk.w"], values["head.risk.b"] = rng.normal(size=(3, 1)), rng.normal(size=1)
     row = rng.normal(size=(1, 4))
-    one = FusionOutput(row, None, None, np.zeros((1, 1)), {"pathway": 1})
-    two = FusionOutput(np.vstack([row, row]), None, None, np.zeros((2, 2)), {"pathway": 2})
-    r1 = risk_head(one, {"pathway": np.ones(1)}, params)
-    r2 = risk_head(two, {"pathway": np.ones(2)}, params)
+    r1 = _head_risk_of_one({"pathway": row}, {"pathway": np.ones(1)}, values, dims)
+    r2 = _head_risk_of_one({"pathway": np.vstack([row, row])}, {"pathway": np.ones(2)}, values, dims)
     assert abs(r1 - r2) < 1e-12
 
 
 def test_risk_head_matches_scalar_pipeline_oracle():
     rng = np.random.default_rng(4)
     d, d_e = 3, 2
-    beta, ln = _head_fixture(rng, d, d_e, modalities=("pathway",))
-    from protosurv.model import RiskHeadParams
+    dims, values = _head_fixture(rng, d_e, d - d_e)
     from protosurv.numerics import SELU_ALPHA, SELU_SCALE
 
     w_r, b_r = rng.normal(size=(d_e, 1)), rng.normal(size=1)
-    params = RiskHeadParams(beta, ln, w_r, b_r)
+    values["head.risk.w"], values["head.risk.b"] = w_r, b_r
     tokens = rng.normal(size=(2, d))
-    fused = FusionOutput(tokens, None, None, np.zeros((2, 2)), {"pathway": 2})
 
     def selu(v):
         return SELU_SCALE * v if v > 0 else SELU_SCALE * SELU_ALPHA * (math.exp(v) - 1)
@@ -156,14 +164,15 @@ def test_risk_head_matches_scalar_pipeline_oracle():
     pooled = np.zeros(d_e)
     for row in tokens:
         h = row.tolist()
-        for w, b in beta["pathway"]:
+        for layer in ("0", "1"):
+            w, b = values[f"head.beta.pathway.w{layer}"], values[f"head.beta.pathway.b{layer}"]
             h = [selu(sum(h[i] * w[i, j] for i in range(len(h))) + b[j]) for j in range(w.shape[1])]
         mu = sum(h) / d_e
         var = sum((v - mu) ** 2 for v in h) / d_e
         h = [(v - mu) / math.sqrt(var + 1e-5) for v in h]
         pooled += np.asarray(h) / 2.0
     expect = float(pooled @ w_r[:, 0] + b_r[0])
-    got = risk_head(fused, {"pathway": np.ones(2)}, params)
+    got = _head_risk_of_one({"pathway": tokens}, {"pathway": np.ones(2)}, values, dims)
     assert abs(got - expect) < 1e-10
 
 
@@ -218,8 +227,8 @@ def test_per_leaf_gradients_equal_flat_leaf_gradient(mode, shared_beta):
     loss_grad(leaves)
     flat = nm.Tensor(flatten_params(values, spec), requires_grad=True)
     loss_grad(unflatten_tensors(flat, spec))
-    for name, grad in unflatten_params(flat.grad, spec).items():
-        assert np.array_equal(leaves[name].grad, grad), name
+    for name, grad in unflatten_tensors(flat.grad, spec).items():
+        assert np.array_equal(leaves[name].grad, grad.data), name
 
 
 def test_train_deterministic():
@@ -287,8 +296,9 @@ def test_predict_matches_training_forward_and_is_pure():
     risks_b = predict_cohort(model, prepared, config.fusion_mode)
     np.testing.assert_array_equal(risks_a, risks_b)
     np.testing.assert_array_equal(model.flat(), flat_before)
-    single = predict(model, prepared.subset(np.array([3])), config.fusion_mode)
-    assert abs(single - risks_a[3]) < 1e-12
+    single = predict_cohort(model, prepared.subset([3]), config.fusion_mode)
+    assert single.shape == (1,)
+    assert abs(single[0] - risks_a[3]) < 1e-12
 
 
 def test_cosine_schedule_endpoints():
