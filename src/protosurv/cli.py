@@ -23,6 +23,7 @@ from .data import (
     load_cohort,
     load_manifest,
     load_matrix,
+    read_json,
     synth_cohort,
     write_gene_order,
     write_gmt,
@@ -192,8 +193,7 @@ def _effective_config(args) -> tuple[TrainConfig, int]:
     merged: dict = {}
     folds = None
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: expected a JSON object of config keys, got a {type(doc).__name__}")
         unknown = doc.keys() - known - _RUN_METADATA_KEYS
@@ -219,8 +219,7 @@ def _load_prepared(args, config: TrainConfig):
     slide_reps = meta = None
     if args.prototypes:
         proto_dir = Path(args.prototypes)
-        with open(proto_dir / "prototype_meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = read_json(proto_dir / "prototype_meta.json")
         for letter, key, asked in (("h", "n_histology", config.n_histology), ("t", "nt_mode", config.text_proto_mode)):
             if letter in config.modalities and meta.get(key) != asked:
                 raise ProtosurvError(f"prototypes fitted with {key}={meta.get(key)}, config asks {asked}")
@@ -297,8 +296,10 @@ def cmd_eval(args) -> int:
     if not checkpoint_paths:
         return _fail(f"no fold*.ckpt files under {models_dir}")
     folds_path = models_dir / "folds.json"
-    with open(folds_path, encoding="utf-8") as fh:
-        folds = json.load(fh)["folds"]
+    doc = read_json(folds_path)
+    if not isinstance(doc, dict) or "folds" not in doc:
+        raise ProtosurvError(f'{folds_path}: no "folds" key')
+    folds = doc["folds"]
     models = []
     for path in checkpoint_paths:
         fold_no = path.stem.removeprefix("fold")

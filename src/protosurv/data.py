@@ -196,10 +196,18 @@ class CohortManifest:
         return self.root / name
 
 
+def read_json(path):
+    """The JSON document in ``path``; a syntax error names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_manifest(path) -> CohortManifest:
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     manifest = CohortManifest(
         root=path.parent,
         modalities=doc["modalities"],

@@ -3,8 +3,20 @@
 All arithmetic is float64. Differentiation is reverse-mode over a recorded
 computation graph: each operation returns a :class:`Tensor` holding the
 forward value plus a closure that maps the output adjoint to the input
-adjoints. Tapes are per-call (each forward builds a fresh graph), so
-concurrent evaluation over immutable inputs is safe.
+adjoints.
+
+- A self-normalising layer ``selu(x @ W + b)`` is one node.
+- An operand that does not require a gradient (a constant: input data, a
+  mask, a scale) gets ``None`` for its adjoint, which is never computed.
+- A kernel writes in place only to arrays it allocated itself, never to an
+  input or to the adjoint it was handed.
+- The backward sweep frees each interior node's adjoint once it has
+  used it; only leaves keep gradients.
+
+Tapes are per-call (each forward builds a fresh graph), so concurrent
+evaluation over immutable inputs is safe. Training hands every step leaf
+Tensors that are views into one flat parameter buffer, which AdamW updates
+in place (``survival.train``).
 
 Correctness of every backward rule is pinned by :func:`grad_check` against
 central finite differences rather than by comparison to any framework.
@@ -46,7 +58,12 @@ class Tensor:
         return self.data.ndim
 
     def backward(self) -> None:
-        """Accumulate adjoints of this scalar into every reachable leaf."""
+        """Accumulate adjoints of this scalar into every reachable leaf.
+
+        Only leaves keep their gradients: an interior node's adjoint is freed
+        as soon as its backward has run, so the sweep holds the adjoints of
+        its frontier, not of the whole graph.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar root")
         topo: list[Tensor] = []
@@ -65,13 +82,23 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
+        summed: set[int] = set()  # nodes whose adjoint is a sum this sweep allocated
         for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+            if node._backward is None:
                 continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
+            grad, node.grad = node.grad, None
+            if grad is None:
+                continue
+            for parent, g in zip(node._parents, node._backward(grad)):
                 if not parent.requires_grad or g is None:
                     continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if parent.grad is None:
+                    parent.grad = g
+                elif id(parent) in summed:
+                    parent.grad += g
+                else:
+                    parent.grad = parent.grad + g
+                    summed.add(id(parent))
 
     # operator sugar; every op promotes plain arrays to constant Tensors
     def __add__(self, other):
@@ -142,7 +169,10 @@ def add(a, b) -> Tensor:
     return _node(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        lambda g: (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -152,23 +182,24 @@ def mul(a, b) -> Tensor:
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         ),
     )
+
+
+def _matmul_grads(g, a: Tensor, b: Tensor):
+    """Adjoints of ``a @ b`` given the output adjoint; None for a constant."""
+    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
+    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
+    return ga, gb
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
-
-    def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
-
-    return _node(a.data @ b.data, (a, b), backward)
+    return _node(a.data @ b.data, (a, b), lambda g: _matmul_grads(g, a, b))
 
 
 def swap_last(x) -> Tensor:
@@ -250,19 +281,6 @@ def gather_rows(x, idx: np.ndarray) -> Tensor:
     return _node(np.take_along_axis(x.data, idx[..., None], axis=-2), (x,), backward)
 
 
-def selu(x) -> Tensor:
-    x = as_tensor(x)
-    positive = x.data > 0
-    # min(x, 0), recomputed in backward: exp of the dropped positives overflows above ~709
-    out_data = SELU_SCALE * np.where(positive, x.data, SELU_ALPHA * np.expm1(np.minimum(x.data, 0.0)))
-
-    def backward(g):
-        slope = SELU_SCALE * np.where(positive, 1.0, SELU_ALPHA * np.exp(np.minimum(x.data, 0.0)))
-        return (g * slope,)
-
-    return _node(out_data, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # masked softmax / masked log-sum-exp
 # ---------------------------------------------------------------------------
@@ -296,7 +314,9 @@ def masked_softmax(logits, key_mask):
 
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        return (out_data * (g - inner),)
+        gx = g - inner
+        gx *= out_data
+        return (gx,)
 
     return unwrap(_node(out_data, (x,), backward), logits)
 
@@ -308,7 +328,9 @@ def masked_logsumexp(x, mask) -> Tensor:
     out_data = (row_max + np.log(total)).squeeze(-1)
 
     def backward(g):
-        return (g[..., None] * (weights / total),)
+        gx = weights / total
+        gx *= g[..., None]
+        return (gx,)
 
     return _node(out_data, (x,), backward)
 
@@ -317,13 +339,17 @@ def masked_logsumexp(x, mask) -> Tensor:
 # layers
 # ---------------------------------------------------------------------------
 
+def _check_affine(x: Tensor, weight: Tensor, bias: Tensor) -> None:
+    if weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+        raise ShapeMismatch(f"affine input {x.shape} vs weight {weight.shape}")
+    if bias.shape not in ((), (weight.shape[1],)):
+        raise ShapeMismatch(f"affine bias {bias.shape} vs weight {weight.shape}")
+
+
 def affine(x, weight, bias):
     """Row-wise ``x @ weight + bias``; works on arrays or Tensors."""
     xt, wt, bt = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    if wt.ndim != 2 or xt.shape[-1] != wt.shape[0]:
-        raise ShapeMismatch(f"affine input {xt.shape} vs weight {wt.shape}")
-    if bt.shape not in ((), (wt.shape[1],)):
-        raise ShapeMismatch(f"affine bias {bt.shape} vs weight {wt.shape}")
+    _check_affine(xt, wt, bt)
     return unwrap(add(matmul(xt, wt), bt), x, weight, bias)
 
 
@@ -334,28 +360,66 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     up to the eps regulariser.
     """
     xt, gt, bt = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = xt.data.mean(axis=-1, keepdims=True)
-    centred = xt.data - mu
-    var = (centred * centred).mean(axis=-1, keepdims=True)
+    normed = xt.data - xt.data.mean(axis=-1, keepdims=True)
+    var = (normed * normed).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    normed = centred * inv_std
+    normed *= inv_std
 
     def backward(g):
         g_norm = g * gt.data
         d = xt.data.shape[-1]
-        gx = inv_std * (
-            g_norm
-            - g_norm.mean(axis=-1, keepdims=True)
-            - normed * (g_norm * normed).sum(axis=-1, keepdims=True) / d
+        spread = g_norm * normed
+        np.multiply(normed, spread.sum(axis=-1, keepdims=True), out=spread)
+        spread /= d
+        g_norm -= g_norm.mean(axis=-1, keepdims=True)
+        g_norm -= spread
+        g_norm *= inv_std
+        return (
+            g_norm if xt.requires_grad else None,
+            _unbroadcast(g * normed, gt.data.shape) if gt.requires_grad else None,
+            _unbroadcast(g, bt.data.shape) if bt.requires_grad else None,
         )
-        return gx, _unbroadcast(g * normed, gt.data.shape), _unbroadcast(g, bt.data.shape)
 
-    out = _node(normed * gt.data + bt.data, (xt, gt, bt), backward)
-    return unwrap(out, x, gain, bias)
+    out_data = normed * gt.data
+    out_data += bt.data
+    return unwrap(_node(out_data, (xt, gt, bt), backward), x, gain, bias)
+
+
+def _selu_layer(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """One node for ``selu(x @ weight + bias)``: with p = x @ weight + bias,
+    selu(p) = S·(max(p, 0) + A·expm1(min(p, 0))) and its slope is S for
+    p > 0, else S·A·exp(min(p, 0)). The minimum keeps exp from overflowing on
+    large positive p; both equal the closed form S·where(p > 0, p, A·expm1(p))
+    and its slope bit for bit."""
+    _check_affine(x, weight, bias)
+    pre = x.data @ weight.data
+    pre += bias.data
+    tail = np.minimum(pre, 0.0)
+    np.expm1(tail, out=tail)
+    tail *= SELU_ALPHA
+    out_data = np.maximum(pre, 0.0)
+    out_data += tail
+    out_data *= SELU_SCALE
+
+    def backward(g):
+        # S·(pos + (1 - pos)·A·exp(min(p, 0))) with pos the 0/1 indicator of p > 0
+        positive = (pre > 0).astype(np.float64)
+        slope = 1.0 - positive
+        slope *= SELU_ALPHA
+        tail = np.minimum(pre, 0.0)
+        slope *= np.exp(tail, out=tail)
+        slope += positive
+        slope *= SELU_SCALE
+        slope *= g
+        gx, gw = _matmul_grads(slope, x, weight)
+        return gx, gw, _unbroadcast(slope, bias.data.shape) if bias.requires_grad else None
+
+    return _node(out_data, (x, weight, bias), backward)
 
 
 def snn_forward(x, layers):
-    """Self-normalising feed-forward stack: selu(affine(·)) per layer.
+    """Self-normalising feed-forward stack: selu(affine(·)) per layer, each
+    layer one tape node.
 
     ``layers`` is a sequence of (weight, bias) pairs. A 1-D input is treated
     as a single row and returned as a vector.
@@ -365,7 +429,7 @@ def snn_forward(x, layers):
     if vector:
         out = reshape(out, (1, out.shape[0]))
     for weight, bias in layers:
-        out = selu(affine(out, weight, bias))
+        out = _selu_layer(out, as_tensor(weight), as_tensor(bias))
     if vector:
         out = reshape(out, out.shape[1:])
     return unwrap(out, x, *(p for layer in layers for p in layer))

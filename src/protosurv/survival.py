@@ -2,8 +2,9 @@
 
 The loss uses Breslow tie handling with risk sets formed inside each
 minibatch, normalised by the batch event count. Optimisation is AdamW
-(decoupled weight decay) under a cosine learning-rate schedule; every
-random draw comes from named substreams of the run seed, so training is
+(decoupled weight decay) under a cosine learning-rate schedule, on one flat
+buffer each for the values, the gradient and both moments; every random
+draw comes from named substreams of the run seed, so training is
 bit-reproducible given (cohort, config).
 """
 
@@ -25,8 +26,11 @@ from .model import (
     ModelParams,
     PreparedCohort,
     canonical_modalities,
+    flatten_params,
     forward_risks,
     init_params,
+    param_spec,
+    unflatten_tensors,
 )
 from .numerics import Tensor
 from .rng import substream
@@ -65,6 +69,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        for name in ("learning_rate", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("learning_rate must be positive, weight_decay nonnegative")
         if self.schedule != "cosine":
@@ -128,9 +135,11 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
         raise ValueError(
             f"cohort prepared for modalities {dims.modalities!r} but config asks {config.modalities!r}"
         )
-    values = init_params(dims, substream(config.seed, "init"))
-    moment1 = {name: np.zeros_like(v) for name, v in values.items()}
-    moment2 = {name: np.zeros_like(v) for name, v in values.items()}
+    # AdamW state as flat buffers in param_spec order; the named values are views
+    spec = param_spec(dims)
+    flat = flatten_params(init_params(dims, substream(config.seed, "init")), spec)
+    values = {name: view.data for name, view in unflatten_tensors(flat, spec).items()}
+    grad, moment1, moment2, update, scratch = (np.zeros_like(flat) for _ in range(5))
     step = 0
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     history: list[EpochStats] = []
@@ -146,24 +155,34 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
             if degenerate:
                 continue
             loss.backward()
-            if not (np.isfinite(loss.data) and all(np.isfinite(leaf.grad).all() for leaf in leaves.values())):
+            np.concatenate([leaf.grad.ravel() for leaf in leaves.values()], out=grad)
+            if not (np.isfinite(loss.data) and np.isfinite(grad).all()):
                 where = f"epoch {epoch}, batch {start // config.batch_size}"
                 raise NonFiniteLoss(f"{where}: non-finite loss or gradient (loss {float(loss.data)})")
             step += 1
-            for name, leaf in leaves.items():
-                grad = leaf.grad
-                moment1[name] = beta1 * moment1[name] + (1.0 - beta1) * grad
-                moment2[name] = beta2 * moment2[name] + (1.0 - beta2) * grad * grad
-                m_hat = moment1[name] / (1.0 - beta1**step)
-                v_hat = moment2[name] / (1.0 - beta2**step)
-                w = values[name]
-                values[name] = w - lr * (m_hat / (np.sqrt(v_hat) + adam_eps) + config.weight_decay * w)
+            # w -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * w), in place
+            moment1 *= beta1
+            np.multiply(grad, 1.0 - beta1, out=scratch)
+            moment1 += scratch
+            np.multiply(grad, 1.0 - beta2, out=scratch)
+            scratch *= grad
+            moment2 *= beta2
+            moment2 += scratch
+            np.divide(moment2, 1.0 - beta2**step, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += adam_eps
+            np.divide(moment1, 1.0 - beta1**step, out=update)
+            update /= scratch
+            np.multiply(flat, config.weight_decay, out=scratch)
+            update += scratch
+            update *= lr
+            flat -= update
             losses.append(float(loss.data))
         history.append(EpochStats(epoch, lr, float(np.mean(losses))))
     for name, v in values.items():
         if not np.isfinite(v.astype(np.float32)).all():
             raise NonFiniteLoss(f"after epoch {config.epochs - 1}: parameter {name} is not finite as float32")
-    return ModelParams(values, dims), history
+    return ModelParams({name: v.copy() for name, v in values.items()}, dims), history
 
 
 def predict_cohort(model: ModelParams, prepared: PreparedCohort, fusion_mode: str = "full") -> np.ndarray:

@@ -606,3 +606,57 @@ def test_eval_checkpoints_with_different_configs_are_one_line_error(cohort_dir, 
     assert proc.stderr.splitlines() == [
         f"error: {full / 'fold1.ckpt'}: trained with fusion_mode='late', but {full / 'fold0.ckpt'} has 'full'"
     ]
+
+
+def _rewrite(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("broken", ["manifest", "config", "prototype_meta", "folds", "folds_key"])
+def test_bad_json_file_is_one_line_error_naming_it(cohort_dir, proto_dir, tmp_path, broken):
+    import shutil
+
+    manifest = str(cohort_dir / "manifest.json")
+    shape = ["--d-e", "8", "--d-r", "4", "--n-histology", "4", "--n-pathways", "8"]
+    if broken == "manifest":
+        path = _rewrite(tmp_path / "manifest.json", (cohort_dir / "manifest.json").read_text()[:-3])
+        argv = ["train", "--manifest", str(path), "--out", str(tmp_path / "run")]
+    elif broken == "config":
+        path = _rewrite(tmp_path / "config.json", '{"epochs": 2,')
+        argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "run"), "--config", str(path)]
+    elif broken == "prototype_meta":
+        protos = Path(shutil.copytree(proto_dir, tmp_path / "protos"))
+        path = _rewrite(protos / "prototype_meta.json", "{'seed': 7}")
+        argv = ["train", "--manifest", manifest, "--prototypes", str(protos), "--out", str(tmp_path / "run"), *shape]
+    else:
+        run = tmp_path / "run"
+        assert _train(cohort_dir, proto_dir, run) == 0
+        path = _rewrite(run / "folds.json", "[[0, 1]" if broken == "folds" else '{"seed": 3, "k": 3}')
+        argv = ["eval", "--manifest", manifest, "--prototypes", str(proto_dir), "--models", str(run),
+                "--out", str(tmp_path / "eval")]
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+    assert ('no "folds" key' if broken == "folds_key" else "not valid JSON") in err[0]
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--lr", "inf"], None, "learning_rate must be finite, got inf"),
+        (["--lr", "nan"], None, "learning_rate must be finite, got nan"),
+        (["--weight-decay", "inf"], None, "weight_decay must be finite, got inf"),
+        ([], '{"learning_rate": 1e400}', "learning_rate must be finite, got inf"),
+    ],
+)
+def test_non_finite_learning_rate_fails_before_any_fold(cohort_dir, tmp_path, flags, config, message):
+    run = tmp_path / "run"
+    argv = ["train", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(run), *flags]
+    if config is not None:
+        argv += ["--config", str(_rewrite(tmp_path / "config.json", config))]
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert not run.exists()

@@ -305,11 +305,172 @@ def test_grad_masked_attention():
     _check_op(loss, 12, seed=23)
 
 
-
 def test_selu_large_input_does_not_overflow():
     x = nm.Tensor(np.array([1000.0, -1.0]), requires_grad=True)
     with np.errstate(all="raise"):
-        out = nm.selu(x)
+        out = nm.snn_forward(x, [(np.eye(2), np.zeros(2))])
         nm.tsum(out).backward()
     np.testing.assert_allclose(out.data, [_selu_scalar(1000.0), _selu_scalar(-1.0)], rtol=1e-15)
     np.testing.assert_allclose(x.grad, [nm.SELU_SCALE, nm.SELU_SCALE * nm.SELU_ALPHA * math.exp(-1.0)], rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the one-node SELU layer against the closed form of affine then selu
+# ---------------------------------------------------------------------------
+
+def _layer_closed_form(x, w, b, g):
+    """Value and (x, w, b) adjoints of S·where(p > 0, p, A·expm1(p)) with
+    p = x @ w + b, as separate matmul, add and selu nodes compute them."""
+    p = x @ w + b
+    with np.errstate(over="ignore"):
+        value = nm.SELU_SCALE * np.where(p > 0, p, nm.SELU_ALPHA * np.expm1(p))
+    gp = g * (nm.SELU_SCALE * np.where(p > 0, 1.0, nm.SELU_ALPHA * np.exp(np.minimum(p, 0.0))))
+    lead = tuple(range(x.ndim - 1))
+    gw = np.swapaxes(x, -1, -2) @ gp
+    return value, gp @ w.T, gw.sum(axis=lead[:-1]) if x.ndim > 2 else gw, gp.sum(axis=lead)
+
+
+def _layer_inputs(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(shape[-1], 5))
+    b = rng.normal(size=5)
+    return x, w, b, rng.normal(size=shape[:-1] + (5,))
+
+
+def _special_inputs():
+    """Pre-activations that are exactly 0, -0, ±800 and tiny: the identity
+    weight passes x through unchanged."""
+    x = np.array([[0.0, -0.0, 800.0, -800.0], [1e-300, -1e-300, 1.0, -1.0], [3.0, -2.5, 0.0, 709.0]])
+    g = np.random.default_rng(3).normal(size=x.shape)
+    return x, np.eye(4), np.zeros(4), g
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [_layer_inputs((6, 4), 30), _layer_inputs((3, 7, 4), 31), _special_inputs()],
+    ids=["2d", "3d", "zeros-and-800"],
+)
+def test_selu_layer_node_equals_closed_form_bit_for_bit(inputs):
+    x, w, b, g = inputs
+    value, gx, gw, gb = _layer_closed_form(x, w, b, g)
+    leaves = [nm.Tensor(v, requires_grad=True) for v in (x, w, b)]
+    with np.errstate(over="raise", invalid="raise"):  # exp(-800) may underflow to 0
+        out = nm.snn_forward(leaves[0], [(leaves[1], leaves[2])])
+        nm.tsum(out * g).backward()
+    assert np.array_equal(out.data, value)
+    for leaf, want in zip(leaves, (gx, gw, gb)):
+        assert leaf.grad.shape == want.shape
+        assert np.array_equal(leaf.grad, want)
+
+
+def test_selu_layer_node_with_constant_input():
+    x, w, b, g = _layer_inputs((3, 7, 4), 32)
+    value, _, gw, gb = _layer_closed_form(x, w, b, g)
+    w_leaf, b_leaf = nm.Tensor(w, requires_grad=True), nm.Tensor(b, requires_grad=True)
+    out = nm.snn_forward(x, [(w_leaf, b_leaf)])
+    assert out._backward(g)[0] is None  # no adjoint for the data
+    nm.tsum(out * g).backward()
+    assert np.array_equal(out.data, value)
+    assert np.array_equal(w_leaf.grad, gw) and np.array_equal(b_leaf.grad, gb)
+
+
+def test_grad_selu_layer_node_3d_input():
+    def loss(p):
+        x = nm.reshape(nm.narrow(p, 0, 0, 24), (2, 3, 4))
+        w = nm.reshape(nm.narrow(p, 0, 24, 12), (4, 3))
+        b = nm.narrow(p, 0, 36, 3)
+        out = nm.snn_forward(x, [(w, b)])
+        return nm.tsum(out * out)
+
+    _check_op(loss, 39, seed=33)
+
+
+# ---------------------------------------------------------------------------
+# constant operands and read-only buffers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("op", [nm.add, nm.mul, nm.matmul], ids=["add", "mul", "matmul"])
+def test_constant_operand_gets_no_adjoint(op):
+    rng = np.random.default_rng(34)
+    variable, constant = nm.Tensor(rng.normal(size=(3, 3)), requires_grad=True), rng.normal(size=(3, 3))
+    g = np.ones((3, 3))
+    grad_variable, grad_constant = op(variable, constant)._backward(g)
+    assert grad_variable is not None and grad_constant is None
+    grad_constant, grad_variable = op(constant, variable)._backward(g)
+    assert grad_variable is not None and grad_constant is None
+
+
+def _frozen(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def _sweep_with_read_only_adjoints(root):
+    """``root.backward()`` with every node handed a read-only adjoint."""
+    stack, seen = [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        node._backward = (lambda f: lambda g: f(_frozen(g)))(node._backward)
+        stack.extend(node._parents)
+    root.backward()
+
+
+_MASK = _frozen([[1.0, 1.0, 0.0, 1.0]] * 3)
+_READ_ONLY_OPS = {
+    "add": (lambda a, b: nm.add(a, nm.reshape(b, (3, 4))), [(3, 4), (12,)]),
+    "mul": (lambda a, b: nm.mul(a, nm.reshape(b, (3, 4))), [(3, 4), (12,)]),
+    "matmul": (lambda a, b: nm.matmul(a, b), [(2, 3, 4), (4, 3)]),
+    "swap_last": (lambda a: nm.swap_last(a), [(2, 3, 4)]),
+    "tsum": (lambda a: nm.tsum(a, axis=1), [(3, 4)]),
+    "broadcast_to": (lambda a: nm.broadcast_to(a, (3, 4)), [(4,)]),
+    "narrow": (lambda a: nm.narrow(a, 1, 1, 2), [(3, 4)]),
+    "concat": (lambda a, b: nm.concat([a, b], axis=-1), [(3, 4), (3, 2)]),
+    "gather_rows": (lambda a: nm.gather_rows(a, np.array([[2, 0], [1, 1]])), [(2, 3, 4)]),
+    "masked_softmax": (lambda a: nm.masked_softmax(a, _MASK), [(3, 4)]),
+    "masked_logsumexp": (lambda a: nm.masked_logsumexp(a, _MASK), [(3, 4)]),
+    "affine": (lambda a, w, b: nm.affine(a, w, b), [(2, 3, 4), (4, 5), (5,)]),
+    "layer_norm": (lambda a, g, b: nm.layer_norm(a, g, b), [(2, 3, 4), (4,), (4,)]),
+    "snn_forward": (lambda a, w, b: nm.snn_forward(a, [(w, b)]), [(2, 3, 4), (4, 5), (5,)]),
+    "masked_attention": (
+        lambda a, q, k, v: nm.masked_attention(a, q, k, v, _frozen(_MASK[..., :3])[None, :1, :])[0],
+        [(2, 3, 4), (4, 4), (4, 4), (4, 4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READ_ONLY_OPS))
+def test_taped_op_writes_to_no_input_or_adjoint(name):
+    build, shapes = _READ_ONLY_OPS[name]
+    rng = np.random.default_rng(35)
+    leaves = [nm.Tensor(_frozen(rng.normal(size=s)), requires_grad=True) for s in shapes]
+    out = build(*leaves)
+    _sweep_with_read_only_adjoints(nm.tsum(out * _frozen(rng.normal(size=out.shape))))
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+def test_backward_frees_interior_adjoints_and_keeps_leaf_gradients():
+    w = nm.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    hidden = w * 2.0
+    loss = nm.tsum(hidden * hidden)
+    loss.backward()
+    assert hidden.grad is None and loss.grad is None
+    np.testing.assert_array_equal(w.grad, [8.0, -16.0])
+    loss.backward()  # the graph is intact: a second sweep accumulates again
+    np.testing.assert_array_equal(w.grad, [16.0, -32.0])
+
+
+def test_backward_sums_adjoints_without_touching_shared_ones():
+    # a and b first receive the same adjoint array from one add; a then sums
+    # two more contributions, which must leave b's gradient alone
+    a = nm.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = nm.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    loss = nm.tsum((a + b) * np.array([1.0, 10.0])) + nm.tsum(a * 2.0) + nm.tsum(a * 5.0)
+    loss.backward()
+    np.testing.assert_array_equal(b.grad, [1.0, 10.0])
+    np.testing.assert_array_equal(a.grad, [8.0, 17.0])

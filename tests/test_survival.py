@@ -206,6 +206,43 @@ def test_train_zero_epochs_returns_initialisation():
         np.testing.assert_array_equal(model.values[name], expected[name])
 
 
+def _adamw_per_tensor(prepared, config):
+    """Reference loop: AdamW on one array per named parameter, new arrays each step."""
+    dims = prepared.dims
+    values = init_params(dims, substream(config.seed, "init"))
+    m1 = {k: np.zeros_like(v) for k, v in values.items()}
+    m2 = {k: np.zeros_like(v) for k, v in values.items()}
+    step = 0
+    for epoch in range(config.epochs):
+        lr = cosine_lr(config.learning_rate, epoch, config.epochs)
+        order = substream(config.seed, "shuffle", epoch).permutation(len(prepared))
+        for start in range(0, len(prepared), config.batch_size):
+            batch = prepared.subset(order[start : start + config.batch_size])
+            leaves = {k: nm.Tensor(v, requires_grad=True) for k, v in values.items()}
+            loss, degenerate = cox_loss(forward_risks(batch, leaves, dims), (batch.times, batch.events))
+            if degenerate:
+                continue
+            loss.backward()
+            step += 1
+            for k, leaf in leaves.items():
+                m1[k] = 0.9 * m1[k] + (1.0 - 0.9) * leaf.grad
+                m2[k] = 0.999 * m2[k] + (1.0 - 0.999) * leaf.grad * leaf.grad
+                m_hat, v_hat = m1[k] / (1.0 - 0.9**step), m2[k] / (1.0 - 0.999**step)
+                values[k] = values[k] - lr * (m_hat / (np.sqrt(v_hat) + 1e-8) + config.weight_decay * values[k])
+    return values
+
+
+def test_flat_adamw_matches_per_tensor_update_bit_for_bit():
+    cohort = _small_cohort()
+    config = _small_config(epochs=3, learning_rate=1e-2, weight_decay=1e-2, batch_size=8)
+    prepared, _, _ = build_prepared(cohort, config)
+    model, _ = train(prepared, config)
+    expected = _adamw_per_tensor(prepared, config)
+    for name, value in model.values.items():
+        assert np.array_equal(value, expected[name]), name
+        assert value.base is None  # a copy, not a view of the optimiser's buffer
+
+
 @pytest.mark.parametrize(
     "mode, shared_beta",
     [("full", False), ("late", False), ("hierarchical", False), ("full", True)],
