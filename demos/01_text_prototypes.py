@@ -8,7 +8,6 @@ fixed-length prototype matrix.
 import numpy as np
 
 from protosurv.text import (
-    PaddedBatch,
     ReportFeatures,
     TextAttentionParams,
     compute_n_t,
@@ -38,17 +37,20 @@ reports = [
     ReportFeatures("patient-b", rng.normal(size=(2, d_t))),
 ]
 
-n_t = compute_n_t(reports, "average")
-m = max(r.segments.shape[0] for r in reports)
+lengths = [r.segments.shape[0] for r in reports]
+n_t = compute_n_t(lengths, "average")
+m = max(lengths)
 print(f"\nprototype count n_t={n_t} (average mode), padded length m={m}")
 
 batch = pad_batch(reports, m)
 params = TextAttentionParams(*(rng.normal(size=(d_t, d_t)) / np.sqrt(d_t) for _ in range(3)))
 z, attention = text_self_attention(batch, params)
+# every stage takes the whole batch of reports at once
+scores = importance_scores(attention, batch.mask)
+protos = select_prototypes(z, scores, batch.mask, n_t)
 
 for i, report in enumerate(reports):
-    scores = importance_scores(attention[i], batch.mask[i])
-    protos = select_prototypes(z[i], scores, batch.mask[i], n_t)
-    print(f"\n{report.patient_id}: segment scores {np.round(scores, 3)}")
-    print(f"  selected segments (descending score): {protos.source_indices}")
-    print(f"  prototype matrix shape: {protos.embeddings.shape}, validity {protos.validity}")
+    selected = protos.source_indices[i][protos.validity[i] > 0]
+    print(f"\n{report.patient_id}: segment scores {np.round(scores[i], 3)}")
+    print(f"  selected segments (descending score): {selected.tolist()}")
+    print(f"  prototype matrix shape: {protos.embeddings[i].shape}, validity {protos.validity[i]}")

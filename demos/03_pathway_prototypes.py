@@ -1,8 +1,9 @@
 """Turn one expression vector into fixed-size pathway prototype embeddings.
 
-Each gene set becomes a binary mask over the gene order; the masked slice of
-the expression vector feeds a dedicated self-normalising network, so every
-pathway ends up as one row of the same width regardless of its gene count.
+Each gene set becomes its member positions in the gene order; the slice of
+the expression vector at those positions feeds a dedicated self-normalising
+network, so every pathway ends up as one row of the same width regardless of
+its gene count. The stages take a batch of patients: here, a batch of one.
 """
 
 import numpy as np
@@ -19,10 +20,10 @@ masks = build_masks(gene_sets, order)
 print("pathway widths:", dict(zip(masks.names, masks.widths)))
 
 rng = np.random.default_rng(1)
-expression = rng.normal(size=len(order))
+expression = rng.normal(size=(1, len(order)))  # one patient
 slices = pathway_slices(expression, masks)
 for name, piece in zip(masks.names, slices):
-    print(f"  {name}: slice {np.round(piece, 2)}")
+    print(f"  {name}: slice {np.round(piece[0], 2)}")
 
 d_e = 6
 snns = [
@@ -30,6 +31,6 @@ snns = [
      (rng.normal(size=(d_e, d_e)) / np.sqrt(d_e), np.zeros(d_e))]
     for w in masks.widths
 ]
-tokens = embed_pathways(slices, snns)
+tokens = embed_pathways(slices, snns)[0]
 print(f"\npathway token matrix: {tokens.shape} (every pathway maps to width {d_e})")
 print(np.round(tokens, 2))

@@ -42,7 +42,6 @@ from .text import (
     compute_n_t,
     importance_scores,
     pad_batch,
-    project_text,
     segment_report,
     select_prototypes,
     text_self_attention,

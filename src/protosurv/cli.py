@@ -129,25 +129,24 @@ def cmd_synth(args) -> int:
 
 def cmd_prototype(args) -> int:
     manifest = load_manifest(args.manifest)
+    modalities = manifest.modalities
+    # the stage needs the reports' shapes and the patches, not the expression files
+    manifest.modalities = modalities.replace("p", "")
     cohort = load_cohort(manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     trace_rows: list[tuple] = []
     meta = {
-        "modalities": manifest.modalities,
+        "modalities": modalities,
         "seed": args.seed,
         "n_histology": args.n_histology,
         "nt_mode": args.nt_mode,
     }
     try:
-        if "t" in manifest.modalities:
+        if "t" in modalities:
             meta["d_t"], meta["max_segments"], meta["n_text"] = text_shapes(cohort.reports, args.nt_mode)
-            for report in cohort.reports:
-                path = out / f"{report.patient_id}.report.ps3e"
-                write_matrix(path, report.segments)
-                written.append(path)
-        if "h" in manifest.modalities:
+        if "h" in modalities:
             if cohort.patches is None:
                 raise ProtosurvError("manifest provides precomputed slide representations; nothing to fit")
             meta["d_h"] = int(cohort.patches[0].patches.shape[1])

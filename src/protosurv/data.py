@@ -206,8 +206,19 @@ def read_json(path):
 
 
 def load_manifest(path) -> CohortManifest:
+    """The manifest in ``path``, its keys and the files it names checked. A
+    patient's slide is its ``slide_representation`` when every patient names
+    one, else its ``slide`` patch matrix."""
     path = Path(path)
     doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise MalformedLine(f"{path}: expected a JSON object, got a {type(doc).__name__}")
+    required = ["modalities", "survival", "patients"]
+    if "p" in doc.get("modalities", ""):
+        required += ["gene_order", "gene_sets"]
+    for key in required:
+        if key not in doc:
+            raise MalformedLine(f"{path}: no {key!r} key")
     manifest = CohortManifest(
         root=path.parent,
         modalities=doc["modalities"],
@@ -217,18 +228,21 @@ def load_manifest(path) -> CohortManifest:
         patients=doc["patients"],
     )
     seen: set[str] = set()
-    needed = {"p": ["expression"], "h": [], "t": ["report"]}
-    for entry in manifest.patients:
+    slide = "slide_representation" if all("slide_representation" in e for e in manifest.patients) else "slide"
+    needed = {"p": "expression", "h": slide, "t": "report"}
+    unknown = sorted(set(manifest.modalities) - set(needed))
+    if unknown:
+        raise MalformedLine(f"{path}: unknown modality letters {unknown} in 'modalities'")
+    for i, entry in enumerate(manifest.patients):
+        if "patient_id" not in entry:
+            raise MalformedLine(f"{path}: patient entry {i} has no 'patient_id'")
         pid = entry["patient_id"]
         if pid in seen:
             raise DuplicatePatient(f"{path}: patient {pid!r} repeated")
         seen.add(pid)
         for modality in manifest.modalities:
-            for key in needed[modality]:
-                if key not in entry:
-                    raise MalformedLine(f"{path}: patient {pid!r} lacks {key!r}")
-            if modality == "h" and "slide" not in entry and "slide_representation" not in entry:
-                raise MalformedLine(f"{path}: patient {pid!r} lacks a slide reference")
+            if needed[modality] not in entry:
+                raise MalformedLine(f"{path}: patient {pid!r} lacks {needed[modality]!r}")
         for key in ("report", "slide", "slide_representation", "expression"):
             if key in entry and not manifest.path(entry[key]).exists():
                 raise FileNotFoundError(f"{path}: missing file {entry[key]!r} for {pid!r}")

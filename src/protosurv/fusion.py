@@ -55,12 +55,11 @@ class FusionOutput:
 
 def append_learnable(tokens, e_r):
     """Concatenate the same learnable vector to every token row."""
-    raw = tokens.tokens if isinstance(tokens, ModalityTokens) else tokens
     if e_r is None or nm.as_tensor(e_r).shape[-1] == 0:
-        return raw
-    x, e = nm.as_tensor(raw), nm.as_tensor(e_r)
+        return tokens
+    x, e = nm.as_tensor(tokens), nm.as_tensor(e_r)
     out = nm.concat([x, nm.broadcast_to(e, x.shape[:-1] + e.shape[-1:])], axis=-1)
-    return nm.unwrap(out, raw, e_r)
+    return nm.unwrap(out, tokens, e_r)
 
 
 def _fusion_output(out, attention, names, sizes, inputs) -> FusionOutput:
@@ -128,7 +127,7 @@ def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
     present = [(name, mt) for name, mt in zip(MODALITY_ORDER, (p, h, t)) if mt is not None]
     if not present:
         raise NoModalitiesEnabled("every modality is disabled")
-    appended = [append_learnable(mt, params.e_r) for _, mt in present]
+    appended = [append_learnable(mt.tokens, params.e_r) for _, mt in present]
     seq, sizes = _sequence(appended)
     validity = np.concatenate([np.asarray(mt.validity, dtype=float) for _, mt in present], axis=-1)
     weights = (params.w_q, params.w_k, params.w_v)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics as nm
 from .errors import DegenerateInput
 from .rng import substream
 
@@ -113,10 +112,9 @@ def _posterior(data: _Centred, params: GmmParams) -> tuple[np.ndarray, np.ndarra
     return (row_max + np.log(row_sum)).squeeze(1), shifted / row_sum
 
 
-def log_density(x: np.ndarray, params: GmmParams) -> float:
-    """log-likelihood of one embedding under the mixture (log-sum-exp)."""
-    log_lik, _ = _posterior(_centre(np.asarray(x, dtype=float)[None, :]), params)
-    return float(log_lik[0])
+def log_density(patches: PatchFeatures, params: GmmParams) -> np.ndarray:
+    """(n,) log-likelihood of each patch under the mixture (log-sum-exp)."""
+    return _posterior(_centre(patches.patches), params)[0]
 
 
 def responsibilities(patches: PatchFeatures, params: GmmParams) -> np.ndarray:
@@ -217,8 +215,3 @@ def slide_representation(params: GmmParams) -> np.ndarray:
         [params.weights[order, None], params.means[order], params.variances[order]],
         axis=1,
     )
-
-
-def project_histo(representation: np.ndarray, weight, bias):
-    """Row-wise affine map of the slide representation into the shared width."""
-    return nm.affine(representation, weight, bias)

@@ -1,11 +1,12 @@
 """Model assembly: parameter layout, the prepared-cohort container and the
 forward pass from prepared modality inputs to per-patient risk scores.
 
-The forward pass composes the public stage functions:
-``text.select_prototypes`` and ``text.project_text``,
-``histology.project_histo``, ``pathways.embed_pathways``, ``fusion.fuse``
-and the risk head ``_pooled_risk``, which takes a batch: a single patient is
-a batch of one (``PreparedCohort.subset``), run through the training bodies.
+The forward pass composes the public stage functions, each of which takes
+a batch: ``text.select_prototypes``, ``pathways.embed_pathways``,
+``fusion.fuse`` and the risk head ``_pooled_risk``, with ``numerics.affine``
+projecting the text prototypes and slide representations into the shared
+width. A single patient is a batch of one (``PreparedCohort.subset``), run
+through the training bodies.
 
 The learnable values are a dict of named float64 arrays laid out by
 ``param_spec``. Training hands the forward pass one leaf Tensor per name, so
@@ -25,7 +26,6 @@ import numpy as np
 from . import numerics as nm
 from . import text as text_mod
 from .fusion import MODALITY_ORDER, FusionParams, ModalityTokens, fuse
-from .histology import project_histo
 from .numerics import Tensor
 from .pathways import embed_pathways
 
@@ -169,10 +169,6 @@ class ModelParams:
     def spec(self):
         return param_spec(self.dims)
 
-    def flat(self) -> np.ndarray:
-        """All values as one vector in ``param_spec`` order."""
-        return flatten_params(self.values, self.spec)
-
 
 @dataclass
 class PreparedCohort:
@@ -227,10 +223,10 @@ def forward_diagnostics(prepared: PreparedCohort, pt: Mapping, dims: ModelDims, 
         )
         scores = text_mod.importance_scores(att, prepared.text_mask)
         protos = text_mod.select_prototypes(z, scores, prepared.text_mask, dims.n_text)
-        tokens["text"] = text_mod.project_text(protos, pt["text.alpha.w"], pt["text.alpha.b"])
+        tokens["text"] = nm.affine(protos.embeddings, pt["text.alpha.w"], pt["text.alpha.b"])
         validity["text"] = protos.validity
     if "h" in dims.modalities:
-        tokens["histology"] = project_histo(prepared.slides, pt["histo.alpha.w"], pt["histo.alpha.b"])
+        tokens["histology"] = nm.affine(prepared.slides, pt["histo.alpha.w"], pt["histo.alpha.b"])
         validity["histology"] = np.ones((n, dims.n_histology))
     if "p" in dims.modalities:
         snns = [_snn_layers(pt, f"path.snn{i}") for i in range(dims.n_pathways)]

@@ -6,6 +6,8 @@ forward value plus a closure that maps the output adjoint to the input
 adjoints.
 
 - A self-normalising layer ``selu(x @ W + b)`` is one node.
+- ``affine`` and the layers take a stack of rows, (..., n, d): one row is
+  a batch of one, (1, d).
 - An operand that does not require a gradient (a constant: input data, a
   mask, a scale) gets ``None`` for its adjoint, which is never computed.
 - A kernel writes in place only to arrays it allocated itself, never to an
@@ -340,6 +342,8 @@ def masked_logsumexp(x, mask) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _check_affine(x: Tensor, weight: Tensor, bias: Tensor) -> None:
+    if x.ndim < 2:
+        raise ShapeMismatch(f"affine input {x.shape} is not a stack of rows")
     if weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise ShapeMismatch(f"affine input {x.shape} vs weight {weight.shape}")
     if bias.shape not in ((), (weight.shape[1],)):
@@ -347,7 +351,8 @@ def _check_affine(x: Tensor, weight: Tensor, bias: Tensor) -> None:
 
 
 def affine(x, weight, bias):
-    """Row-wise ``x @ weight + bias``; works on arrays or Tensors."""
+    """Row-wise ``x @ weight + bias`` on a (..., n, d_in) stack of rows, arrays
+    or Tensors; one row is a (1, d_in) stack, and a 1-D ``x`` raises."""
     xt, wt, bt = as_tensor(x), as_tensor(weight), as_tensor(bias)
     _check_affine(xt, wt, bt)
     return unwrap(add(matmul(xt, wt), bt), x, weight, bias)
@@ -421,17 +426,12 @@ def snn_forward(x, layers):
     """Self-normalising feed-forward stack: selu(affine(·)) per layer, each
     layer one tape node.
 
-    ``layers`` is a sequence of (weight, bias) pairs. A 1-D input is treated
-    as a single row and returned as a vector.
+    ``layers`` is a sequence of (weight, bias) pairs; ``x`` is a stack of
+    rows, as for :func:`affine`.
     """
     out = as_tensor(x)
-    vector = out.ndim == 1
-    if vector:
-        out = reshape(out, (1, out.shape[0]))
     for weight, bias in layers:
         out = _selu_layer(out, as_tensor(weight), as_tensor(bias))
-    if vector:
-        out = reshape(out, out.shape[1:])
     return unwrap(out, x, *(p for layer in layers for p in layer))
 
 

@@ -4,6 +4,8 @@ per-pathway self-normalising networks that embed each expression slice.
 Mask reduction is positional: a pathway's slice keeps exactly its member
 genes (in gene-order), so slice lengths depend only on the mask set, never
 on expression values. A measured expression of exactly zero is retained.
+Slicing and embedding take a batch of patients: one patient is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class GeneOrder:
 @dataclass
 class PathwayMaskSet:
     names: list[str]
-    masks: np.ndarray  # (n_pathways, n_genes) of {0,1}
     member_indices: list[np.ndarray]  # sorted gene indices per pathway
+    n_genes: int  # length of the gene order the indices point into
 
     @property
     def n_pathways(self) -> int:
@@ -57,13 +59,12 @@ class ExpressionProfile:
 
 
 def build_masks(gene_sets, order: GeneOrder) -> PathwayMaskSet:
-    """Binary membership masks over ``order`` for each named gene set.
+    """Member gene indices into ``order`` for each named gene set.
 
     Genes absent from the order are dropped with a warning; a pathway left
     empty after dropping raises :class:`EmptyPathway`.
     """
     names: list[str] = []
-    rows: list[np.ndarray] = []
     members: list[np.ndarray] = []
     items = gene_sets.items() if hasattr(gene_sets, "items") else gene_sets
     for name, genes in items:
@@ -76,23 +77,18 @@ def build_masks(gene_sets, order: GeneOrder) -> PathwayMaskSet:
             warnings.warn(f"{name}: dropped {dropped} gene(s) absent from the gene order", stacklevel=2)
         if not kept:
             raise EmptyPathway(f"gene set {name!r} has no member in the gene order")
-        mask = np.zeros(len(order))
-        mask[kept] = 1.0
         names.append(name)
-        rows.append(mask)
         members.append(np.asarray(kept, dtype=np.intp))
-    return PathwayMaskSet(names, np.stack(rows), members)
+    return PathwayMaskSet(names, members, len(order))
 
 
-def pathway_slices(x, masks: PathwayMaskSet) -> list[np.ndarray]:
-    """Dense expression slice per pathway: ``x`` restricted to member genes.
-
-    Accepts an :class:`ExpressionProfile`, a vector, or a stacked
-    (n_patients, n_genes) matrix; slicing applies to the last axis.
-    """
-    values = x.values if isinstance(x, ExpressionProfile) else np.asarray(x, dtype=float)
-    if values.shape[-1] != masks.masks.shape[1]:
-        raise ShapeMismatch(f"expression length {values.shape[-1]} vs {masks.masks.shape[1]} genes")
+def pathway_slices(x: np.ndarray, masks: PathwayMaskSet) -> list[np.ndarray]:
+    """Dense expression slice per pathway: the (n_patients, n_genes)
+    expression matrix ``x`` restricted to member genes, (n_patients, width)
+    each."""
+    values = np.asarray(x, dtype=float)
+    if values.shape[-1] != masks.n_genes:
+        raise ShapeMismatch(f"expression length {values.shape[-1]} vs {masks.n_genes} genes")
     return [values[..., idx] for idx in masks.member_indices]
 
 
@@ -100,8 +96,8 @@ def embed_pathways(slices, snns):
     """Embed every pathway slice with its dedicated network and stack the
     tokens on axis -2: token i is ``snn_forward(slices[i], snns[i])``.
 
-    Per-patient vector slices give a (P, d_e) matrix, (n, width) slices an
-    (n, P, d_e) batch; Tensor parameters give a Tensor result.
+    (n, width) slices give an (n, P, d_e) batch; a 1-D slice raises
+    ShapeMismatch. Tensor parameters give a Tensor result.
     """
     if len(slices) != len(snns):
         raise ShapeMismatch(f"{len(slices)} slices for {len(snns)} networks")

@@ -41,7 +41,8 @@ def fit_slide_representations(patches_list, n_components: int, seed: int):
 def text_shapes(reports, nt_mode: str) -> tuple[int, int, int]:
     """(d_t, max_segments, n_text) of a cohort's reports: the segment width,
     the longest report and the prototype count of ``nt_mode``."""
-    return reports[0].segments.shape[1], max(r.segments.shape[0] for r in reports), compute_n_t(reports, nt_mode)
+    lengths = [r.segments.shape[0] for r in reports]
+    return reports[0].segments.shape[1], max(lengths), compute_n_t(lengths, nt_mode)
 
 
 def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=None, max_segments=None):

@@ -4,6 +4,7 @@ A report arrives as a variable-length stack of segment embeddings. Reports
 in a batch are zero-padded to a common length with a validity mask,
 self-attention scores every segment, and the post-attention rows of the
 top-scoring segments become the report's fixed-length prototype matrix.
+Every stage takes a batch: one report is a batch of one.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ class PaddedBatch:
 
 @dataclass
 class DiagnosticPrototypes:
-    embeddings: np.ndarray  # (..., n_t, d_t), a Tensor for Tensor input; rows with validity 0 are zero
-    validity: np.ndarray  # (..., n_t)
-    source_indices: list  # original segment index per valid row; one list per report of a batch
+    embeddings: np.ndarray  # (b, n_t, d_t), a Tensor for Tensor input; rows with validity 0 are zero
+    validity: np.ndarray  # (b, n_t)
+    source_indices: np.ndarray  # (b, n_t) original segment index per slot, meaningful where validity is 1
 
 
 @dataclass
@@ -94,7 +95,7 @@ def importance_scores(attention, mask) -> np.ndarray:
     """Per-segment importance: mean attention received across valid query rows.
 
     Masked positions score exactly 0; valid scores form a distribution.
-    Accepts a single (m, m) matrix or a batch (..., m, m).
+    Takes attention (..., m, m) with its mask (..., m).
     """
     att = attention.data if isinstance(attention, Tensor) else np.asarray(attention, dtype=float)
     mask = np.asarray(mask, dtype=float)
@@ -122,30 +123,20 @@ def select_prototypes(z, scores, mask, n_t: int) -> DiagnosticPrototypes:
     """Keep the post-attention rows of the top-``n_t`` scoring segments,
     ordered by descending score, zero-filling unused slots.
 
-    Takes one report, ``z`` (m, d_t) with ``scores`` and ``mask`` (m,), or a
-    batch (b, m, d_t) with (b, m); Tensor ``z`` gives Tensor embeddings.
+    Takes a batch: ``z`` (b, m, d_t) with ``scores`` and ``mask`` (b, m);
+    Tensor ``z`` gives Tensor embeddings.
     """
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
     order, validity = top_segment_indices(scores, mask, n_t)
     embeddings = nm.unwrap(nm.gather_rows(z, order) * validity[..., None], z)
-    counts = np.atleast_1d(validity.sum(axis=-1).astype(int))
-    sources = [[int(j) for j in row[:k]] for row, k in zip(np.atleast_2d(order), counts)]
-    return DiagnosticPrototypes(embeddings, validity, sources if order.ndim > 1 else sources[0])
+    return DiagnosticPrototypes(embeddings, validity, order)
 
 
-def project_text(protos: DiagnosticPrototypes, weight, bias):
-    """Row-wise affine map of the prototype matrix into the shared width."""
-    return nm.affine(protos.embeddings, weight, bias)
-
-
-def compute_n_t(training_reports, mode: str = "average") -> int:
-    """Prototype count from training-report lengths: rounded-up mean, or the
-    nearest-rank 90th percentile. Never below 1."""
-    lengths = [
-        int(r.segments.shape[0]) if isinstance(r, ReportFeatures) else int(r)
-        for r in training_reports
-    ]
+def compute_n_t(lengths, mode: str = "average") -> int:
+    """Prototype count from training-report lengths (segments per report):
+    rounded-up mean, or the nearest-rank 90th percentile. Never below 1."""
+    lengths = [int(n) for n in lengths]
     if not lengths:
         raise EmptyTrainingSet("no training reports")
     if mode == "average":

@@ -533,7 +533,8 @@ def test_prototypes_fitted_with_another_nt_mode_are_rejected(cohort_dir, proto_d
     assert capsys.readouterr().err.splitlines() == ["error: prototypes fitted with nt_mode=average, config asks p90"]
 
 
-def test_prototype_runs_read_no_patch_matrix(cohort_dir, proto_dir, tmp_path, monkeypatch):
+def _record_matrix_reads(monkeypatch) -> list[str]:
+    """The names of the matrix files ``protosurv.data.load_matrix`` opens from now on."""
     import protosurv.data
 
     opened = []
@@ -544,11 +545,37 @@ def test_prototype_runs_read_no_patch_matrix(cohort_dir, proto_dir, tmp_path, mo
         return load_matrix(path)
 
     monkeypatch.setattr(protosurv.data, "load_matrix", recording_load_matrix)
+    return opened
+
+
+def test_prototype_runs_read_no_patch_matrix(cohort_dir, proto_dir, tmp_path, monkeypatch):
+    opened = _record_matrix_reads(monkeypatch)
     run = tmp_path / "run"
     assert _train(cohort_dir, proto_dir, run) == 0
     assert _eval(cohort_dir, proto_dir, run, tmp_path / "eval") == 0
     assert any(name.endswith(".report.ps3e") for name in opened)
     assert not [name for name in opened if name.endswith(".patches.ps3e")]
+
+
+def test_prototype_stage_writes_and_reads_only_what_train_uses(cohort_dir, tmp_path, monkeypatch):
+    import protosurv.data
+
+    def unused(*args):
+        raise AssertionError("the prototype stage read the gene order or the gene sets")
+
+    opened = _record_matrix_reads(monkeypatch)
+    monkeypatch.setattr(protosurv.data, "load_gene_order", unused)
+    monkeypatch.setattr(protosurv.data, "parse_gmt", unused)
+    out = tmp_path / "proto"
+    assert main([
+        "prototype", "--manifest", str(cohort_dir / "manifest.json"),
+        "--out", str(out), "--seed", "7", "--n-histology", "4",
+    ]) == 0
+    ids = [p["patient_id"] for p in json.loads((cohort_dir / "manifest.json").read_text())["patients"]]
+    expected = {f"{pid}.slide.ps3e" for pid in ids} | {"em_trace.csv", "prototype_meta.json"}
+    assert {p.name for p in out.iterdir()} == expected
+    assert not [name for name in opened if name.endswith(".expr.ps3e")]
+    assert sorted(opened) == sorted(f"{pid}.{kind}.ps3e" for pid in ids for kind in ("report", "patches"))
 
 
 def _manifest_censoring_fold0(cohort_dir):

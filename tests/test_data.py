@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -191,6 +192,59 @@ def test_load_manifest_duplicate_patient(tmp_path):
     )
     with pytest.raises(DuplicatePatient):
         load_manifest(tmp_path / "manifest.json")
+
+
+def _bad_manifest(tmp_path, case):
+    """A manifest with one required piece missing or malformed, with every
+    file it names on disk."""
+    (tmp_path / "survival.csv").write_text("patient_id,time,event\np1,5,1\np2,3,0\n")
+    for name in ("r1.ps3e", "s1.ps3e", "s2.ps3e"):
+        write_matrix(tmp_path / name, np.ones((2, 3)))
+    docs = {
+        "object": ["modalities", "survival", "patients"],
+        "survival": {"modalities": "pht", "patients": []},
+        "gene_sets": {"modalities": "p", "gene_order": "survival.csv", "survival": "survival.csv", "patients": []},
+        "modalities": {"modalities": "htx", "survival": "survival.csv", "patients": []},
+        "patient_id": {"modalities": "h", "survival": "survival.csv", "patients": [{"slide": "s1.ps3e"}]},
+        # p1 names only a fitted representation, so p1 needs the patches too
+        "slide": {
+            "modalities": "h",
+            "survival": "survival.csv",
+            "patients": [
+                {"patient_id": "p1", "slide_representation": "r1.ps3e"},
+                {"patient_id": "p2", "slide": "s2.ps3e"},
+            ],
+        },
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(docs[case]))
+    return path
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("object", "expected a JSON object, got a list"),
+        ("survival", "no 'survival' key"),
+        ("gene_sets", "no 'gene_sets' key"),
+        ("modalities", "unknown modality letters ['x'] in 'modalities'"),
+        ("patient_id", "patient entry 0 has no 'patient_id'"),
+        ("slide", "patient 'p1' lacks 'slide'"),
+    ],
+)
+def test_bad_manifest_is_one_line_naming_the_file_and_the_key(tmp_path, case, message):
+    path = _bad_manifest(tmp_path, case)
+    with pytest.raises(MalformedLine) as caught:
+        load_manifest(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_load_manifest_takes_representations_when_every_patient_names_one(tmp_path):
+    path = _bad_manifest(tmp_path, "slide")
+    doc = json.loads(path.read_text())
+    doc["patients"][1]["slide_representation"] = "r1.ps3e"
+    path.write_text(json.dumps(doc))
+    assert len(load_manifest(path).patients) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from protosurv.histology import (
     fit_gmm,
     init_gmm,
     log_density,
-    project_histo,
     responsibilities,
     slide_representation,
 )
+from protosurv.numerics import affine
 from protosurv.rng import substream
 
 
@@ -66,7 +66,9 @@ def test_init_gmm_single_component():
 
 def test_log_density_standard_normal():
     params = GmmParams(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1)))
-    assert abs(log_density(np.array([0.0]), params) - math.log(1 / math.sqrt(2 * math.pi))) < 1e-12
+    got = log_density(PatchFeatures("s", np.array([[0.0]])), params)
+    assert got.shape == (1,)
+    assert abs(got[0] - math.log(1 / math.sqrt(2 * math.pi))) < 1e-12
 
 
 def test_log_density_duplicate_components_collapse():
@@ -76,8 +78,8 @@ def test_log_density_duplicate_components_collapse():
         np.array([[0.5, -0.2], [0.5, -0.2]]),
         np.array([[1.5, 0.7], [1.5, 0.7]]),
     )
-    x = np.array([0.3, 1.1])
-    assert abs(log_density(x, single) - log_density(x, double)) < 1e-12
+    x = PatchFeatures("s", np.array([[0.3, 1.1]]))
+    assert abs(log_density(x, single)[0] - log_density(x, double)[0]) < 1e-12
 
 
 def test_log_density_matches_direct_sum_oracle():
@@ -95,7 +97,7 @@ def test_log_density_matches_direct_sum_oracle():
             var = params.variances[c, j]
             dens *= math.exp(-((x[j] - params.means[c, j]) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
         total += params.weights[c] * dens
-    assert abs(log_density(x, params) - math.log(total)) < 1e-12
+    assert abs(log_density(PatchFeatures("s", x[None]), params)[0] - math.log(total)) < 1e-12
 
 
 def test_responsibilities_match_direct_oracle():
@@ -121,11 +123,13 @@ def test_log_density_matches_direct_oracle_with_floored_variances():
     rng = np.random.default_rng(17)
     for _ in range(20):
         params = _floored_params(rng, 4, 6)
-        for x in (rng.normal(size=6), params.means[rng.integers(0, 4)]):
-            log_joint = _direct_log_densities(x[None, :], params)[0] + np.log(params.weights)
+        x = np.stack([rng.normal(size=6), params.means[rng.integers(0, 4)]])
+        got = log_density(PatchFeatures("s", x), params)
+        for row, value in zip(x, got):
+            log_joint = _direct_log_densities(row[None, :], params)[0] + np.log(params.weights)
             m = log_joint.max()
             expect = m + math.log(np.exp(log_joint - m).sum())
-            assert abs(log_density(x, params) - expect) <= 1e-10 * abs(expect)
+            assert abs(value - expect) <= 1e-10 * abs(expect)
 
 
 def test_em_step_single_component_closed_form():
@@ -314,11 +318,12 @@ def test_slide_representation_shape_and_order():
 
 
 def test_project_histo_bias_only_and_oracle():
+    # the histology projection is numerics.affine on each slide representation's rows
     rep = np.arange(10.0).reshape(2, 5)
     bias = np.array([1.0, -2.0])
-    out = project_histo(rep, np.zeros((5, 2)), bias)
+    out = affine(rep, np.zeros((5, 2)), bias)
     np.testing.assert_array_equal(out, np.tile(bias, (2, 1)))
     rng = np.random.default_rng(14)
     w, b = rng.normal(size=(5, 3)), rng.normal(size=3)
     expect = [[sum(rep[r, i] * w[i, j] for i in range(5)) + b[j] for j in range(3)] for r in range(2)]
-    np.testing.assert_allclose(project_histo(rep, w, b), expect, atol=1e-12)
+    np.testing.assert_allclose(affine(rep, w, b), expect, atol=1e-12)

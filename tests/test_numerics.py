@@ -5,6 +5,7 @@ import pytest
 
 from protosurv import numerics as nm
 from protosurv.errors import AllMasked, NonFiniteLoss, ShapeMismatch
+from protosurv.pathways import embed_pathways
 
 
 def _selu_scalar(v):
@@ -98,11 +99,11 @@ def test_layer_norm_shift_and_scale_invariance():
 
 def test_snn_zero_weights_gives_zero():
     layers = [(np.zeros((4, 3)), np.zeros(3)), (np.zeros((3, 2)), np.zeros(2))]
-    np.testing.assert_array_equal(nm.snn_forward(np.array([1.0, -2.0, 3.0, 0.5]), layers), np.zeros(2))
+    np.testing.assert_array_equal(nm.snn_forward(np.array([[1.0, -2.0, 3.0, 0.5]]), layers), np.zeros((1, 2)))
 
 
 def test_snn_identity_layer_positive_input():
-    x = np.array([0.5, 2.0, 1.0])
+    x = np.array([[0.5, 2.0, 1.0]])
     out = nm.snn_forward(x, [(np.eye(3), np.zeros(3))])
     np.testing.assert_allclose(out, nm.SELU_SCALE * x, atol=1e-12)
 
@@ -116,12 +117,31 @@ def test_snn_matches_scalar_oracle():
     expect = [float(v) for v in x]
     for w, b in layers:
         expect = [_selu_scalar(sum(expect[i] * w[i, j] for i in range(len(expect))) + b[j]) for j in range(w.shape[1])]
-    np.testing.assert_allclose(nm.snn_forward(x, layers), expect, atol=1e-12)
+    np.testing.assert_allclose(nm.snn_forward(x[None], layers)[0], expect, atol=1e-12)
 
 
 def test_snn_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        nm.snn_forward(np.zeros(3), [(np.zeros((4, 2)), np.zeros(2))])
+        nm.snn_forward(np.zeros((1, 3)), [(np.zeros((4, 2)), np.zeros(2))])
+
+
+_ROW_STACK_STAGES = {
+    "affine": lambda x, w, b: nm.affine(x, w, b),
+    "snn_forward": lambda x, w, b: nm.snn_forward(x, [(w, b)]),
+    "embed_pathways": lambda x, w, b: embed_pathways([x], [[(w, b)]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_STACK_STAGES))
+def test_one_dimensional_input_is_rejected_at_forward_time(name):
+    stage = _ROW_STACK_STAGES[name]
+    w = nm.Tensor(np.ones((3, 2)), requires_grad=True)
+    b = nm.Tensor(np.zeros(2), requires_grad=True)
+    with pytest.raises(ShapeMismatch, match="stack of rows"):
+        stage(np.ones(3), w, b)
+    # the same row as a batch of one runs forward and backward
+    nm.tsum(stage(np.ones((1, 3)), w, b)).backward()
+    assert w.grad.shape == (3, 2) and b.grad.shape == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +326,12 @@ def test_grad_masked_attention():
 
 
 def test_selu_large_input_does_not_overflow():
-    x = nm.Tensor(np.array([1000.0, -1.0]), requires_grad=True)
+    x = nm.Tensor(np.array([[1000.0, -1.0]]), requires_grad=True)
     with np.errstate(all="raise"):
         out = nm.snn_forward(x, [(np.eye(2), np.zeros(2))])
         nm.tsum(out).backward()
-    np.testing.assert_allclose(out.data, [_selu_scalar(1000.0), _selu_scalar(-1.0)], rtol=1e-15)
-    np.testing.assert_allclose(x.grad, [nm.SELU_SCALE, nm.SELU_SCALE * nm.SELU_ALPHA * math.exp(-1.0)], rtol=1e-15)
+    np.testing.assert_allclose(out.data, [[_selu_scalar(1000.0), _selu_scalar(-1.0)]], rtol=1e-15)
+    np.testing.assert_allclose(x.grad, [[nm.SELU_SCALE, nm.SELU_SCALE * nm.SELU_ALPHA * math.exp(-1.0)]], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

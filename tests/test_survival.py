@@ -274,7 +274,8 @@ def test_train_deterministic():
     prepared, _, _ = build_prepared(cohort, config)
     model_a, hist_a = train(prepared, config)
     model_b, hist_b = train(prepared, config)
-    assert np.max(np.abs(model_a.flat() - model_b.flat())) < 1e-12
+    flat_a, flat_b = (flatten_params(m.values, m.spec) for m in (model_a, model_b))
+    assert np.max(np.abs(flat_a - flat_b)) < 1e-12
     assert [h.mean_loss for h in hist_a] == [h.mean_loss for h in hist_b]
 
 
@@ -328,11 +329,11 @@ def test_predict_matches_training_forward_and_is_pure():
     config = _small_config()
     prepared, _, _ = build_prepared(cohort, config)
     model, _ = train(prepared, config)
-    flat_before = model.flat().copy()
+    flat_before = flatten_params(model.values, model.spec)
     risks_a = predict_cohort(model, prepared, config.fusion_mode)
     risks_b = predict_cohort(model, prepared, config.fusion_mode)
     np.testing.assert_array_equal(risks_a, risks_b)
-    np.testing.assert_array_equal(model.flat(), flat_before)
+    np.testing.assert_array_equal(flatten_params(model.values, model.spec), flat_before)
     single = predict_cohort(model, prepared.subset([3]), config.fusion_mode)
     assert single.shape == (1,)
     assert abs(single[0] - risks_a[3]) < 1e-12

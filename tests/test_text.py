@@ -13,7 +13,6 @@ from protosurv.text import (
     compute_n_t,
     importance_scores,
     pad_batch,
-    project_text,
     segment_report,
     select_prototypes,
     text_self_attention,
@@ -163,24 +162,29 @@ def test_importance_scores_sum_to_one_over_valid_keys():
         assert np.all(s[mask == 0] == 0.0)
 
 
+def _select_one(z, scores, mask, n_t):
+    """``select_prototypes`` on one report as a batch of one."""
+    return select_prototypes(z[None], scores[None], mask[None], n_t)
+
+
 def test_select_prototypes_top_two():
     z = np.arange(12.0).reshape(3, 4)
-    protos = select_prototypes(z, np.array([0.1, 0.5, 0.4]), np.ones(3), 2)
-    assert protos.source_indices == [1, 2]
-    np.testing.assert_array_equal(protos.embeddings, z[[1, 2]])
+    protos = _select_one(z, np.array([0.1, 0.5, 0.4]), np.ones(3), 2)
+    np.testing.assert_array_equal(protos.source_indices, [[1, 2]])
+    np.testing.assert_array_equal(protos.embeddings[0], z[[1, 2]])
 
 
 def test_select_prototypes_stable_tie_break():
     z = np.arange(6.0).reshape(3, 2)
-    protos = select_prototypes(z, np.array([0.5, 0.5, 0.0]), np.ones(3), 1)
-    assert protos.source_indices == [0]
+    protos = _select_one(z, np.array([0.5, 0.5, 0.0]), np.ones(3), 1)
+    np.testing.assert_array_equal(protos.source_indices, [[0]])
 
 
 def test_select_prototypes_zero_fills_short_reports():
     z = np.arange(8.0).reshape(2, 4)
-    protos = select_prototypes(z, np.array([0.6, 0.4]), np.ones(2), 4)
-    np.testing.assert_array_equal(protos.validity, [1, 1, 0, 0])
-    assert np.all(protos.embeddings[2:] == 0)
+    protos = _select_one(z, np.array([0.6, 0.4]), np.ones(2), 4)
+    np.testing.assert_array_equal(protos.validity, [[1, 1, 0, 0]])
+    assert np.all(protos.embeddings[0, 2:] == 0)
 
 
 def test_select_prototypes_permutation_equivariant():
@@ -188,11 +192,11 @@ def test_select_prototypes_permutation_equivariant():
     z = rng.normal(size=(5, 3))
     scores = rng.uniform(0.1, 1.0, size=5)
     mask = np.ones(5)
-    base = select_prototypes(z, scores, mask, 3)
+    base = _select_one(z, scores, mask, 3)
     perm = rng.permutation(5)
-    permuted = select_prototypes(z[perm], scores[perm], mask, 3)
-    np.testing.assert_allclose(np.sort(base.embeddings, axis=0), np.sort(permuted.embeddings, axis=0))
-    assert [int(perm[j]) for j in permuted.source_indices] == base.source_indices
+    permuted = _select_one(z[perm], scores[perm], mask, 3)
+    np.testing.assert_allclose(np.sort(base.embeddings[0], axis=0), np.sort(permuted.embeddings[0], axis=0))
+    np.testing.assert_array_equal(perm[permuted.source_indices], base.source_indices)
 
 
 @pytest.mark.parametrize("n_t", [2, 5, 7])
@@ -206,29 +210,33 @@ def test_select_prototypes_batch_equals_per_report_calls(n_t):
     assert order.shape == validity.shape == (3, n_t)
     batched = select_prototypes(z, scores, batch.mask, n_t)
     assert batched.embeddings.shape == (3, n_t, 4)
+    assert batched.source_indices.shape == (3, n_t)
     for i in range(3):
-        single = select_prototypes(z[i], scores[i], batch.mask[i], n_t)
-        np.testing.assert_array_equal(batched.embeddings[i], single.embeddings)
-        np.testing.assert_array_equal(batched.validity[i], single.validity)
-        assert batched.source_indices[i] == single.source_indices
+        single = _select_one(z[i], scores[i], batch.mask[i], n_t)
+        np.testing.assert_array_equal(batched.embeddings[i], single.embeddings[0])
+        np.testing.assert_array_equal(batched.validity[i], single.validity[0])
+        np.testing.assert_array_equal(batched.source_indices[i], single.source_indices[0])
     taped = select_prototypes(nm.Tensor(z), scores, batch.mask, n_t)
     assert isinstance(taped.embeddings, nm.Tensor)
     np.testing.assert_array_equal(taped.embeddings.data, batched.embeddings)
 
 
+# the text projection is numerics.affine on the prototype matrices' rows
+
+
 def test_project_text_zero_and_identity():
-    protos = DiagnosticPrototypes(np.arange(6.0).reshape(2, 3), np.ones(2), [0, 1])
-    assert np.all(project_text(protos, np.zeros((3, 2)), np.zeros(2)) == 0)
-    np.testing.assert_array_equal(project_text(protos, np.eye(3), np.zeros(3)), protos.embeddings)
+    protos = DiagnosticPrototypes(np.arange(6.0).reshape(1, 2, 3), np.ones((1, 2)), np.array([[0, 1]]))
+    assert np.all(nm.affine(protos.embeddings, np.zeros((3, 2)), np.zeros(2)) == 0)
+    np.testing.assert_array_equal(nm.affine(protos.embeddings, np.eye(3), np.zeros(3)), protos.embeddings)
 
 
 def test_project_text_matches_dot_oracle():
     rng = np.random.default_rng(25)
-    emb = rng.normal(size=(1, 4))
+    emb = rng.normal(size=(1, 1, 4))
     w, b = rng.normal(size=(4, 3)), rng.normal(size=3)
-    protos = DiagnosticPrototypes(emb, np.ones(1), [0])
-    expect = [sum(emb[0][i] * w[i, j] for i in range(4)) + b[j] for j in range(3)]
-    np.testing.assert_allclose(project_text(protos, w, b)[0], expect, atol=1e-12)
+    protos = DiagnosticPrototypes(emb, np.ones((1, 1)), np.array([[0]]))
+    expect = [sum(emb[0, 0][i] * w[i, j] for i in range(4)) + b[j] for j in range(3)]
+    np.testing.assert_allclose(nm.affine(protos.embeddings, w, b)[0, 0], expect, atol=1e-12)
 
 
 def test_compute_n_t_average():
@@ -258,7 +266,7 @@ def test_padding_invariance_of_text_stage():
     s_short = importance_scores(a_short[0], short.mask[0])
     s_long = importance_scores(a_long[0], long.mask[0])
     assert np.max(np.abs(s_long[:3] - s_short)) < 1e-9
-    p_short = select_prototypes(z_short[0], s_short, short.mask[0], 2)
-    p_long = select_prototypes(z_long[0], s_long, long.mask[0], 2)
-    assert p_short.source_indices == p_long.source_indices
+    p_short = _select_one(z_short[0], s_short, short.mask[0], 2)
+    p_long = _select_one(z_long[0], s_long, long.mask[0], 2)
+    np.testing.assert_array_equal(p_short.source_indices, p_long.source_indices)
     assert np.max(np.abs(p_short.embeddings - p_long.embeddings)) < 1e-9
