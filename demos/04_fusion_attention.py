@@ -34,12 +34,8 @@ for mode in ("full", "late", "hierarchical"):
           f"invalid text key column max {att[:, 9].max():.1e}")
 
 out = fuse(pathway, histology, text, params, mode="full")
-spans, start = {}, 0
-for name, size in out.block_sizes.items():
-    spans[name] = (start, start + size)
-    start += size
 summary = cross_attention_summary(
-    out.attention, spans, [f"PW_{i}" for i in range(4)], "text", "pathway",
+    out.attention, out.spans, [f"PW_{i}" for i in range(4)], "text", "pathway",
     query_validity=text_validity,
 )
 print("\npathways ranked by text-attention dispersion:")

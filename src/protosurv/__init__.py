@@ -22,7 +22,7 @@ from .fusion import FusionOutput, FusionParams, ModalityTokens, append_learnable
 from .histology import EmTrace, GmmParams, PatchFeatures, em_step, fit_gmm, init_gmm, log_density, slide_representation
 from .model import ModelDims, ModelParams, PreparedCohort, forward_risks
 from .numerics import GradReport, Tensor, grad_check, layer_norm, masked_attention, masked_softmax, snn_forward
-from .pathways import ExpressionProfile, GeneOrder, PathwayMaskSet, build_masks, embed_pathways, pathway_slices
+from .pathways import GeneOrder, PathwayMaskSet, build_masks, embed_pathways, pathway_slices
 from .pipeline import CrossValResult, build_prepared, cross_validate, fit_slide_representations
 from .survival import (
     EpochStats,

@@ -100,17 +100,11 @@ def cmd_synth(args) -> int:
     write_gmt(out / "pathways.gmt", cohort.gene_sets)
     patients = []
     for i, pid in enumerate(cohort.patient_ids):
-        write_matrix(out / f"{pid}.report.ps3e", cohort.reports[i].segments)
-        write_matrix(out / f"{pid}.patches.ps3e", cohort.patches[i].patches)
-        write_matrix(out / f"{pid}.expr.ps3e", cohort.expressions[i].values[None, :])
-        patients.append(
-            {
-                "patient_id": pid,
-                "report": f"{pid}.report.ps3e",
-                "slide": f"{pid}.patches.ps3e",
-                "expression": f"{pid}.expr.ps3e",
-            }
-        )
+        names = {"report": f"{pid}.report.ps3e", "slide": f"{pid}.patches.ps3e", "expression": f"{pid}.expr.ps3e"}
+        write_matrix(out / names["report"], cohort.reports[i].segments)
+        write_matrix(out / names["slide"], cohort.patches[i].patches)
+        write_matrix(out / names["expression"], cohort.expressions[i][None, :])
+        patients.append({"patient_id": pid, **names})
     doc = {
         "modalities": "pht",
         "gene_order": "genes.txt",
@@ -130,9 +124,10 @@ def cmd_synth(args) -> int:
 def cmd_prototype(args) -> int:
     manifest = load_manifest(args.manifest)
     modalities = manifest.modalities
+    if "h" in modalities and manifest.slide != "slide":
+        raise ProtosurvError("manifest provides precomputed slide representations; nothing to fit")
     # the stage needs the reports' shapes and the patches, not the expression files
-    manifest.modalities = modalities.replace("p", "")
-    cohort = load_cohort(manifest)
+    cohort = load_cohort(manifest, modalities.replace("p", ""))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -147,8 +142,6 @@ def cmd_prototype(args) -> int:
         if "t" in modalities:
             meta["d_t"], meta["max_segments"], meta["n_text"] = text_shapes(cohort.reports, args.nt_mode)
         if "h" in modalities:
-            if cohort.patches is None:
-                raise ProtosurvError("manifest provides precomputed slide representations; nothing to fit")
             meta["d_h"] = int(cohort.patches[0].patches.shape[1])
             reps, traces = fit_slide_representations(cohort.patches, args.n_histology, args.seed)
             for patches, rep, trace in zip(cohort.patches, reps, traces):
@@ -214,7 +207,7 @@ def _load_prepared(args, config: TrainConfig):
     ``--prototypes`` (slide representations, frozen text dims) when given,
     then ``build_prepared``. Returns (prepared, mask_set, gene-set digest)."""
     manifest = load_manifest(args.manifest)
-    manifest.modalities = config.modalities
+    modalities = manifest.check_modalities(config.modalities)
     slide_reps = meta = None
     if args.prototypes:
         proto_dir = Path(args.prototypes)
@@ -223,8 +216,8 @@ def _load_prepared(args, config: TrainConfig):
             if letter in config.modalities and meta.get(key) != asked:
                 raise ProtosurvError(f"prototypes fitted with {key}={meta.get(key)}, config asks {asked}")
         # the fitted slide representations stand in for the patch matrices, left unread
-        manifest.modalities = config.modalities.replace("h", "")
-    cohort = load_cohort(manifest)
+        modalities = modalities.replace("h", "")
+    cohort = load_cohort(manifest, modalities)
     if meta is not None and "h" in config.modalities:
         slide_reps = [load_matrix(proto_dir / f"{pid}.slide.ps3e") for pid in cohort.patient_ids]
     prepared, _, mask_set = build_prepared(
@@ -334,10 +327,7 @@ def cmd_eval(args) -> int:
         held, risks, c_index, fused, validity = score_fold(model, prepared, folds[fold_no], config.fusion_mode, fold_no)
         fold_cindex.append((fold_no, c_index))
         pooled.append((risks, held.times, held.events))
-        spans, start = {}, 0
-        for name, size in fused.block_sizes.items():
-            spans[name] = (start, start + size)
-            start += size
+        spans = fused.spans
         for query, key in pairs:
             names = _token_names(key, fused.block_sizes[key], mask_set)
             for j, pid in enumerate(held.patient_ids):

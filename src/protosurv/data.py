@@ -24,11 +24,12 @@ from .errors import (
     MalformedLine,
     NegativeTime,
     NonFiniteValue,
+    ShapeMismatch,
     ShapeOverflow,
     TooFewPatients,
 )
 from .histology import PatchFeatures
-from .pathways import ExpressionProfile, GeneOrder
+from .pathways import GeneOrder
 from .rng import substream
 from .survival import SurvivalRecord
 from .text import ReportFeatures
@@ -168,11 +169,10 @@ class Cohort:
 
     patient_ids: list[str]
     records: list[SurvivalRecord]
-    modalities: str
     reports: list[ReportFeatures] | None = None
     patches: list[PatchFeatures] | None = None
     slide_reps: list[np.ndarray] | None = None
-    expressions: list[ExpressionProfile] | None = None
+    expressions: np.ndarray | None = None  # (n_patients, n_genes) in gene order
     gene_order: GeneOrder | None = None
     gene_sets: dict[str, list[str]] | None = None
 
@@ -185,15 +185,23 @@ class SyntheticCohort(Cohort):
 
 @dataclass
 class CohortManifest:
-    root: Path
+    file: Path  # the manifest itself; the files it names resolve beside it
     modalities: str
+    slide: str  # the key of a patient's slide: "slide_representation" or "slide"
     gene_order_path: str
     gene_sets_path: str
     survival_path: str
     patients: list[dict] = field(default_factory=list)
 
     def path(self, name: str) -> Path:
-        return self.root / name
+        return self.file.parent / name
+
+    def check_modalities(self, modalities: str) -> str:
+        """``modalities``, once each of its letters is one the manifest declares."""
+        undeclared = sorted(set(modalities) - set(self.modalities))
+        if undeclared:
+            raise MalformedLine(f"{self.file}: declares modalities {self.modalities!r}, not {undeclared[0]!r}")
+        return modalities
 
 
 def read_json(path):
@@ -219,16 +227,17 @@ def load_manifest(path) -> CohortManifest:
     for key in required:
         if key not in doc:
             raise MalformedLine(f"{path}: no {key!r} key")
+    slide = "slide_representation" if all("slide_representation" in e for e in doc["patients"]) else "slide"
     manifest = CohortManifest(
-        root=path.parent,
+        file=path,
         modalities=doc["modalities"],
+        slide=slide,
         gene_order_path=doc.get("gene_order", ""),
         gene_sets_path=doc.get("gene_sets", ""),
         survival_path=doc["survival"],
         patients=doc["patients"],
     )
     seen: set[str] = set()
-    slide = "slide_representation" if all("slide_representation" in e for e in manifest.patients) else "slide"
     needed = {"p": "expression", "h": slide, "t": "report"}
     unknown = sorted(set(manifest.modalities) - set(needed))
     if unknown:
@@ -244,6 +253,8 @@ def load_manifest(path) -> CohortManifest:
             if needed[modality] not in entry:
                 raise MalformedLine(f"{path}: patient {pid!r} lacks {needed[modality]!r}")
         for key in ("report", "slide", "slide_representation", "expression"):
+            if key in entry and not isinstance(entry[key], str):
+                raise MalformedLine(f"{path}: patient {pid!r} has {key!r} {entry[key]!r}, not a file name")
             if key in entry and not manifest.path(entry[key]).exists():
                 raise FileNotFoundError(f"{path}: missing file {entry[key]!r} for {pid!r}")
     for name in (manifest.gene_order_path, manifest.gene_sets_path, manifest.survival_path):
@@ -252,40 +263,49 @@ def load_manifest(path) -> CohortManifest:
     return manifest
 
 
-def load_cohort(manifest: CohortManifest) -> Cohort:
-    """Materialise every referenced file for the configured modalities."""
+def _load_matrices(manifest: CohortManifest, key: str) -> list[np.ndarray]:
+    """Each patient's ``key`` matrix, checked to hold a row and the first patient's width."""
+    matrices: list[np.ndarray] = []
+    for e in manifest.patients:
+        path, pid = manifest.path(e[key]), e["patient_id"]
+        matrices.append(load_matrix(path))
+        rows, width = matrices[-1].shape
+        if rows == 0:
+            raise ShapeMismatch(f"{path}: patient {pid!r}: {key} matrix has no rows")
+        if width != matrices[0].shape[1]:
+            first = f"{matrices[0].shape[1]} for patient {manifest.patients[0]['patient_id']!r}"
+            raise ShapeMismatch(f"{path}: patient {pid!r}: {key} matrix is {width} wide, but {first}")
+    return matrices
+
+
+def load_cohort(manifest: CohortManifest, modalities: str | None = None) -> Cohort:
+    """Materialise the files of ``modalities`` (default: every declared one)."""
+    modalities = manifest.check_modalities(manifest.modalities if modalities is None else modalities)
     records = {r.patient_id: r for r in load_survival(manifest.path(manifest.survival_path))}
     ids = [e["patient_id"] for e in manifest.patients]
     missing = [p for p in ids if p not in records]
     if missing:
         raise MalformedLine(f"no survival record for patients {missing[:3]}...")
-    cohort = Cohort(
-        patient_ids=ids,
-        records=[records[p] for p in ids],
-        modalities=manifest.modalities,
-    )
-    if "t" in manifest.modalities:
-        cohort.reports = [
-            ReportFeatures(e["patient_id"], load_matrix(manifest.path(e["report"])))
-            for e in manifest.patients
-        ]
-    if "h" in manifest.modalities:
-        if all("slide_representation" in e for e in manifest.patients):
-            cohort.slide_reps = [
-                load_matrix(manifest.path(e["slide_representation"])) for e in manifest.patients
-            ]
+    cohort = Cohort(patient_ids=ids, records=[records[p] for p in ids])
+    if "t" in modalities:
+        cohort.reports = [ReportFeatures(p, m) for p, m in zip(ids, _load_matrices(manifest, "report"))]
+    if "h" in modalities:
+        slides = _load_matrices(manifest, manifest.slide)
+        if manifest.slide == "slide":
+            cohort.patches = [PatchFeatures(p, m) for p, m in zip(ids, slides)]
         else:
-            cohort.patches = [
-                PatchFeatures(e["patient_id"], load_matrix(manifest.path(e["slide"])))
-                for e in manifest.patients
-            ]
-    if "p" in manifest.modalities:
+            cohort.slide_reps = slides
+    if "p" in modalities:
         cohort.gene_order = load_gene_order(manifest.path(manifest.gene_order_path))
         cohort.gene_sets = parse_gmt(manifest.path(manifest.gene_sets_path))
-        cohort.expressions = []
-        for e in manifest.patients:
-            values = load_matrix(manifest.path(e["expression"])).reshape(-1)
-            cohort.expressions.append(ExpressionProfile(e["patient_id"], values))
+        cohort.expressions = np.empty((len(ids), len(cohort.gene_order)))
+        for i, e in enumerate(manifest.patients):
+            path = manifest.path(e["expression"])
+            values = load_matrix(path).reshape(-1)
+            if values.size != len(cohort.gene_order):
+                genes = f"the {len(cohort.gene_order)} genes of {manifest.gene_order_path}"
+                raise ShapeMismatch(f"{path}: patient {e['patient_id']!r}: {values.size} values for {genes}")
+            cohort.expressions[i] = values
     return cohort
 
 
@@ -348,7 +368,8 @@ def synth_cohort(spec: SyntheticSpec) -> SyntheticCohort:
     text_direction /= np.linalg.norm(text_direction)
     signal_genes = np.arange(chunk_bounds[0], chunk_bounds[1])
 
-    reports, patches, expressions, records = [], [], [], []
+    reports, patches, records = [], [], []
+    expressions = np.empty((spec.n_patients, spec.n_genes))
     signal_feature = np.zeros(spec.n_patients)
     for i in range(spec.n_patients):
         pid = f"SYN{i:04d}"
@@ -385,13 +406,12 @@ def synth_cohort(spec: SyntheticSpec) -> SyntheticCohort:
 
         reports.append(ReportFeatures(pid, segments))
         patches.append(PatchFeatures(pid, patch_mat))
-        expressions.append(ExpressionProfile(pid, expr))
+        expressions[i] = expr
         records.append(SurvivalRecord(pid, float(time), event))
 
     return SyntheticCohort(
         patient_ids=[r.patient_id for r in records],
         records=records,
-        modalities="pht",
         reports=reports,
         patches=patches,
         expressions=expressions,

@@ -16,6 +16,7 @@ pathways join the fused pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,6 +53,12 @@ class FusionOutput:
     def block(self, name: str):
         return getattr(self, name)
 
+    @property
+    def spans(self) -> dict[str, tuple[int, int]]:
+        """(start, stop) of each present block along the fused sequence."""
+        stops = accumulate(self.block_sizes.values())
+        return {name: (stop - size, stop) for (name, size), stop in zip(self.block_sizes.items(), stops)}
+
 
 def append_learnable(tokens, e_r):
     """Concatenate the same learnable vector to every token row."""
@@ -64,17 +71,10 @@ def append_learnable(tokens, e_r):
 
 def _fusion_output(out, attention, names, sizes, inputs) -> FusionOutput:
     """Split the fused sequence back into its modality blocks."""
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    blocks = {
-        name: nm.unwrap(nm.narrow(out, -2, int(s), n), *inputs) for name, s, n in zip(names, starts, sizes)
-    }
-    return FusionOutput(
-        pathway=blocks.get("pathway"),
-        histology=blocks.get("histology"),
-        text=blocks.get("text"),
-        attention=nm.as_tensor(attention).data,
-        block_sizes=dict(zip(names, sizes)),
-    )
+    fused = FusionOutput(None, None, None, nm.as_tensor(attention).data, dict(zip(names, sizes)))
+    for name, (start, stop) in fused.spans.items():
+        setattr(fused, name, nm.unwrap(nm.narrow(out, -2, start, stop - start), *inputs))
+    return fused
 
 
 def _block_diagonal(blocks) -> np.ndarray:

@@ -154,11 +154,9 @@ def _em_step(data: _Centred, params: GmmParams, rng) -> tuple[GmmParams, float, 
     return GmmParams(weights, means, variances), avg_ll, starved
 
 
-def em_step(patches: PatchFeatures, params: GmmParams, rng=None) -> tuple[GmmParams, float]:
-    """One EM update. Returns the new parameters together with the average
-    log-likelihood of the *incoming* parameters."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def em_step(patches: PatchFeatures, params: GmmParams, rng: np.random.Generator) -> tuple[GmmParams, float]:
+    """One EM update, ``rng`` re-seeding a starved component. Returns the new
+    parameters and the average log-likelihood of the *incoming* parameters."""
     new_params, avg_ll, _ = _em_step(_centre(patches.patches), params, rng)
     return new_params, avg_ll
 

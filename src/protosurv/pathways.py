@@ -52,12 +52,6 @@ class PathwayMaskSet:
         return tuple(len(m) for m in self.member_indices)
 
 
-@dataclass
-class ExpressionProfile:
-    patient_id: str
-    values: np.ndarray  # (n_genes,) log-transformed normalised expression
-
-
 def build_masks(gene_sets, order: GeneOrder) -> PathwayMaskSet:
     """Member gene indices into ``order`` for each named gene set.
 

@@ -46,15 +46,12 @@ def text_shapes(reports, nt_mode: str) -> tuple[int, int, int]:
 
 
 def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=None, max_segments=None):
-    """Compute prototype shapes from the cohort and pack it for training:
-    reports padded, slide representations stacked and expression vectors
-    sliced per pathway.
-
-    Returns (prepared, dims, mask_set); mask_set is None without the pathway
-    modality. Slide representations are fitted here when not supplied;
-    ``n_text``/``max_segments`` override the cohort-derived values when the
-    prototype stage already froze them.
-    """
+    """Pack the cohort for training: reports padded (``n_text`` and
+    ``max_segments`` override the shapes they give, when the prototype stage
+    froze them), slide representations stacked (fitted here when neither
+    ``slide_reps`` nor the cohort holds them) and the expression matrix sliced
+    per pathway. Returns (prepared, dims, mask_set); mask_set is None without
+    the pathway modality."""
     modalities = config.modalities
     times, events = _records_to_arrays(cohort.records)
     prepared = PreparedCohort(patient_ids=list(cohort.patient_ids), times=times, events=events)
@@ -67,8 +64,7 @@ def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=
         batch = pad_batch(cohort.reports, m)
         prepared.text_data, prepared.text_mask = batch.data, batch.mask
     if "h" in modalities:
-        if slide_reps is None:
-            slide_reps = cohort.slide_reps
+        slide_reps = cohort.slide_reps if slide_reps is None else slide_reps
         if slide_reps is None:
             slide_reps, _ = fit_slide_representations(cohort.patches, config.n_histology, config.seed)
         prepared.slides = np.stack([np.asarray(s, dtype=float) for s in slide_reps])
@@ -79,7 +75,7 @@ def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=
             raise ValueError(
                 f"{mask_set.n_pathways} pathways in the gene sets, config expects {config.n_pathways}"
             )
-        prepared.slices = pathway_slices(np.stack([e.values for e in cohort.expressions]), mask_set)
+        prepared.slices = pathway_slices(cohort.expressions, mask_set)
     prepared.dims = ModelDims(
         d_t=d_t,
         d_h=d_h,

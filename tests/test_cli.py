@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from protosurv.cli import main
+from protosurv.data import write_matrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -687,3 +688,92 @@ def test_non_finite_learning_rate_fails_before_any_fold(cohort_dir, tmp_path, fl
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"error: {message}"]
     assert not run.exists()
+
+
+def _cohort_copy(cohort_dir, tmp_path) -> tuple[Path, dict]:
+    """A copy of the synthetic cohort to edit, and its manifest document."""
+    import shutil
+
+    copy = Path(shutil.copytree(cohort_dir, tmp_path / "cohort"))
+    return copy, json.loads((copy / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("gene_files", [True, False])
+def test_run_asking_for_an_undeclared_modality_is_one_line_naming_the_manifest(
+    cohort_dir, tmp_path, capsys, gene_files
+):
+    cohort, doc = _cohort_copy(cohort_dir, tmp_path)
+    doc["modalities"] = "ht"
+    for entry in doc["patients"]:
+        del entry["expression"]
+    if not gene_files:
+        del doc["gene_order"], doc["gene_sets"]
+    manifest = _rewrite(cohort / "ht.json", json.dumps(doc))
+    run = tmp_path / "run"
+    code = main(["train", "--manifest", str(manifest), "--out", str(run), "--modalities", "pht"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {manifest}: declares modalities 'ht', not 'p'"]
+    assert not run.exists()
+
+
+def test_load_cohort_reads_only_the_modalities_it_is_given(cohort_dir, monkeypatch):
+    from protosurv.data import load_cohort, load_manifest
+
+    manifest = load_manifest(cohort_dir / "manifest.json")
+    opened = _record_matrix_reads(monkeypatch)
+    cohort = load_cohort(manifest, "t")
+    assert sorted(opened) == sorted(f"{e['patient_id']}.report.ps3e" for e in manifest.patients)
+    assert cohort.patches is cohort.slide_reps is cohort.expressions is None
+
+
+def test_prototype_of_fitted_representations_fails_before_reading_a_matrix(
+    cohort_dir, proto_dir, tmp_path, monkeypatch, capsys
+):
+    doc = json.loads((cohort_dir / "manifest.json").read_text())
+    for entry in doc["patients"]:
+        del entry["slide"]
+        entry["slide_representation"] = os.path.relpath(proto_dir / f"{entry['patient_id']}.slide.ps3e", cohort_dir)
+    manifest = _rewrite(cohort_dir / "representations.json", json.dumps(doc))
+    opened = _record_matrix_reads(monkeypatch)
+    assert main(["prototype", "--manifest", str(manifest), "--out", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: manifest provides precomputed slide representations; nothing to fit"]
+    assert opened == []
+
+
+def _write_bad_matrix(matrix):
+    def edit(cohort, entry, key):
+        entry[key] = f"bad.{entry[key]}"
+        write_matrix(cohort / entry[key], matrix)
+        return cohort / entry[key]
+
+    return edit
+
+
+def _number_as_path(cohort, entry, key):
+    entry[key] = 5
+    return cohort / "bad.json"
+
+
+@pytest.mark.parametrize(
+    "key, edit, commands",
+    [
+        ("report", _number_as_path, ("prototype", "train")),
+        ("expression", _write_bad_matrix(np.ones((1, 20))), ("train",)),  # the cohort has 40 genes
+        ("slide", _write_bad_matrix(np.ones((24, 7))), ("prototype", "train")),  # patches are 6 wide
+        ("report", _write_bad_matrix(np.ones((0, 8))), ("prototype", "train")),
+        ("slide", _write_bad_matrix(np.ones((0, 6))), ("prototype", "train")),
+    ],
+    ids=["report_path_number", "expression_length", "slide_width", "report_no_rows", "slide_no_rows"],
+)
+def test_bad_patient_file_is_one_line_naming_the_file_and_the_patient(cohort_dir, tmp_path, capsys, key, edit, commands):
+    cohort, doc = _cohort_copy(cohort_dir, tmp_path)
+    named = edit(cohort, doc["patients"][3], key)
+    manifest = _rewrite(cohort / "bad.json", json.dumps(doc))
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}: "), (command, err)
+        assert "'SYN0003'" in err[0], (command, err)
+        assert not out.exists(), command

@@ -269,7 +269,7 @@ def test_synth_deterministic():
         assert (ra.time, ra.event) == (rb.time, rb.event)
     np.testing.assert_array_equal(a.reports[3].segments, b.reports[3].segments)
     np.testing.assert_array_equal(a.patches[3].patches, b.patches[3].patches)
-    np.testing.assert_array_equal(a.expressions[3].values, b.expressions[3].values)
+    np.testing.assert_array_equal(a.expressions[3], b.expressions[3])
 
 
 def test_synth_no_signal_means_constant_latent_risk():
@@ -290,7 +290,7 @@ def test_synth_all_modalities_have_expected_shapes():
     assert len(cohort.reports) == 60
     assert cohort.reports[0].segments.shape[1] == 6
     assert cohort.patches[0].patches.shape[1] == 5
-    assert cohort.expressions[0].values.shape == (40,)
+    assert cohort.expressions[0].shape == (40,)
     assert len(cohort.gene_sets) == 8
 
 

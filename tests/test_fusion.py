@@ -115,6 +115,14 @@ def test_fuse_late_cross_blocks_exactly_zero():
     assert np.max(np.abs(out.pathway - ref)) < 1e-10
 
 
+def test_fusion_output_spans_follow_the_present_blocks_in_order():
+    rng = np.random.default_rng(4)
+    p, t = _tokens(rng, 3, 4, "pathway"), _tokens(rng, 2, 4, "text")
+    out = fuse(p, None, t, _params(rng, 4), mode="full")
+    assert out.spans == {"pathway": (0, 3), "text": (3, 5)}
+    assert out.histology is None and out.pathway.shape == (3, 4) and out.text.shape == (2, 4)
+
+
 def test_fuse_full_single_modality_equals_late():
     rng = np.random.default_rng(5)
     p = _tokens(rng, 4, 5, "pathway")

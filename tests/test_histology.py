@@ -135,7 +135,7 @@ def test_log_density_matches_direct_oracle_with_floored_variances():
 def test_em_step_single_component_closed_form():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(40, 3))
-    params, _ = em_step(PatchFeatures("s", x), init_gmm(1, 3, seed=0))
+    params, _ = em_step(PatchFeatures("s", x), init_gmm(1, 3, seed=0), np.random.default_rng(0))
     np.testing.assert_allclose(params.means[0], x.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(params.variances[0], np.maximum(x.var(axis=0), VAR_FLOOR), atol=1e-12)
     assert abs(params.weights[0] - 1.0) < 1e-12
@@ -148,7 +148,7 @@ def test_em_step_reaches_cluster_centroids_from_nearby_init():
     x = np.vstack([a, b])
     params = GmmParams(np.array([0.5, 0.5]), np.array([[4.0, 4.0], [-4.0, -4.0]]), np.ones((2, 2)))
     for _ in range(50):
-        params, _ = em_step(PatchFeatures("s", x), params)
+        params, _ = em_step(PatchFeatures("s", x), params, np.random.default_rng(0))
     centroids = np.array([a.mean(axis=0), b.mean(axis=0)])
     assert np.max(np.abs(np.sort(params.means, axis=0) - np.sort(centroids, axis=0))) < 1e-6
 
@@ -158,7 +158,7 @@ def test_em_step_monotone_log_likelihood():
     params = init_gmm(3, patches.patches.shape[1], seed=3)
     previous = None
     for _ in range(30):
-        params, avg_ll = em_step(PatchFeatures("s", patches.patches), params)
+        params, avg_ll = em_step(PatchFeatures("s", patches.patches), params, np.random.default_rng(0))
         if previous is not None:
             assert avg_ll - previous >= -1e-8
         previous = avg_ll
@@ -167,7 +167,7 @@ def test_em_step_monotone_log_likelihood():
 def test_em_step_invariants():
     patches, _, _ = _cluster_slide(4)
     params = init_gmm(4, patches.patches.shape[1], seed=4)
-    params, _ = em_step(patches, params)
+    params, _ = em_step(patches, params, np.random.default_rng(0))
     assert abs(params.weights.sum() - 1.0) < 1e-9
     assert np.all(params.variances >= VAR_FLOOR)
     resp = responsibilities(patches, params)
@@ -298,7 +298,7 @@ def test_em_step_flushes_sub_normal_responsibilities_without_changing_the_fit():
         nk_safe = np.maximum(nk, 1e-300)
         mc = (resp.T @ xc) / nk_safe[:, None]
         variances = np.maximum((resp.T @ (xc * xc)) / nk_safe[:, None] - mc * mc, VAR_FLOOR)
-        params, _ = em_step(patches, params)
+        params, _ = em_step(patches, params, np.random.default_rng(0))
         np.testing.assert_array_equal(params.weights, nk / n)
         np.testing.assert_array_equal(params.means, mc + centre)
         np.testing.assert_array_equal(params.variances, variances)
