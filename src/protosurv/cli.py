@@ -22,7 +22,7 @@ from .data import (
     kfold_split,
     load_cohort,
     load_manifest,
-    load_matrix,
+    load_patient_matrices,
     read_json,
     synth_cohort,
     write_gene_order,
@@ -30,7 +30,7 @@ from .data import (
     write_matrix,
     write_survival,
 )
-from .errors import FingerprintMismatch, ProtosurvError
+from .errors import BadInput, ProtosurvError
 from .evaluation import cross_attention_summary, km_curve, log_rank, stratify_median
 from .fusion import FUSION_MODES, MODALITY_ORDER
 from .pathways import fingerprint
@@ -151,7 +151,7 @@ def cmd_prototype(args) -> int:
                 trace_rows.extend(
                     (patches.slide_id, it, ll, int(trace.converged)) for it, ll in enumerate(trace.log_likelihoods)
                 )
-    except (ProtosurvError, FileNotFoundError, OSError) as exc:
+    except (ProtosurvError, OSError) as exc:
         for path in written:
             path.unlink(missing_ok=True)
         return _fail(str(exc))
@@ -219,7 +219,8 @@ def _load_prepared(args, config: TrainConfig):
         modalities = modalities.replace("h", "")
     cohort = load_cohort(manifest, modalities)
     if meta is not None and "h" in config.modalities:
-        slide_reps = [load_matrix(proto_dir / f"{pid}.slide.ps3e") for pid in cohort.patient_ids]
+        paths = {pid: proto_dir / f"{pid}.slide.ps3e" for pid in cohort.patient_ids}
+        slide_reps = load_patient_matrices(paths, "slide", config.n_histology)
     prepared, _, mask_set = build_prepared(
         cohort,
         config,
@@ -313,9 +314,11 @@ def cmd_eval(args) -> int:
     prepared, mask_set, digest = _load_prepared(args, config)
     for fold_no, _, _, stored in models:
         if stored != digest:
-            raise FingerprintMismatch(
-                f"fold {fold_no}: checkpoint trained against different gene/pathway definitions"
-            )
+            raise BadInput(f"fold {fold_no}: checkpoint trained against different gene/pathway definitions")
+    known = set(prepared.patient_ids)
+    unknown = next((pid for fold in folds for pid in fold if pid not in known), None)
+    if unknown is not None:
+        raise BadInput(f"{folds_path}: patient {unknown!r} is not in {args.manifest}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -445,7 +448,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ProtosurvError, FileNotFoundError, OSError, ValueError, KeyError) as exc:
+    except (ProtosurvError, OSError, ValueError, KeyError) as exc:
         return _fail(str(exc))
 
 

@@ -16,18 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadEventFlag,
-    BadMagic,
-    DuplicatePatient,
-    DuplicateSetName,
-    MalformedLine,
-    NegativeTime,
-    NonFiniteValue,
-    ShapeMismatch,
-    ShapeOverflow,
-    TooFewPatients,
-)
+from .errors import BadInput
 from .histology import PatchFeatures
 from .pathways import GeneOrder
 from .rng import substream
@@ -46,7 +35,7 @@ def write_matrix(path, matrix) -> None:
     if arr.ndim != 2:
         raise ValueError(f"matrix files hold 2-D arrays, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"{path}: refusing to write non-finite values")
+        raise BadInput(f"{path}: refusing to write non-finite values")
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(bytes([MATRIX_VERSION]))
@@ -58,26 +47,29 @@ def read_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 5 or raw[:4] != MATRIX_MAGIC:
-        raise BadMagic(f"{path}: missing matrix header")
+        raise BadInput(f"{path}: missing matrix header")
     if raw[4] != MATRIX_VERSION:
-        raise BadMagic(f"{path}: unsupported format version {raw[4]}")
+        raise BadInput(f"{path}: unsupported format version {raw[4]}")
     if len(raw) < 13:
-        raise BadMagic(f"{path}: truncated matrix header")
+        raise BadInput(f"{path}: truncated matrix header")
     rows, cols = _HEADER.unpack(raw[5:13])
     if len(raw) - 13 != rows * cols * 4:
-        raise ShapeOverflow(f"{path}: {rows}x{cols} declared but payload is {len(raw) - 13} bytes")
+        raise BadInput(f"{path}: {rows}x{cols} declared but payload is {len(raw) - 13} bytes")
     data = np.frombuffer(raw[13:], dtype="<f4").astype(np.float64).reshape(rows, cols)
     if not np.all(np.isfinite(data)):
-        raise NonFiniteValue(f"{path}: non-finite values in matrix")
+        raise BadInput(f"{path}: non-finite values in matrix")
     return data
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix file; a ``.csv`` suffix selects the CSV fallback."""
     if str(path).endswith(".csv"):
-        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        except ValueError as exc:  # a word or a ragged row
+            raise BadInput(f"{path}: {exc}") from None
         if not np.all(np.isfinite(data)):
-            raise NonFiniteValue(f"{path}: non-finite values in matrix")
+            raise BadInput(f"{path}: non-finite values in matrix")
         return data
     return read_matrix(path)
 
@@ -96,10 +88,10 @@ def parse_gmt(path) -> dict[str, list[str]]:
             parts = line.split("\t")
             genes = [g for g in parts[2:] if g.strip()]
             if len(parts) < 3 or not genes:
-                raise MalformedLine(f"{path}:{lineno}: expected name, description and genes")
+                raise BadInput(f"{path}:{lineno}: expected name, description and genes")
             name = parts[0]
             if name in sets:
-                raise DuplicateSetName(f"{path}:{lineno}: gene set {name!r} repeated")
+                raise BadInput(f"{path}:{lineno}: gene set {name!r} repeated")
             sets[name] = list(dict.fromkeys(genes))
     return sets
 
@@ -118,26 +110,26 @@ def load_survival(path) -> list[SurvivalRecord]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["patient_id", "time", "event"]:
-            raise MalformedLine(f"{path}: header must be patient_id,time,event")
+            raise BadInput(f"{path}: header must be patient_id,time,event")
         for row in reader:
             if not row:
                 continue
             if len(row) != 3:
-                raise MalformedLine(f"{path}: expected 3 fields, got {len(row)}")
+                raise BadInput(f"{path}: expected 3 fields, got {len(row)}")
             pid, time_s, event_s = row
             if pid in seen:
-                raise DuplicatePatient(f"{path}: patient {pid!r} repeated")
+                raise BadInput(f"{path}: patient {pid!r} repeated")
             seen.add(pid)
             try:
                 time = float(time_s)
             except ValueError:
-                raise MalformedLine(f"{path}: patient {pid!r} has time {time_s!r}, not a number") from None
+                raise BadInput(f"{path}: patient {pid!r} has time {time_s!r}, not a number") from None
             if not np.isfinite(time):
-                raise NonFiniteValue(f"{path}: patient {pid!r} has time {time}")
+                raise BadInput(f"{path}: patient {pid!r} has time {time}")
             if time < 0:
-                raise NegativeTime(f"{path}: patient {pid!r} has time {time}")
+                raise BadInput(f"{path}: patient {pid!r} has time {time}")
             if event_s not in ("0", "1"):
-                raise BadEventFlag(f"{path}: patient {pid!r} has event {event_s!r}")
+                raise BadInput(f"{path}: patient {pid!r} has event {event_s!r}")
             records.append(SurvivalRecord(pid, time, int(event_s)))
     return records
 
@@ -151,7 +143,11 @@ def write_survival(path, records) -> None:
 
 def load_gene_order(path) -> GeneOrder:
     with open(path, encoding="utf-8") as fh:
-        return GeneOrder([line.strip() for line in fh if line.strip()])
+        symbols = [line.strip() for line in fh if line.strip()]
+    try:
+        return GeneOrder(symbols)
+    except BadInput as exc:
+        raise BadInput(f"{path}: {exc}") from None
 
 
 def write_gene_order(path, order: GeneOrder) -> None:
@@ -196,11 +192,14 @@ class CohortManifest:
     def path(self, name: str) -> Path:
         return self.file.parent / name
 
+    def paths(self, key: str) -> dict[str, Path]:
+        return {e["patient_id"]: self.path(e[key]) for e in self.patients}
+
     def check_modalities(self, modalities: str) -> str:
         """``modalities``, once each of its letters is one the manifest declares."""
         undeclared = sorted(set(modalities) - set(self.modalities))
         if undeclared:
-            raise MalformedLine(f"{self.file}: declares modalities {self.modalities!r}, not {undeclared[0]!r}")
+            raise BadInput(f"{self.file}: declares modalities {self.modalities!r}, not {undeclared[0]!r}")
         return modalities
 
 
@@ -220,13 +219,13 @@ def load_manifest(path) -> CohortManifest:
     path = Path(path)
     doc = read_json(path)
     if not isinstance(doc, dict):
-        raise MalformedLine(f"{path}: expected a JSON object, got a {type(doc).__name__}")
+        raise BadInput(f"{path}: expected a JSON object, got a {type(doc).__name__}")
     required = ["modalities", "survival", "patients"]
     if "p" in doc.get("modalities", ""):
         required += ["gene_order", "gene_sets"]
     for key in required:
         if key not in doc:
-            raise MalformedLine(f"{path}: no {key!r} key")
+            raise BadInput(f"{path}: no {key!r} key")
     slide = "slide_representation" if all("slide_representation" in e for e in doc["patients"]) else "slide"
     manifest = CohortManifest(
         file=path,
@@ -241,20 +240,20 @@ def load_manifest(path) -> CohortManifest:
     needed = {"p": "expression", "h": slide, "t": "report"}
     unknown = sorted(set(manifest.modalities) - set(needed))
     if unknown:
-        raise MalformedLine(f"{path}: unknown modality letters {unknown} in 'modalities'")
+        raise BadInput(f"{path}: unknown modality letters {unknown} in 'modalities'")
     for i, entry in enumerate(manifest.patients):
         if "patient_id" not in entry:
-            raise MalformedLine(f"{path}: patient entry {i} has no 'patient_id'")
+            raise BadInput(f"{path}: patient entry {i} has no 'patient_id'")
         pid = entry["patient_id"]
         if pid in seen:
-            raise DuplicatePatient(f"{path}: patient {pid!r} repeated")
+            raise BadInput(f"{path}: patient {pid!r} repeated")
         seen.add(pid)
         for modality in manifest.modalities:
             if needed[modality] not in entry:
-                raise MalformedLine(f"{path}: patient {pid!r} lacks {needed[modality]!r}")
+                raise BadInput(f"{path}: patient {pid!r} lacks {needed[modality]!r}")
         for key in ("report", "slide", "slide_representation", "expression"):
             if key in entry and not isinstance(entry[key], str):
-                raise MalformedLine(f"{path}: patient {pid!r} has {key!r} {entry[key]!r}, not a file name")
+                raise BadInput(f"{path}: patient {pid!r} has {key!r} {entry[key]!r}, not a file name")
             if key in entry and not manifest.path(entry[key]).exists():
                 raise FileNotFoundError(f"{path}: missing file {entry[key]!r} for {pid!r}")
     for name in (manifest.gene_order_path, manifest.gene_sets_path, manifest.survival_path):
@@ -263,34 +262,39 @@ def load_manifest(path) -> CohortManifest:
     return manifest
 
 
-def _load_matrices(manifest: CohortManifest, key: str) -> list[np.ndarray]:
-    """Each patient's ``key`` matrix, checked to hold a row and the first patient's width."""
+def load_patient_matrices(paths: dict[str, Path], key: str, rows: int | None = None) -> list[np.ndarray]:
+    """Each patient's ``key`` matrix from ``paths`` (patient id to file), checked to
+    hold a row (``rows`` rows, when given) and the first patient's width."""
     matrices: list[np.ndarray] = []
-    for e in manifest.patients:
-        path, pid = manifest.path(e[key]), e["patient_id"]
+    for pid, path in paths.items():
         matrices.append(load_matrix(path))
-        rows, width = matrices[-1].shape
-        if rows == 0:
-            raise ShapeMismatch(f"{path}: patient {pid!r}: {key} matrix has no rows")
+        n, width = matrices[-1].shape
+        if n == 0:
+            raise BadInput(f"{path}: patient {pid!r}: {key} matrix has no rows")
+        if rows is not None and n != rows:
+            raise BadInput(f"{path}: patient {pid!r}: {key} matrix has {n} rows, not {rows}")
         if width != matrices[0].shape[1]:
-            first = f"{matrices[0].shape[1]} for patient {manifest.patients[0]['patient_id']!r}"
-            raise ShapeMismatch(f"{path}: patient {pid!r}: {key} matrix is {width} wide, but {first}")
+            first = f"{matrices[0].shape[1]} for patient {next(iter(paths))!r}"
+            raise BadInput(f"{path}: patient {pid!r}: {key} matrix is {width} wide, but {first}")
     return matrices
 
 
 def load_cohort(manifest: CohortManifest, modalities: str | None = None) -> Cohort:
     """Materialise the files of ``modalities`` (default: every declared one)."""
     modalities = manifest.check_modalities(manifest.modalities if modalities is None else modalities)
-    records = {r.patient_id: r for r in load_survival(manifest.path(manifest.survival_path))}
+    survival = manifest.path(manifest.survival_path)
+    records = {r.patient_id: r for r in load_survival(survival)}
     ids = [e["patient_id"] for e in manifest.patients]
     missing = [p for p in ids if p not in records]
     if missing:
-        raise MalformedLine(f"no survival record for patients {missing[:3]}...")
+        more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
+        raise BadInput(f"{survival}: no record for patient {missing[0]!r}{more} of {manifest.file}")
     cohort = Cohort(patient_ids=ids, records=[records[p] for p in ids])
     if "t" in modalities:
-        cohort.reports = [ReportFeatures(p, m) for p, m in zip(ids, _load_matrices(manifest, "report"))]
+        reports = load_patient_matrices(manifest.paths("report"), "report")
+        cohort.reports = [ReportFeatures(p, m) for p, m in zip(ids, reports)]
     if "h" in modalities:
-        slides = _load_matrices(manifest, manifest.slide)
+        slides = load_patient_matrices(manifest.paths(manifest.slide), manifest.slide)
         if manifest.slide == "slide":
             cohort.patches = [PatchFeatures(p, m) for p, m in zip(ids, slides)]
         else:
@@ -304,7 +308,7 @@ def load_cohort(manifest: CohortManifest, modalities: str | None = None) -> Coho
             values = load_matrix(path).reshape(-1)
             if values.size != len(cohort.gene_order):
                 genes = f"the {len(cohort.gene_order)} genes of {manifest.gene_order_path}"
-                raise ShapeMismatch(f"{path}: patient {e['patient_id']!r}: {values.size} values for {genes}")
+                raise BadInput(f"{path}: patient {e['patient_id']!r}: {values.size} values for {genes}")
             cohort.expressions[i] = values
     return cohort
 
@@ -429,6 +433,6 @@ def kfold_split(patient_ids, k: int, seed: int) -> list[list[str]]:
     if k < 2:
         raise ValueError("k must be >= 2")
     if len(ids) < k:
-        raise TooFewPatients(f"{len(ids)} patients for {k} folds")
+        raise BadInput(f"{len(ids)} patients for {k} folds")
     perm = substream(seed, "fold").permutation(len(ids))
     return [[ids[i] for i in part] for part in np.array_split(perm, k)]

@@ -1,8 +1,8 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, one for each thing a caller can
+do about a failure.
 
-Grouped here so callers (and the CLI) can catch one base class. Data-file
-problems and modelling problems share the same root because the CLI maps
-both to exit code 1.
+Every one derives from :class:`ProtosurvError`, which the CLI turns into one
+``error:`` line and exit code 1.
 """
 
 
@@ -10,92 +10,30 @@ class ProtosurvError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# numerics
-class AllMasked(ProtosurvError):
-    """A softmax row has no unmasked key to normalise over."""
+class BadInput(ProtosurvError):
+    """A file or argument was rejected; the message names it (and the patient,
+    line or key when there is one). Fix the input and run again."""
 
 
 class ShapeMismatch(ProtosurvError):
     """Operands have incompatible shapes."""
 
 
+class AllMasked(ProtosurvError):
+    """A softmax row has no unmasked key to normalise over."""
+
+
 class NonFiniteLoss(ProtosurvError):
-    """A loss evaluation produced NaN or infinity."""
+    """A loss, gradient or trained parameter is NaN or infinite: the run diverged."""
 
 
-# text prototypes
-class EmptyReport(ProtosurvError):
-    """Report text contains no nonempty segment."""
-
-
-class EmptyTrainingSet(ProtosurvError):
-    """Prototype-count statistics need at least one training report."""
-
-
-# histology prototypes
 class DegenerateInput(ProtosurvError):
     """Mixture fitting could not be rescued from degenerate components."""
 
 
-# pathway prototypes
-class EmptyPathway(ProtosurvError):
-    """A gene set has no member left after restriction to the gene order."""
-
-
-# fusion
-class NoModalitiesEnabled(ProtosurvError):
-    """Fusion was asked to run with every modality disabled."""
-
-
-# survival / evaluation
 class NoEvents(ProtosurvError):
     """An operation that needs observed events received none."""
 
 
 class NoComparablePairs(ProtosurvError):
     """Concordance is undefined: no pair of patients is comparable."""
-
-
-class BlockEmpty(ProtosurvError):
-    """Attention summary was asked about an empty query or key block."""
-
-
-# data files
-class BadMagic(ProtosurvError):
-    """Matrix or checkpoint file does not start with the expected header."""
-
-
-class ShapeOverflow(ProtosurvError):
-    """Declared matrix shape disagrees with the file payload."""
-
-
-class NonFiniteValue(ProtosurvError):
-    """A loaded array contains NaN or infinity."""
-
-
-class MalformedLine(ProtosurvError):
-    """A GMT line has fewer than the three required fields."""
-
-
-class DuplicateSetName(ProtosurvError):
-    """Two gene sets in one GMT file share a name."""
-
-
-class NegativeTime(ProtosurvError):
-    """A survival record has a negative follow-up time."""
-
-
-class BadEventFlag(ProtosurvError):
-    """A survival event indicator is not 0 or 1."""
-
-
-class DuplicatePatient(ProtosurvError):
-    """The same patient id appears twice."""
-
-
-class TooFewPatients(ProtosurvError):
-    """Fewer patients than folds requested."""
-
-
-class FingerprintMismatch(ProtosurvError):
-    """Checkpoint was trained against different gene/pathway definitions."""

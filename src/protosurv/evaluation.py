@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockEmpty, NoComparablePairs, NoEvents
+from .errors import BadInput, NoComparablePairs, NoEvents
 
 
 @dataclass
@@ -149,14 +149,14 @@ def cross_attention_summary(
     """
     attention = np.asarray(attention, dtype=float)
     if query_block not in block_spans or key_block not in block_spans:
-        raise BlockEmpty(f"unknown block in ({query_block!r}, {key_block!r})")
+        raise BadInput(f"unknown block in ({query_block!r}, {key_block!r})")
     q_start, q_stop = block_spans[query_block]
     k_start, k_stop = block_spans[key_block]
     sub = attention[q_start:q_stop, k_start:k_stop]
     if query_validity is not None:
         sub = sub[np.asarray(query_validity, dtype=float) > 0.5]
     if sub.shape[0] == 0 or sub.shape[1] == 0:
-        raise BlockEmpty(f"empty attention block {query_block!r} -> {key_block!r}")
+        raise BadInput(f"empty attention block {query_block!r} -> {key_block!r}")
     dispersion = sub.std(axis=0)
     if key_validity is not None:
         dispersion = np.where(np.asarray(key_validity, dtype=float) > 0.5, dispersion, -np.inf)

@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import numerics as nm
-from .errors import NoModalitiesEnabled, ShapeMismatch
+from .errors import BadInput, ShapeMismatch
 
 MODALITY_ORDER = ("pathway", "histology", "text")
 FUSION_MODES = ("full", "late", "hierarchical")
@@ -126,7 +126,7 @@ def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
         raise ValueError(f"unknown fusion mode {mode!r}")
     present = [(name, mt) for name, mt in zip(MODALITY_ORDER, (p, h, t)) if mt is not None]
     if not present:
-        raise NoModalitiesEnabled("every modality is disabled")
+        raise BadInput("every modality is disabled")
     appended = [append_learnable(mt.tokens, params.e_r) for _, mt in present]
     seq, sizes = _sequence(appended)
     validity = np.concatenate([np.asarray(mt.validity, dtype=float) for _, mt in present], axis=-1)

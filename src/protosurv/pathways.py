@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .errors import EmptyPathway, ShapeMismatch
+from .errors import BadInput, ShapeMismatch
 
 
 @dataclass
@@ -28,7 +28,8 @@ class GeneOrder:
     def __post_init__(self):
         self.index = {s: i for i, s in enumerate(self.symbols)}
         if len(self.index) != len(self.symbols):
-            raise ValueError("gene symbols must be unique")
+            repeated = next(s for i, s in enumerate(self.symbols) if self.index[s] != i)
+            raise BadInput(f"gene symbol {repeated!r} repeated")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -56,7 +57,7 @@ def build_masks(gene_sets, order: GeneOrder) -> PathwayMaskSet:
     """Member gene indices into ``order`` for each named gene set.
 
     Genes absent from the order are dropped with a warning; a pathway left
-    empty after dropping raises :class:`EmptyPathway`.
+    empty after dropping raises :class:`BadInput`.
     """
     names: list[str] = []
     members: list[np.ndarray] = []
@@ -64,13 +65,13 @@ def build_masks(gene_sets, order: GeneOrder) -> PathwayMaskSet:
     for name, genes in items:
         genes = list(genes)
         if not genes:
-            raise EmptyPathway(f"gene set {name!r} is empty")
+            raise BadInput(f"gene set {name!r} is empty")
         kept = sorted({order.index[g] for g in genes if g in order})
         dropped = len({g for g in genes if g not in order})
         if dropped:
             warnings.warn(f"{name}: dropped {dropped} gene(s) absent from the gene order", stacklevel=2)
         if not kept:
-            raise EmptyPathway(f"gene set {name!r} has no member in the gene order")
+            raise BadInput(f"gene set {name!r} has no member in the gene order")
         names.append(name)
         members.append(np.asarray(kept, dtype=np.intp))
     return PathwayMaskSet(names, members, len(order))

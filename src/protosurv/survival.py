@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import BadMagic, NoEvents, NonFiniteLoss, NonFiniteValue, ShapeOverflow
+from .errors import BadInput, NoEvents, NonFiniteLoss
 from .evaluation import _records_to_arrays
 from .fusion import FUSION_MODES
 from .model import (
@@ -208,7 +208,7 @@ def save_checkpoint(path, model: ModelParams, config: TrainConfig, fingerprint: 
         tensors = [np.ascontiguousarray(model.values[name], dtype="<f4") for name, _ in spec]
     for (name, _), tensor in zip(spec, tensors):
         if not np.isfinite(tensor).all():
-            raise NonFiniteValue(f"{path}: refusing to write tensor {name}, not finite as float32")
+            raise BadInput(f"{path}: refusing to write tensor {name}, not finite as float32")
     header = {
         "config": asdict(config),
         "dims": {**asdict(model.dims), "pathway_widths": list(model.dims.pathway_widths)},
@@ -228,29 +228,28 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 9 or raw[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: not a checkpoint file")
+        raise BadInput(f"{path}: not a checkpoint file")
     version, header_len = struct.unpack("<BI", raw[4:9])
     if version != CHECKPOINT_VERSION:
-        raise BadMagic(f"{path}: unsupported checkpoint version {version}")
+        raise BadInput(f"{path}: unsupported checkpoint version {version}")
     if len(raw) < 9 + header_len:
-        raise ShapeOverflow(f"{path}: truncated checkpoint header")
+        raise BadInput(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(raw[9 : 9 + header_len].decode())
         dims = ModelDims(**{**header["dims"], "pathway_widths": tuple(header["dims"]["pathway_widths"])})
         config = TrainConfig(**header["config"])
+        tensors = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+        fingerprint = header["fingerprint"]
     except (TypeError, ValueError, KeyError) as exc:
-        raise BadMagic(f"{path}: malformed checkpoint header: {exc}") from exc
+        raise BadInput(f"{path}: malformed checkpoint header: {exc}") from exc
     values: dict[str, np.ndarray] = {}
     offset = 9 + header_len
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape in tensors:
         size = int(np.prod(shape)) * 4
         if offset + size > len(raw):
-            raise ShapeOverflow(f"{path}: tensor {entry['name']} overruns the file")
-        values[entry["name"]] = (
-            np.frombuffer(raw[offset : offset + size], dtype="<f4").astype(np.float64).reshape(shape)
-        )
+            raise BadInput(f"{path}: tensor {name} overruns the file")
+        values[name] = np.frombuffer(raw[offset : offset + size], dtype="<f4").astype(np.float64).reshape(shape)
         offset += size
     if offset != len(raw):
-        raise ShapeOverflow(f"{path}: {len(raw) - offset} trailing bytes")
-    return ModelParams(values, dims), config, header["fingerprint"]
+        raise BadInput(f"{path}: {len(raw) - offset} trailing bytes")
+    return ModelParams(values, dims), config, fingerprint

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import EmptyReport, EmptyTrainingSet, ShapeMismatch
+from .errors import BadInput, ShapeMismatch
 from .numerics import Tensor
 
 
@@ -58,7 +58,7 @@ def segment_report(raw_text: str) -> list[str]:
     parts = [p.strip() for p in _BLANK_LINE.split(raw_text)]
     parts = [p for p in parts if p]
     if not parts:
-        raise EmptyReport("report contains no nonempty segment")
+        raise BadInput("report contains no nonempty segment")
     return parts
 
 
@@ -138,7 +138,7 @@ def compute_n_t(lengths, mode: str = "average") -> int:
     rounded-up mean, or the nearest-rank 90th percentile. Never below 1."""
     lengths = [int(n) for n in lengths]
     if not lengths:
-        raise EmptyTrainingSet("no training reports")
+        raise BadInput("no training reports")
     if mode == "average":
         return max(1, math.floor(sum(lengths) / len(lengths) + 0.5))
     if mode == "p90":

@@ -777,3 +777,112 @@ def test_bad_patient_file_is_one_line_naming_the_file_and_the_patient(cohort_dir
         assert len(err) == 1 and err[0].startswith(f"error: {named}: "), (command, err)
         assert "'SYN0003'" in err[0], (command, err)
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [((4, 7), "slide matrix is 7 wide, but 13 for patient 'SYN0000'"), ((3, 13), "slide matrix has 3 rows, not 4")],
+    ids=["width", "rows"],
+)
+def test_bad_prototype_slide_is_one_line_naming_the_file_and_the_patient(
+    cohort_dir, proto_dir, tmp_path, capsys, shape, message
+):
+    import shutil
+
+    protos = Path(shutil.copytree(proto_dir, tmp_path / "protos"))
+    path = protos / "SYN0003.slide.ps3e"
+    write_matrix(path, np.ones(shape))  # the fitted ones are 4 x 13
+    capsys.readouterr()
+    assert _train(cohort_dir, protos, tmp_path / "run") == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: patient 'SYN0003': {message}"]
+    assert not (tmp_path / "run").exists()
+
+
+def _in_checkpoint(edit):
+    def apply(run):
+        _rewrite_checkpoint_header(run / "fold1.ckpt", edit)
+        return run / "fold1.ckpt"
+
+    return apply
+
+
+def _drop_tensor_shape(header):
+    del header["tensors"][0]["shape"]
+
+
+def _name_unknown_patient(run):
+    doc = json.loads((run / "folds.json").read_text())
+    doc["folds"][2][0] = "SYN9999"
+    return _rewrite(run / "folds.json", json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_in_checkpoint(lambda header: header.pop("tensors")), "malformed checkpoint header: 'tensors'"),
+        (_in_checkpoint(lambda header: header.pop("fingerprint")), "malformed checkpoint header: 'fingerprint'"),
+        (_in_checkpoint(_drop_tensor_shape), "malformed checkpoint header: 'shape'"),
+        (_name_unknown_patient, "patient 'SYN9999' is not in {manifest}"),
+    ],
+    ids=["tensors", "fingerprint", "shape", "folds_patient"],
+)
+def test_eval_of_a_bad_run_file_is_one_line_naming_the_file_and_the_key(
+    cohort_dir, proto_dir, tmp_path, capsys, monkeypatch, edit, message
+):
+    from protosurv import cli
+
+    run = tmp_path / "run"
+    assert _train(cohort_dir, proto_dir, run) == 0
+    path = edit(run)
+
+    def no_scoring(*args):
+        raise AssertionError("a fold was scored")
+
+    monkeypatch.setattr(cli, "score_fold", no_scoring)
+    capsys.readouterr()
+    assert _eval(cohort_dir, proto_dir, run, tmp_path / "e") == 1
+    err = capsys.readouterr().err.splitlines()
+    expected = f"error: {path}: {message.format(manifest=cohort_dir / 'manifest.json')}"
+    assert len(err) == 1 and err[0].startswith(expected), err
+    assert not (tmp_path / "e").exists()
+
+
+def _drop_survival_row(cohort, doc):
+    path = cohort / doc["survival"]
+    path.write_text("".join(line for line in path.read_text().splitlines(True) if not line.startswith("SYN0004,")))
+    return path
+
+
+def _repeat_gene(cohort, doc):
+    path = cohort / doc["gene_order"]
+    path.write_text(path.read_text() + "G00007\n")
+    return path
+
+
+def _csv_report(text):
+    def edit(cohort, doc):
+        entry = doc["patients"][3]
+        entry["report"] = "bad.report.csv"
+        (cohort / entry["report"]).write_text(text)
+        return cohort / entry["report"]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_survival_row, "no record for patient 'SYN0004' of {manifest}"),
+        (_repeat_gene, "gene symbol 'G00007' repeated"),
+        (_csv_report("1,2,3,4,5,6,7,8\n1,2,five,4,5,6,7,8\n"), "could not convert string 'five' to float64"),
+        (_csv_report("1,2,3,4,5,6,7,8\n1,2,3,4,5,6,7\n"), "the number of columns changed from 8 to 7 at row 2"),
+    ],
+    ids=["survival_record", "repeated_gene", "csv_word", "csv_ragged"],
+)
+def test_bad_cohort_file_is_one_line_naming_it(cohort_dir, tmp_path, capsys, edit, message):
+    cohort, doc = _cohort_copy(cohort_dir, tmp_path)
+    named = edit(cohort, doc)
+    manifest = _rewrite(cohort / "bad.json", json.dumps(doc))
+    assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {named}: {message.format(manifest=manifest)}"), err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from protosurv.errors import BlockEmpty, NoComparablePairs, NoEvents
+from protosurv.errors import BadInput, NoComparablePairs, NoEvents
 from protosurv.evaluation import (
     chi2_1df_sf,
     concordance_index,
@@ -346,5 +346,5 @@ def test_attention_summary_single_query_row_zero_dispersion():
 def test_attention_summary_empty_block_rejected():
     att = np.ones((2, 2)) / 2
     spans = {"text": (0, 0), "pathway": (0, 2)}
-    with pytest.raises(BlockEmpty):
+    with pytest.raises(BadInput, match="empty attention block 'text' -> 'pathway'"):
         cross_attention_summary(att, spans, ["A", "B"], "text", "pathway")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from protosurv.errors import NoModalitiesEnabled
+from protosurv.errors import BadInput
 from protosurv.fusion import (
     FusionParams,
     ModalityTokens,
@@ -155,7 +155,7 @@ def test_fuse_hierarchical_matches_staged_oracle():
 
 def test_fuse_no_modalities_raises():
     rng = np.random.default_rng(7)
-    with pytest.raises(NoModalitiesEnabled):
+    with pytest.raises(BadInput, match="every modality is disabled"):
         fuse(None, None, None, _params(rng, 4), mode="full")
 
 

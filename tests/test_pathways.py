@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from protosurv import numerics as nm
-from protosurv.errors import EmptyPathway, ShapeMismatch
+from protosurv.errors import BadInput, ShapeMismatch
 from protosurv.numerics import snn_forward
 from protosurv.pathways import (
     GeneOrder,
@@ -24,7 +24,7 @@ def test_build_masks_membership():
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_build_masks_unknown_gene_rejected_when_empty():
-    with pytest.raises(EmptyPathway):
+    with pytest.raises(BadInput, match="gene set 'A' has no member in the gene order"):
         build_masks({"A": ["g4"]}, GeneOrder(["g1", "g2"]))
 
 

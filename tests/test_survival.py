@@ -6,7 +6,7 @@ import pytest
 from protosurv import numerics as nm
 from protosurv import survival
 from protosurv.data import SyntheticSpec, synth_cohort
-from protosurv.errors import NoEvents, NonFiniteLoss, NonFiniteValue
+from protosurv.errors import BadInput, NoEvents, NonFiniteLoss
 from protosurv.model import (
     ModelDims,
     _pooled_risk,
@@ -374,7 +374,7 @@ def test_checkpoint_refuses_values_not_finite_as_float32(tmp_path):
     prepared, _, _ = build_prepared(cohort, config)
     model, _ = train(prepared, config)
     model.values["fusion.w_q"][0, 0] = 1e39  # finite in float64, overflows float32
-    with pytest.raises(NonFiniteValue, match="fusion.w_q"):
+    with pytest.raises(BadInput, match="refusing to write tensor fusion.w_q, not finite as float32"):
         save_checkpoint(tmp_path / "m.ckpt", model, config, "")
     assert not (tmp_path / "m.ckpt").exists()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from protosurv import numerics as nm
-from protosurv.errors import EmptyReport, EmptyTrainingSet
+from protosurv.errors import BadInput
 from protosurv.text import (
     DiagnosticPrototypes,
     PaddedBatch,
@@ -33,7 +33,7 @@ def test_segment_report_trims_and_drops_empties():
 
 
 def test_segment_report_empty_raises():
-    with pytest.raises(EmptyReport):
+    with pytest.raises(BadInput, match="report contains no nonempty segment"):
         segment_report("   \n\n   ")
 
 
@@ -249,7 +249,7 @@ def test_compute_n_t_p90_nearest_rank():
 
 
 def test_compute_n_t_empty_raises():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(BadInput, match="no training reports"):
         compute_n_t([], "average")
 
 
