@@ -211,7 +211,10 @@ def _load_prepared(args, config: TrainConfig):
     slide_reps = meta = None
     if args.prototypes:
         proto_dir = Path(args.prototypes)
-        meta = read_json(proto_dir / "prototype_meta.json")
+        meta_path = proto_dir / "prototype_meta.json"
+        meta = read_json(meta_path)
+        if not isinstance(meta, dict):
+            raise BadInput(f"{meta_path}: expected a JSON object of prototype-stage keys, got a {type(meta).__name__}")
         for letter, key, asked in (("h", "n_histology", config.n_histology), ("t", "nt_mode", config.text_proto_mode)):
             if letter in config.modalities and meta.get(key) != asked:
                 raise ProtosurvError(f"prototypes fitted with {key}={meta.get(key)}, config asks {asked}")
@@ -293,6 +296,10 @@ def cmd_eval(args) -> int:
     if not isinstance(doc, dict) or "folds" not in doc:
         raise ProtosurvError(f'{folds_path}: no "folds" key')
     folds = doc["folds"]
+    if not isinstance(folds, list) or not all(
+        isinstance(fold, list) and all(isinstance(pid, str) for pid in fold) for fold in folds
+    ):
+        raise BadInput(f'{folds_path}: "folds" must be a list of lists of patient-id strings')
     models = []
     for path in checkpoint_paths:
         fold_no = path.stem.removeprefix("fold")

@@ -49,21 +49,55 @@ def _records_to_arrays(records):
 def concordance_index(risks, records) -> float:
     """Harrell's C. A pair is comparable when the earlier time is an event
     and times differ, or when times tie with exactly one event (the event
-    subject counts as earlier). Risk ties score one half."""
+    subject counts as earlier). Risk ties score one half.
+
+    One sort of the labels, time descending with the censored before the
+    events at an equal time, puts each event's comparable partners exactly in
+    the prefix before the first event of its time. Each event then counts the
+    partners of lower and of equal dense risk rank in its prefix, split into
+    power-of-two blocks as a Fenwick tree would: one sorted array of keys
+    ``block * (n + 1) + rank`` per block size, searched once for every event.
+    O(n log n) time, O(n) memory, and the pair counts are exact integers, so
+    the result is the same float as an all-pairs count gives.
+    """
     times, events = _records_to_arrays(records)
     risks = np.asarray(risks, dtype=float)
     n = times.shape[0]
+    if risks.shape != times.shape:
+        raise BadInput(f"{risks.size} risks for {n} records")
+    for name, values in (("risk", risks), ("time", times)):
+        nan = np.flatnonzero(np.isnan(values))
+        if nan.size:
+            raise BadInput(f"{name} of record {nan[0]} is NaN")
     if n < 2:
         raise NoComparablePairs("need at least two records")
-    concordant = tied = comparable = 0
-    for i in np.flatnonzero(events == 1):
-        # partners that outlive event subject i: later times, or censored at t_i
-        later = risks[(times > times[i]) | ((times == times[i]) & (events == 0))]
-        comparable += later.size
-        concordant += int(np.count_nonzero(later < risks[i]))
-        tied += int(np.count_nonzero(later == risks[i]))
+    order = np.lexsort((events, -times))
+    times, events = times[order], events[order]
+    rank = np.unique(risks, return_inverse=True)[1].reshape(n)[order]
+    position = np.arange(n)
+    # an event's partners: every record before the first of its (time, event) run
+    run_start = np.r_[True, (times[1:] != times[:-1]) | (events[1:] != events[:-1])]
+    prefix = np.maximum.accumulate(np.where(run_start, position, 0))[events == 1]
+    query = rank[events == 1]
+    comparable = int(prefix.sum())
     if comparable == 0:
         raise NoComparablePairs("no comparable pair of records")
+    concordant = lower_or_equal = 0
+    for level in range(n.bit_length()):
+        # a prefix with this bit set holds the whole block just below its end
+        holds = (prefix >> level) & 1 == 1
+        if not holds.any():
+            continue
+        keys = np.sort((position >> level) * (n + 1) + rank)
+        block = (prefix[holds] >> level) - 1
+        wanted = np.sort(block * (n + 1) + query[holds])  # sorted queries search faster
+        bounds = np.empty(2 * wanted.size, dtype=np.int64)
+        bounds[0::2], bounds[1::2] = wanted, wanted + 1
+        found = np.searchsorted(keys, bounds)
+        before = int(block.sum()) << level  # records of the full blocks ahead of each one
+        concordant += int(found[0::2].sum()) - before
+        lower_or_equal += int(found[1::2].sum()) - before
+    tied = lower_or_equal - concordant
     return (concordant + 0.5 * tied) / comparable
 
 
@@ -127,8 +161,7 @@ def stratify_median(risks) -> list[str]:
     risks = np.asarray(risks, dtype=float)
     if risks.size < 2:
         raise ValueError("need at least two risks to stratify")
-    median = float(np.median(risks))
-    return ["high" if r > median else "low" for r in risks]
+    return np.where(risks > np.median(risks), "high", "low").tolist()
 
 
 def cross_attention_summary(

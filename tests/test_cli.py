@@ -641,7 +641,7 @@ def _rewrite(path: Path, text: str) -> Path:
     return path
 
 
-@pytest.mark.parametrize("broken", ["manifest", "config", "prototype_meta", "folds", "folds_key"])
+@pytest.mark.parametrize("broken", ["manifest", "config", "prototype_meta", "prototype_meta_list", "folds", "folds_key"])
 def test_bad_json_file_is_one_line_error_naming_it(cohort_dir, proto_dir, tmp_path, broken):
     import shutil
 
@@ -653,9 +653,9 @@ def test_bad_json_file_is_one_line_error_naming_it(cohort_dir, proto_dir, tmp_pa
     elif broken == "config":
         path = _rewrite(tmp_path / "config.json", '{"epochs": 2,')
         argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "run"), "--config", str(path)]
-    elif broken == "prototype_meta":
+    elif broken.startswith("prototype_meta"):
         protos = Path(shutil.copytree(proto_dir, tmp_path / "protos"))
-        path = _rewrite(protos / "prototype_meta.json", "{'seed': 7}")
+        path = _rewrite(protos / "prototype_meta.json", "[1]" if broken == "prototype_meta_list" else "{'seed': 7}")
         argv = ["train", "--manifest", manifest, "--prototypes", str(protos), "--out", str(tmp_path / "run"), *shape]
     else:
         run = tmp_path / "run"
@@ -667,7 +667,8 @@ def test_bad_json_file_is_one_line_error_naming_it(cohort_dir, proto_dir, tmp_pa
     assert proc.returncode == 1
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
-    assert ('no "folds" key' if broken == "folds_key" else "not valid JSON") in err[0]
+    expected = {"folds_key": 'no "folds" key', "prototype_meta_list": "expected a JSON object of prototype-stage keys"}
+    assert expected.get(broken, "not valid JSON") in err[0]
 
 
 @pytest.mark.parametrize(
@@ -816,6 +817,22 @@ def _name_unknown_patient(run):
     return _rewrite(run / "folds.json", json.dumps(doc))
 
 
+def _set_folds(edit):
+    def apply(run):
+        doc = json.loads((run / "folds.json").read_text())
+        edit(doc)
+        return _rewrite(run / "folds.json", json.dumps(doc))
+
+    return apply
+
+
+def _nest_patient(doc):
+    doc["folds"][1][0] = [doc["folds"][1][0]]
+
+
+_FOLDS_SHAPE = '"folds" must be a list of lists of patient-id strings'
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -823,8 +840,10 @@ def _name_unknown_patient(run):
         (_in_checkpoint(lambda header: header.pop("fingerprint")), "malformed checkpoint header: 'fingerprint'"),
         (_in_checkpoint(_drop_tensor_shape), "malformed checkpoint header: 'shape'"),
         (_name_unknown_patient, "patient 'SYN9999' is not in {manifest}"),
+        (_set_folds(lambda doc: doc.update(folds=5)), _FOLDS_SHAPE),
+        (_set_folds(_nest_patient), _FOLDS_SHAPE),
     ],
-    ids=["tensors", "fingerprint", "shape", "folds_patient"],
+    ids=["tensors", "fingerprint", "shape", "folds_patient", "folds_count", "folds_nested_id"],
 )
 def test_eval_of_a_bad_run_file_is_one_line_naming_the_file_and_the_key(
     cohort_dir, proto_dir, tmp_path, capsys, monkeypatch, edit, message

@@ -40,6 +40,20 @@ def brute_force_cindex(risks, times, events):
     return concordant / comparable
 
 
+def all_pairs_cindex(risks, times, events, rows=500):
+    """The brute-force rules over every ordered pair as boolean matrices,
+    ``rows`` first members of a pair at a time; exact integer counts."""
+    risks, times, events = (np.asarray(a) for a in (risks, times, events))
+    concordant = tied = comparable = 0
+    for start in range(0, len(risks), rows):
+        r, t, e = risks[start:start + rows, None], times[start:start + rows, None], events[start:start + rows, None]
+        earlier = (e == 1) & ((t < times) | ((t == times) & (events == 0)))
+        comparable += int(np.count_nonzero(earlier))
+        concordant += int(np.count_nonzero(earlier & (r > risks)))
+        tied += int(np.count_nonzero(earlier & (r == risks)))
+    return (concordant + 0.5 * tied) / comparable
+
+
 def loop_km_curve(times, events):
     """Per-event-time loop oracle of the product-limit estimate."""
     event_times = np.unique(times[events == 1])
@@ -143,23 +157,77 @@ def test_cindex_complement_and_monotone_invariance():
     assert concordance_index(np.exp(risks), records) == concordance_index(risks, records)
 
 
-def test_cindex_pair_form_matches_brute_force_oracle_and_records():
+def _cindex_cases():
+    """(risks, times, events): small random cohorts, cohorts of a few thousand
+    with ties in times and risks, and the tie extremes."""
     rng = np.random.default_rng(0)
-    scored = 0
     for _ in range(60):
         n = int(rng.integers(2, 30))
         times = rng.integers(1, 12, size=n).astype(float)
         events = rng.integers(0, 2, size=n)
         risks = rng.integers(0, 6, size=n).astype(float)
+        yield risks, times, events
+    for n, seed in ((2000, 23), (3001, 24), (4096, 25)):
+        times, events, risks = _tied_cohort(n, seed)
+        yield risks, times, events
+    n = 1500
+    risks = rng.normal(size=n)
+    one_event = np.zeros(n, dtype=int)
+    one_event[700] = 1
+    yield risks, np.full(n, 5.0), one_event  # every time equal, one event
+    yield np.full(n, 0.25), rng.integers(1, 50, size=n).astype(float), rng.integers(0, 2, size=n)  # every risk equal
+    yield np.round(risks, 1), rng.integers(1, 50, size=n).astype(float), np.ones(n, dtype=int)  # all events
+    yield np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([1, 1])  # n = 2
+    yield np.array([1.0, 1.0]), np.array([4.0, 4.0]), np.array([0, 1])
+
+
+def test_cindex_pair_form_matches_brute_force_oracle_and_records():
+    scored = 0
+    for risks, times, events in _cindex_cases():
         try:
             got = concordance_index(risks, (times, events))
         except NoComparablePairs:
             with pytest.raises(NoComparablePairs):
                 concordance_index(risks, _rec(times, events))
             continue
-        assert got == brute_force_cindex(risks, times, events) == concordance_index(risks, _rec(times, events))
+        oracle = brute_force_cindex(risks, times, events) if len(risks) < 30 else all_pairs_cindex(risks, times, events)
+        assert got == oracle == concordance_index(risks, _rec(times, events))
         scored += 1
-    assert scored > 40
+    assert scored > 47
+
+
+def test_cindex_all_pairs_oracle_matches_brute_force():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        times = rng.integers(1, 8, size=n).astype(float)
+        events = rng.integers(0, 2, size=n)
+        events[0] = 1
+        times[0] = 0.0
+        risks = rng.integers(0, 4, size=n).astype(float)
+        assert all_pairs_cindex(risks, times, events, rows=7) == brute_force_cindex(risks, times, events)
+
+
+def test_cindex_nan_risk_or_time_is_bad_input():
+    with pytest.raises(BadInput, match="risk of record 1 is NaN"):
+        concordance_index([1.0, np.nan, 2.0], _rec([1, 2, 3], [1, 1, 0]))
+    with pytest.raises(BadInput, match="time of record 2 is NaN"):
+        concordance_index([1.0, 3.0, 2.0], (np.array([1.0, 2.0, np.nan]), np.array([1, 1, 0])))
+
+
+def test_cindex_of_20000_patients_in_bounded_memory():
+    import tracemalloc
+
+    times, events, risks = _tied_cohort(20_000, 26)
+    tracemalloc.start()
+    try:
+        got = concordance_index(risks, (times, events))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pairwise matrices would hold 20000**2 booleans, 400 MB each
+    assert peak < 32 * 2**20, peak
+    assert got == all_pairs_cindex(risks, times, events)
 
 
 # ---------------------------------------------------------------------------
