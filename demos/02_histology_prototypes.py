@@ -7,6 +7,7 @@ and the stacked (weight, mean, variance) rows become the slide token matrix.
 import numpy as np
 
 from protosurv.histology import PatchFeatures, fit_gmm, responsibilities, slide_representation
+from protosurv.rng import substream
 
 rng = np.random.default_rng(3)
 d_h = 8
@@ -14,7 +15,7 @@ motifs = rng.normal(scale=2.5, size=(3, d_h))  # three tissue motifs
 labels = rng.integers(0, 3, size=240)
 patches = PatchFeatures("slide-0", motifs[labels] + rng.normal(scale=0.5, size=(240, d_h)))
 
-params, trace = fit_gmm(patches, n_components=3, seed=0)
+params, trace = fit_gmm(patches, 3, substream(0, "gmm"))
 print(f"EM ran {trace.iterations} iterations, converged={trace.converged}")
 print("average log-likelihood per iteration:")
 print("  " + " -> ".join(f"{ll:.3f}" for ll in trace.log_likelihoods))

@@ -34,9 +34,10 @@ for mode in ("full", "late", "hierarchical"):
           f"invalid text key column max {att[:, 9].max():.1e}")
 
 out = fuse(pathway, histology, text, params, mode="full")
-summary = cross_attention_summary(
-    out.attention, out.spans, [f"PW_{i}" for i in range(4)], "text", "pathway",
-    query_validity=text_validity,
+# the summary takes a batch: this one patient is a batch of one
+(summary,) = cross_attention_summary(
+    out.attention[None], out.spans, [f"PW_{i}" for i in range(4)], "text", "pathway",
+    text_validity[None], pathway.validity[None],
 )
 print("\npathways ranked by text-attention dispersion:")
 for token, score in summary.ranking:

@@ -1,7 +1,8 @@
 """Command-line pipeline: synth, prototype, train, eval.
 
 Every command is deterministic given its inputs and seed: repeated runs
-produce byte-identical outputs. Floats in CSV files print with 17
+produce byte-identical outputs. A library warning prints as one
+``warning: <message>`` line on stderr. Floats in CSV files print with 17
 significant digits. Exit codes: 0 success, 1 data/runtime error, 2 usage
 error.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from collections.abc import Iterable
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -205,10 +207,13 @@ def _effective_config(args) -> tuple[TrainConfig, int]:
 def _load_prepared(args, config: TrainConfig):
     """Cohort of ``--manifest`` packed for ``config``: the prototype stage of
     ``--prototypes`` (slide representations, frozen text dims) when given,
-    then ``build_prepared``. Returns (prepared, mask_set, gene-set digest)."""
+    then ``build_prepared``. Slide representations, from ``--prototypes`` or
+    named in the manifest, must hold ``n_histology`` rows each. Returns
+    (prepared, mask_set, gene-set digest)."""
     manifest = load_manifest(args.manifest)
     modalities = manifest.check_modalities(config.modalities)
     slide_reps = meta = None
+    rep_paths = manifest.paths(manifest.slide) if manifest.slide == "slide_representation" else None
     if args.prototypes:
         proto_dir = Path(args.prototypes)
         meta_path = proto_dir / "prototype_meta.json"
@@ -218,12 +223,12 @@ def _load_prepared(args, config: TrainConfig):
         for letter, key, asked in (("h", "n_histology", config.n_histology), ("t", "nt_mode", config.text_proto_mode)):
             if letter in config.modalities and meta.get(key) != asked:
                 raise ProtosurvError(f"prototypes fitted with {key}={meta.get(key)}, config asks {asked}")
-        # the fitted slide representations stand in for the patch matrices, left unread
+        rep_paths = {e["patient_id"]: proto_dir / f"{e['patient_id']}.slide.ps3e" for e in manifest.patients}
+    if rep_paths is not None and "h" in modalities:
+        # the slide representations stand in for the patch matrices, left unread
+        slide_reps = load_patient_matrices(rep_paths, "slide", config.n_histology)
         modalities = modalities.replace("h", "")
     cohort = load_cohort(manifest, modalities)
-    if meta is not None and "h" in config.modalities:
-        paths = {pid: proto_dir / f"{pid}.slide.ps3e" for pid in cohort.patient_ids}
-        slide_reps = load_patient_matrices(paths, "slide", config.n_histology)
     prepared, _, mask_set = build_prepared(
         cohort,
         config,
@@ -268,15 +273,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
-
-_TOKEN_PREFIX = {"histology": "H", "text": "T"}
-
-
-def _token_names(block: str, size: int, mask_set) -> list[str]:
-    if block == "pathway" and mask_set is not None:
-        return list(mask_set.names)
-    return [f"{_TOKEN_PREFIX.get(block, 'X')}{i}" for i in range(size)]
-
 
 def _attention_pair(text: str) -> tuple[str, str]:
     """``QUERY:KEY`` of two fused block names, as ``eval --attention`` takes it."""
@@ -337,19 +333,14 @@ def cmd_eval(args) -> int:
         held, risks, c_index, fused, validity = score_fold(model, prepared, folds[fold_no], config.fusion_mode, fold_no)
         fold_cindex.append((fold_no, c_index))
         pooled.append((risks, held.times, held.events))
-        spans = fused.spans
         for query, key in pairs:
-            names = _token_names(key, fused.block_sizes[key], mask_set)
-            for j, pid in enumerate(held.patient_ids):
-                summary = cross_attention_summary(
-                    fused.attention[j],
-                    spans,
-                    names,
-                    query,
-                    key,
-                    query_validity=validity[query][j],
-                    key_validity=validity[key][j],
-                )
+            # pathway tokens carry their gene-set names, the others are H0, H1, ... or T0, T1, ...
+            size = fused.block_sizes[key]
+            names = mask_set.names if key == "pathway" else [f"{key[0].upper()}{i}" for i in range(size)]
+            summaries = cross_attention_summary(
+                fused.attention, fused.spans, names, query, key, validity[query], validity[key]
+            )
+            for pid, summary in zip(held.patient_ids, summaries):
                 for rank, (token, score) in enumerate(summary.ranking):
                     attention_rows.append((fold_no, pid, query, key, rank, token, score))
 
@@ -453,10 +444,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (ProtosurvError, OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    with warnings.catch_warnings():
+        # a library warning prints as one line, as an error does, without its source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except (ProtosurvError, OSError, ValueError, KeyError) as exc:
+            return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Harrell's concordance index, the Kaplan-Meier product-limit estimator, the
 two-group log-rank test (chi-square tail via the complementary error
 function, no statistics library), median-risk stratification and
-cross-attention dispersion summaries.
+cross-attention dispersion summaries, which take a batch of attention
+matrices and return one ranking per patient.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInput, NoComparablePairs, NoEvents
+from .errors import BadInput, NoComparablePairs, NoEvents, ShapeMismatch
 
 
 @dataclass
@@ -165,37 +166,41 @@ def stratify_median(risks) -> list[str]:
 
 
 def cross_attention_summary(
-    attention,
-    block_spans,
-    key_names,
-    query_block: str,
-    key_block: str,
-    query_validity=None,
-    key_validity=None,
-) -> AttentionSummary:
+    attention, block_spans, key_names, query_block: str, key_block: str, query_validity, key_validity
+) -> list[AttentionSummary]:
     """Rank the keys of one modality by how unevenly another modality's
-    queries attend to them: per key token, the (population) standard
-    deviation of its attention weights across the valid query rows.
+    queries attend to them, one summary per patient of a batch: per key token,
+    the (population) standard deviation of its attention weights across the
+    patient's valid query rows, descending, ties by key index, invalid keys
+    left out.
 
-    ``block_spans`` maps block name -> (start, stop) within the attention
-    matrix; ``key_names`` names the key block's tokens in order.
+    ``attention`` is a (b, n, n) batch, one patient being a batch of one;
+    ``block_spans`` maps block name -> (start, stop) within each matrix;
+    ``query_validity`` and ``key_validity`` are the blocks' (b, n_query) and
+    (b, n_key) 0/1 validities; ``key_names`` names the key block's tokens in
+    order.
     """
     attention = np.asarray(attention, dtype=float)
+    if attention.ndim != 3:
+        raise ShapeMismatch(f"attention {attention.shape} is not a batch of matrices")
     if query_block not in block_spans or key_block not in block_spans:
         raise BadInput(f"unknown block in ({query_block!r}, {key_block!r})")
     q_start, q_stop = block_spans[query_block]
     k_start, k_stop = block_spans[key_block]
-    sub = attention[q_start:q_stop, k_start:k_stop]
-    if query_validity is not None:
-        sub = sub[np.asarray(query_validity, dtype=float) > 0.5]
-    if sub.shape[0] == 0 or sub.shape[1] == 0:
-        raise BadInput(f"empty attention block {query_block!r} -> {key_block!r}")
-    dispersion = sub.std(axis=0)
-    if key_validity is not None:
-        dispersion = np.where(np.asarray(key_validity, dtype=float) > 0.5, dispersion, -np.inf)
+    sub = attention[:, q_start:q_stop, k_start:k_stop]
+    rows = np.asarray(query_validity, dtype=float) > 0.5
+    keys = np.asarray(key_validity, dtype=float) > 0.5
+    if rows.shape != sub.shape[:2] or keys.shape != sub.shape[::2]:
+        raise ShapeMismatch(f"validities {rows.shape} and {keys.shape} for attention block {sub.shape}")
+    empty = np.flatnonzero(~rows.any(axis=1) | (sub.shape[2] == 0))
+    if empty.size:
+        raise BadInput(f"empty attention block {query_block!r} -> {key_block!r} in batch row {empty[0]}")
     names = list(key_names)
-    if len(names) != dispersion.shape[0]:
-        raise ValueError(f"{len(names)} key names for {dispersion.shape[0]} keys")
-    order = np.lexsort((np.arange(dispersion.shape[0]), -dispersion))
-    ranking = [(names[i], float(max(dispersion[i], 0.0))) for i in order if dispersion[i] > -np.inf]
-    return AttentionSummary(query_block, key_block, ranking)
+    if len(names) != sub.shape[2]:
+        raise ValueError(f"{len(names)} key names for {sub.shape[2]} keys")
+    dispersion = sub.std(axis=-2, where=rows[:, :, None])
+    order = np.argsort(-dispersion, axis=-1, kind="stable")
+    return [
+        AttentionSummary(query_block, key_block, [(names[i], float(d[i])) for i in o if valid[i]])
+        for d, o, valid in zip(dispersion, order, keys)
+    ]

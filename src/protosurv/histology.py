@@ -2,7 +2,7 @@
 embeddings, fitted with EM and flattened into one matrix row per component.
 
 Fitting is slide-level preprocessing; survival-loss gradients never flow
-into mixture parameters. Everything is deterministic given (seed, data).
+into mixture parameters. Everything is deterministic given (rng state, data).
 
 Memory is O(nk + nd): EM never forms the (n, k, d) patch-minus-mean tensor.
 Each fit centres the patches once on the slide's mean patch c and keeps
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput
-from .rng import substream
 
 VAR_FLOOR = 1e-6
 # a component owning less than this fraction of total responsibility is re-seeded
@@ -55,17 +54,10 @@ class EmTrace:
     rescues: int = 0  # starved components re-seeded over the whole fit
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return substream(int(seed), "gmm")
-
-
-def init_gmm(n_components: int, dim: int, seed) -> GmmParams:
-    """Means drawn from N(0, 0.1^2), unit variances, uniform weights."""
+def init_gmm(n_components: int, dim: int, rng: np.random.Generator) -> GmmParams:
+    """Means drawn from N(0, 0.1^2) by ``rng``, unit variances, uniform weights."""
     if n_components < 1 or dim < 1:
         raise ValueError("n_components and dim must be >= 1")
-    rng = _as_rng(seed)
     return GmmParams(
         weights=np.full(n_components, 1.0 / n_components),
         means=rng.normal(scale=0.1, size=(n_components, dim)),
@@ -164,12 +156,13 @@ def em_step(patches: PatchFeatures, params: GmmParams, rng: np.random.Generator)
 def fit_gmm(
     patches: PatchFeatures,
     n_components: int,
-    seed,
+    rng: np.random.Generator,
     max_iters: int = 100,
     rel_tol: float = 1e-5,
 ) -> tuple[GmmParams, EmTrace]:
-    """Iterate EM until the relative change in average log-likelihood falls
-    below ``rel_tol`` or ``max_iters`` is reached. Raises DegenerateInput
+    """Iterate EM from ``init_gmm`` until the relative change in average
+    log-likelihood falls below ``rel_tol`` or ``max_iters`` is reached; ``rng``
+    draws the initial means and every re-seed. Raises DegenerateInput
     when one component starves more than MAX_RESCUE_ROUNDS rounds in a row."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -179,7 +172,6 @@ def fit_gmm(
             f"slide {patches.slide_id}: {n} patches for {n_components} components",
             stacklevel=2,
         )
-    rng = _as_rng(seed)
     params = init_gmm(n_components, dim, rng)
     data = _centre(patches.patches)
     lls: list[float] = []

@@ -54,15 +54,15 @@ class PathwayMaskSet:
 
 
 def build_masks(gene_sets, order: GeneOrder) -> PathwayMaskSet:
-    """Member gene indices into ``order`` for each named gene set.
+    """Member gene indices into ``order`` for each gene set of the mapping
+    ``gene_sets`` (name to gene symbols).
 
     Genes absent from the order are dropped with a warning; a pathway left
     empty after dropping raises :class:`BadInput`.
     """
     names: list[str] = []
     members: list[np.ndarray] = []
-    items = gene_sets.items() if hasattr(gene_sets, "items") else gene_sets
-    for name, genes in items:
+    for name, genes in gene_sets.items():
         genes = list(genes)
         if not genes:
             raise BadInput(f"gene set {name!r} is empty")

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The synthetic end-to-end
-criteria (7 and 8) dominate the runtime (about seven minutes on a 2-vCPU
-machine); everything else finishes in seconds.
+criteria (7 and 8) dominate the runtime (about five minutes, 285 s, on a
+2-vCPU VM); everything else finishes in seconds.
 """
 
 import math

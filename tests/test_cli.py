@@ -426,9 +426,8 @@ def test_eval_attention_rows_match_per_patient_forward(cohort_dir, proto_dir, tm
                 starts = dict(zip(sizes, np.cumsum([0, *sizes.values()])))
                 spans = {name: (starts[name], starts[name] + size) for name, size in sizes.items()}
                 keys = names if key == "pathway" else [f"{key[0].upper()}{i}" for i in range(sizes[key])]
-                summary = cross_attention_summary(
-                    fused.attention[0], spans, keys, query, key,
-                    query_validity=validity[query][0], key_validity=validity[key][0],
+                (summary,) = cross_attention_summary(
+                    fused.attention, spans, keys, query, key, validity[query], validity[key]
                 )
                 for rank, (token, score) in enumerate(summary.ranking):
                     expected.append((str(fold_no), pid, query, key, str(rank), token, score))
@@ -905,3 +904,50 @@ def test_bad_cohort_file_is_one_line_naming_it(cohort_dir, tmp_path, capsys, edi
     assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {named}: {message.format(manifest=manifest)}"), err
+
+
+def test_manifest_slide_representation_of_the_wrong_rows_is_one_line_naming_the_file_and_the_patient(
+    cohort_dir, proto_dir, tmp_path, capsys
+):
+    # representations fitted with --n-histology 4, trained with 3: each must hold n_histology rows
+    doc = json.loads((cohort_dir / "manifest.json").read_text())
+    for key in ("gene_order", "gene_sets", "survival"):
+        doc[key] = str(cohort_dir / doc[key])
+    for entry in doc["patients"]:
+        for key in ("report", "expression"):
+            entry[key] = str(cohort_dir / entry[key])
+        del entry["slide"]
+        entry["slide_representation"] = str(proto_dir / f"{entry['patient_id']}.slide.ps3e")
+    manifest = _rewrite(tmp_path / "representations.json", json.dumps(doc))
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main([
+        "train", "--manifest", str(manifest), "--out", str(run), "--folds", "3", "--epochs", "1",
+        "--d-e", "8", "--d-r", "4", "--n-histology", "3", "--n-pathways", "8",
+    ]) == 1
+    message = f"error: {proto_dir / 'SYN0000.slide.ps3e'}: patient 'SYN0000': slide matrix has 4 rows, not 3"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not run.exists()
+
+
+def test_prototype_warning_is_one_stderr_line(cohort_dir, tmp_path):
+    cohort, _ = _cohort_copy(cohort_dir, tmp_path)
+    write_matrix(cohort / "SYN0003.patches.ps3e", np.random.default_rng(0).normal(size=(2, 6)))
+    proc = _cli_subprocess([
+        "prototype", "--manifest", str(cohort / "manifest.json"), "--out", str(tmp_path / "p"), "--n-histology", "3",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["warning: slide SYN0003: 2 patches for 3 components"]
+
+
+def test_train_warning_is_one_stderr_line(cohort_dir, proto_dir, tmp_path):
+    cohort, _ = _cohort_copy(cohort_dir, tmp_path)
+    gmt = cohort / "pathways.gmt"
+    gmt.write_text(gmt.read_text().replace("PW_002\tna\t", "PW_002\tna\tNOT_A_GENE\t"))
+    proc = _cli_subprocess([
+        "train", "--manifest", str(cohort / "manifest.json"), "--prototypes", str(proto_dir),
+        "--out", str(tmp_path / "run"), "--folds", "3", "--epochs", "1",
+        "--d-e", "8", "--d-r", "4", "--n-histology", "4", "--n-pathways", "8",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["warning: PW_002: dropped 1 gene(s) absent from the gene order"]

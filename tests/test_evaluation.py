@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from protosurv.errors import BadInput, NoComparablePairs, NoEvents
+from protosurv.errors import BadInput, NoComparablePairs, NoEvents, ShapeMismatch
 from protosurv.evaluation import (
     chi2_1df_sf,
     concordance_index,
@@ -385,10 +385,14 @@ def test_stratify_even_count():
 # attention summaries
 # ---------------------------------------------------------------------------
 
+# (query, key) validities of a batch of one with two valid text queries and two valid pathway keys
+_ALL_VALID = (np.ones((1, 2)), np.ones((1, 2)))
+
+
 def test_attention_summary_uniform_is_zero_with_index_ties():
     att = np.full((4, 4), 0.25)
     spans = {"pathway": (0, 2), "text": (2, 4)}
-    summary = cross_attention_summary(att, spans, ["PW_A", "PW_B"], "text", "pathway")
+    (summary,) = cross_attention_summary(att[None], spans, ["PW_A", "PW_B"], "text", "pathway", *_ALL_VALID)
     assert summary.ranking == [("PW_A", 0.0), ("PW_B", 0.0)]
 
 
@@ -398,7 +402,7 @@ def test_attention_summary_selective_key_ranks_first():
     att[2] = [1.0, 0.0, 0.0, 0.0]  # first text query locks onto pathway key 0
     att[3] = [0.25, 0.25, 0.25, 0.25]
     spans = {"pathway": (0, 2), "text": (2, 4)}
-    summary = cross_attention_summary(att, spans, ["PW_A", "PW_B"], "text", "pathway")
+    (summary,) = cross_attention_summary(att[None], spans, ["PW_A", "PW_B"], "text", "pathway", *_ALL_VALID)
     assert summary.ranking[0][0] == "PW_A"
     expect = np.std([1.0, 0.25])
     assert abs(summary.ranking[0][1] - expect) < 1e-12
@@ -407,7 +411,8 @@ def test_attention_summary_selective_key_ranks_first():
 def test_attention_summary_single_query_row_zero_dispersion():
     att = np.array([[0.2, 0.8], [0.5, 0.5]])
     spans = {"text": (0, 1), "pathway": (0, 2)}
-    summary = cross_attention_summary(att, spans, ["PW_A", "PW_B"], "text", "pathway")
+    validity = (np.ones((1, 1)), np.ones((1, 2)))
+    (summary,) = cross_attention_summary(att[None], spans, ["PW_A", "PW_B"], "text", "pathway", *validity)
     assert all(score == 0.0 for _, score in summary.ranking)
 
 
@@ -415,4 +420,51 @@ def test_attention_summary_empty_block_rejected():
     att = np.ones((2, 2)) / 2
     spans = {"text": (0, 0), "pathway": (0, 2)}
     with pytest.raises(BadInput, match="empty attention block 'text' -> 'pathway'"):
-        cross_attention_summary(att, spans, ["A", "B"], "text", "pathway")
+        cross_attention_summary(att[None], spans, ["A", "B"], "text", "pathway", np.ones((1, 0)), np.ones((1, 2)))
+
+
+def _attention_batch(seed, b=5):
+    """A (b, 9, 9) row-stochastic batch over pathway (3), histology (2) and
+    text (4) blocks, whose text block has invalid slots (at least one valid
+    per patient) and attends to no invalid text key, as fusion leaves it."""
+    rng = np.random.default_rng(seed)
+    spans = {"pathway": (0, 3), "histology": (3, 5), "text": (5, 9)}
+    text = (rng.random((b, 4)) < 0.6).astype(float)
+    text[:, 0] = 1.0
+    text[1, 1:] = 0.0  # a patient with one text prototype
+    validity = {"pathway": np.ones((b, 3)), "histology": np.ones((b, 2)), "text": text}
+    att = rng.random((b, 9, 9)) * np.concatenate([np.ones((b, 5)), text], axis=1)[:, None, :]
+    return att / att.sum(axis=-1, keepdims=True), spans, validity
+
+
+@pytest.mark.parametrize(
+    "query,key", [("text", "pathway"), ("pathway", "text"), ("text", "text"), ("histology", "text")]
+)
+def test_attention_summary_batch_rows_match_batches_of_one(query, key):
+    att, spans, validity = _attention_batch(3)
+    size = spans[key][1] - spans[key][0]
+    names = [f"{key}{i}" for i in range(size)]
+    batch = cross_attention_summary(att, spans, names, query, key, validity[query], validity[key])
+    assert len(batch) == att.shape[0]
+    for i, summary in enumerate(batch):
+        (one,) = cross_attention_summary(
+            att[i : i + 1], spans, names, query, key, validity[query][i : i + 1], validity[key][i : i + 1]
+        )
+        assert [(t, v.hex()) for t, v in summary.ranking] == [(t, v.hex()) for t, v in one.ranking]
+        # the ranking holds exactly the patient's valid keys
+        assert sorted(t for t, _ in summary.ranking) == [n for n, v in zip(names, validity[key][i]) if v]
+
+
+def test_attention_summary_patient_without_valid_query_rejected():
+    att, spans, validity = _attention_batch(4)
+    validity["text"][2] = 0.0
+    names = ["A", "B", "C"]
+    with pytest.raises(BadInput, match="empty attention block 'text' -> 'pathway' in batch row 2"):
+        cross_attention_summary(att, spans, names, "text", "pathway", validity["text"], validity["pathway"])
+
+
+def test_attention_summary_rejects_a_single_matrix():
+    att, spans, validity = _attention_batch(5)
+    names = ["A", "B", "C"]
+    with pytest.raises(ShapeMismatch, match="not a batch"):
+        cross_attention_summary(att[0], spans, names, "text", "pathway", validity["text"], validity["pathway"])

@@ -48,20 +48,20 @@ def _floored_params(rng, k, d):
 
 
 def test_init_gmm_defaults_at_paper_scale():
-    params = init_gmm(16, 512, seed=0)
+    params = init_gmm(16, 512, substream(0, "gmm"))
     np.testing.assert_allclose(params.weights, np.full(16, 1 / 16))
     assert np.all(params.variances == 1.0)
     assert abs(params.means.std() - 0.1) < 0.005
 
 
 def test_init_gmm_deterministic():
-    a = init_gmm(4, 8, seed=123)
-    b = init_gmm(4, 8, seed=123)
+    a = init_gmm(4, 8, substream(123, "gmm"))
+    b = init_gmm(4, 8, substream(123, "gmm"))
     np.testing.assert_array_equal(a.means, b.means)
 
 
 def test_init_gmm_single_component():
-    np.testing.assert_array_equal(init_gmm(1, 3, seed=0).weights, [1.0])
+    np.testing.assert_array_equal(init_gmm(1, 3, substream(0, "gmm")).weights, [1.0])
 
 
 def test_log_density_standard_normal():
@@ -135,7 +135,7 @@ def test_log_density_matches_direct_oracle_with_floored_variances():
 def test_em_step_single_component_closed_form():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(40, 3))
-    params, _ = em_step(PatchFeatures("s", x), init_gmm(1, 3, seed=0), np.random.default_rng(0))
+    params, _ = em_step(PatchFeatures("s", x), init_gmm(1, 3, substream(0, "gmm")), np.random.default_rng(0))
     np.testing.assert_allclose(params.means[0], x.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(params.variances[0], np.maximum(x.var(axis=0), VAR_FLOOR), atol=1e-12)
     assert abs(params.weights[0] - 1.0) < 1e-12
@@ -155,7 +155,7 @@ def test_em_step_reaches_cluster_centroids_from_nearby_init():
 
 def test_em_step_monotone_log_likelihood():
     patches, _, _ = _cluster_slide(3)
-    params = init_gmm(3, patches.patches.shape[1], seed=3)
+    params = init_gmm(3, patches.patches.shape[1], substream(3, "gmm"))
     previous = None
     for _ in range(30):
         params, avg_ll = em_step(PatchFeatures("s", patches.patches), params, np.random.default_rng(0))
@@ -166,7 +166,7 @@ def test_em_step_monotone_log_likelihood():
 
 def test_em_step_invariants():
     patches, _, _ = _cluster_slide(4)
-    params = init_gmm(4, patches.patches.shape[1], seed=4)
+    params = init_gmm(4, patches.patches.shape[1], substream(4, "gmm"))
     params, _ = em_step(patches, params, np.random.default_rng(0))
     assert abs(params.weights.sum() - 1.0) < 1e-9
     assert np.all(params.variances >= VAR_FLOOR)
@@ -176,7 +176,7 @@ def test_em_step_invariants():
 
 def test_fit_gmm_single_iteration():
     patches, _, _ = _cluster_slide(8)
-    params_one, trace = fit_gmm(patches, 2, seed=0, max_iters=1)
+    params_one, trace = fit_gmm(patches, 2, substream(0, "gmm"), max_iters=1)
     assert trace.iterations == 1 and not trace.converged
     step_params, _ = em_step(patches, init_gmm(2, patches.patches.shape[1], substream(0, "gmm")),
                              substream(0, "gmm"))
@@ -201,8 +201,8 @@ def test_em_trace_rescues_default_to_zero():
 
 def test_fit_gmm_deterministic():
     patches, _, _ = _cluster_slide(9)
-    a_params, a_trace = fit_gmm(patches, 3, seed=11)
-    b_params, b_trace = fit_gmm(patches, 3, seed=11)
+    a_params, a_trace = fit_gmm(patches, 3, substream(11, "gmm"))
+    b_params, b_trace = fit_gmm(patches, 3, substream(11, "gmm"))
     np.testing.assert_array_equal(a_params.means, b_params.means)
     assert a_trace.log_likelihoods == b_trace.log_likelihoods
 
@@ -210,15 +210,15 @@ def test_fit_gmm_deterministic():
 def test_fit_gmm_patch_order_invariance():
     patches, _, _ = _cluster_slide(10)
     shuffled = PatchFeatures("s", patches.patches[::-1].copy())
-    rep_a = slide_representation(fit_gmm(patches, 3, seed=2)[0])
-    rep_b = slide_representation(fit_gmm(shuffled, 3, seed=2)[0])
+    rep_a = slide_representation(fit_gmm(patches, 3, substream(2, "gmm"))[0])
+    rep_b = slide_representation(fit_gmm(shuffled, 3, substream(2, "gmm"))[0])
     assert np.max(np.abs(rep_a - rep_b)) < 1e-9
 
 
 def test_fit_gmm_single_component_one_step_exact():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(50, 4))
-    params, _ = fit_gmm(PatchFeatures("s", x), 1, seed=0, max_iters=1)
+    params, _ = fit_gmm(PatchFeatures("s", x), 1, substream(0, "gmm"), max_iters=1)
     np.testing.assert_allclose(params.means[0], x.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(params.variances[0], x.var(axis=0), atol=1e-12)
 
@@ -226,12 +226,12 @@ def test_fit_gmm_single_component_one_step_exact():
 def test_fit_gmm_warns_on_few_patches():
     rng = np.random.default_rng(13)
     with pytest.warns(UserWarning):
-        fit_gmm(PatchFeatures("s", rng.normal(size=(3, 2))), 5, seed=0, max_iters=2)
+        fit_gmm(PatchFeatures("s", rng.normal(size=(3, 2))), 5, substream(0, "gmm"), max_iters=2)
 
 
 def test_fit_gmm_identical_patches_resolved():
     x = np.ones((30, 4))
-    params, trace = fit_gmm(PatchFeatures("s", x), 2, seed=0)
+    params, trace = fit_gmm(PatchFeatures("s", x), 2, substream(0, "gmm"))
     assert np.all(np.isfinite(params.means))
     assert np.all(params.variances >= VAR_FLOOR)
 
@@ -252,11 +252,11 @@ def test_fit_gmm_large_offset_keeps_precision():
     patches, _, _ = _cluster_slide(3)
     shifted = PatchFeatures("shifted", patches.patches + 1e6)
     for seed in (3, 17):
-        _, trace = fit_gmm(shifted, 3, seed=seed)
+        _, trace = fit_gmm(shifted, 3, substream(seed, "gmm"))
         assert np.diff(trace.log_likelihoods).min() >= -1e-8
     # at seed 3 the shifted fit takes the unshifted fit's path
-    base, base_trace = fit_gmm(patches, 3, seed=3)
-    moved, moved_trace = fit_gmm(shifted, 3, seed=3)
+    base, base_trace = fit_gmm(patches, 3, substream(3, "gmm"))
+    moved, moved_trace = fit_gmm(shifted, 3, substream(3, "gmm"))
     assert moved_trace.iterations == base_trace.iterations
     d = patches.patches.shape[1]
     rep_base, rep_moved = slide_representation(base), slide_representation(moved)
@@ -269,7 +269,7 @@ def test_fit_gmm_memory_linear_in_patches():
     x = np.random.default_rng(18).normal(size=(4096, 384))
     tracemalloc.start()
     try:
-        fit_gmm(PatchFeatures("paper", x), 16, seed=0, max_iters=2)
+        fit_gmm(PatchFeatures("paper", x), 16, substream(0, "gmm"), max_iters=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
