@@ -40,7 +40,8 @@ result = cross_validate(prepared, config, n_folds=4)
 print("held-out C-index per fold:", [round(c, 3) for c in result.c_indices])
 print(f"mean: {result.mean_c_index:.3f}")
 
-ids, risks = result.pooled()
+ids = [pid for f in result.folds for pid in f.held_out_ids]
+risks = np.concatenate([f.risks for f in result.folds])
 record_by_id = {r.patient_id: r for r in cohort.records}
 records = [record_by_id[p] for p in ids]
 labels = stratify_median(risks)

@@ -126,8 +126,6 @@ def cmd_synth(args) -> int:
 def cmd_prototype(args) -> int:
     manifest = load_manifest(args.manifest)
     modalities = manifest.modalities
-    if "h" in modalities and manifest.slide != "slide":
-        raise ProtosurvError("manifest provides precomputed slide representations; nothing to fit")
     # the stage needs the reports' shapes and the patches, not the expression files
     cohort = load_cohort(manifest, modalities.replace("p", ""))
     out = Path(args.out)
@@ -208,8 +206,9 @@ def _load_prepared(args, config: TrainConfig):
     """Cohort of ``--manifest`` packed for ``config``: the prototype stage of
     ``--prototypes`` (slide representations, frozen text dims) when given,
     then ``build_prepared``. Slide representations, from ``--prototypes`` or
-    named in the manifest, must hold ``n_histology`` rows each. Returns
-    (prepared, mask_set, gene-set digest)."""
+    named in the manifest, must hold ``n_histology`` rows each; with text, the
+    prototype stage's ``n_text`` and ``max_segments`` must be ints >= 1.
+    Returns (prepared, mask_set, gene-set digest)."""
     manifest = load_manifest(args.manifest)
     modalities = manifest.check_modalities(config.modalities)
     slide_reps = meta = None
@@ -223,6 +222,12 @@ def _load_prepared(args, config: TrainConfig):
         for letter, key, asked in (("h", "n_histology", config.n_histology), ("t", "nt_mode", config.text_proto_mode)):
             if letter in config.modalities and meta.get(key) != asked:
                 raise ProtosurvError(f"prototypes fitted with {key}={meta.get(key)}, config asks {asked}")
+        text_keys = ("n_text", "max_segments") if "t" in config.modalities else ()
+        for key in text_keys:
+            if key not in meta:
+                raise BadInput(f"{meta_path}: no {key!r} key")
+            if isinstance(meta[key], bool) or not isinstance(meta[key], int) or meta[key] < 1:
+                raise BadInput(f"{meta_path}: key {key!r} must be an int >= 1, got {meta[key]!r}")
         rep_paths = {e["patient_id"]: proto_dir / f"{e['patient_id']}.slide.ps3e" for e in manifest.patients}
     if rep_paths is not None and "h" in modalities:
         # the slide representations stand in for the patch matrices, left unread

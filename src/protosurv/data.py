@@ -167,7 +167,6 @@ class Cohort:
     records: list[SurvivalRecord]
     reports: list[ReportFeatures] | None = None
     patches: list[PatchFeatures] | None = None
-    slide_reps: list[np.ndarray] | None = None
     expressions: np.ndarray | None = None  # (n_patients, n_genes) in gene order
     gene_order: GeneOrder | None = None
     gene_sets: dict[str, list[str]] | None = None
@@ -176,7 +175,6 @@ class Cohort:
 @dataclass
 class SyntheticCohort(Cohort):
     signal_feature: np.ndarray | None = None  # the generating covariate, per patient
-    latent_risk: np.ndarray | None = None
 
 
 @dataclass
@@ -280,8 +278,11 @@ def load_patient_matrices(paths: dict[str, Path], key: str, rows: int | None = N
 
 
 def load_cohort(manifest: CohortManifest, modalities: str | None = None) -> Cohort:
-    """Materialise the files of ``modalities`` (default: every declared one)."""
+    """Materialise the files of ``modalities`` (default: every declared one).
+    A manifest of slide representations has no patches to give ``h``."""
     modalities = manifest.check_modalities(manifest.modalities if modalities is None else modalities)
+    if "h" in modalities and manifest.slide != "slide":
+        raise BadInput("manifest provides precomputed slide representations; nothing to fit")
     survival = manifest.path(manifest.survival_path)
     records = {r.patient_id: r for r in load_survival(survival)}
     ids = [e["patient_id"] for e in manifest.patients]
@@ -294,11 +295,8 @@ def load_cohort(manifest: CohortManifest, modalities: str | None = None) -> Coho
         reports = load_patient_matrices(manifest.paths("report"), "report")
         cohort.reports = [ReportFeatures(p, m) for p, m in zip(ids, reports)]
     if "h" in modalities:
-        slides = load_patient_matrices(manifest.paths(manifest.slide), manifest.slide)
-        if manifest.slide == "slide":
-            cohort.patches = [PatchFeatures(p, m) for p, m in zip(ids, slides)]
-        else:
-            cohort.slide_reps = slides
+        slides = load_patient_matrices(manifest.paths("slide"), "slide")
+        cohort.patches = [PatchFeatures(p, m) for p, m in zip(ids, slides)]
     if "p" in modalities:
         cohort.gene_order = load_gene_order(manifest.path(manifest.gene_order_path))
         cohort.gene_sets = parse_gmt(manifest.path(manifest.gene_sets_path))
@@ -330,7 +328,6 @@ class SyntheticSpec:
     censoring_rate: float = 0.25
     seed: int = 0
     n_pathways: int = 50
-    n_patch_clusters: int = 3
 
     def __post_init__(self):
         if self.n_patients < 1:
@@ -346,6 +343,7 @@ class SyntheticSpec:
 
 
 _BASE_HAZARD = 0.05
+_PATCH_CLUSTERS = 3
 
 
 def synth_cohort(spec: SyntheticSpec) -> SyntheticCohort:
@@ -367,7 +365,7 @@ def synth_cohort(spec: SyntheticSpec) -> SyntheticCohort:
         f"PW_{i:03d}": [order.symbols[j] for j in range(chunk_bounds[i], chunk_bounds[i + 1])]
         for i in range(spec.n_pathways)
     }
-    centers = rng.normal(scale=2.0, size=(spec.n_patch_clusters, spec.d_h))
+    centers = rng.normal(scale=2.0, size=(_PATCH_CLUSTERS, spec.d_h))
     text_direction = rng.normal(size=spec.d_t)
     text_direction /= np.linalg.norm(text_direction)
     signal_genes = np.arange(chunk_bounds[0], chunk_bounds[1])
@@ -386,11 +384,11 @@ def synth_cohort(spec: SyntheticSpec) -> SyntheticCohort:
             covariate = factor
 
         n_patch = int(rng.integers(spec.n_patches[0], spec.n_patches[1] + 1))
-        mix = rng.dirichlet(np.ones(spec.n_patch_clusters))
-        assignment = rng.choice(spec.n_patch_clusters, size=n_patch, p=mix)
+        mix = rng.dirichlet(np.ones(_PATCH_CLUSTERS))
+        assignment = rng.choice(_PATCH_CLUSTERS, size=n_patch, p=mix)
         patch_mat = centers[assignment] + rng.normal(scale=0.5, size=(n_patch, spec.d_h))
         if spec.signal_modality == "histology":
-            k = spec.n_patch_clusters
+            k = _PATCH_CLUSTERS
             # Dirichlet(1,...,1) component variance is (k-1)/(k^2 (k+1))
             covariate = (mix[0] - 1.0 / k) / np.sqrt((k - 1) / (k * k * (k + 1)))
 
@@ -422,7 +420,6 @@ def synth_cohort(spec: SyntheticSpec) -> SyntheticCohort:
         gene_order=order,
         gene_sets=gene_sets,
         signal_feature=signal_feature,
-        latent_risk=spec.signal_strength * signal_feature,
     )
 
 

@@ -27,6 +27,8 @@ import numpy as np
 from .errors import DegenerateInput
 
 VAR_FLOOR = 1e-6
+# fit_gmm stops once the average log-likelihood changes by less than this, relatively
+REL_TOL = 1e-5
 # a component owning less than this fraction of total responsibility is re-seeded
 RESCUE_FRACTION = 1e-8
 # fit_gmm gives up when one component starves more rounds than this in a row
@@ -158,10 +160,9 @@ def fit_gmm(
     n_components: int,
     rng: np.random.Generator,
     max_iters: int = 100,
-    rel_tol: float = 1e-5,
 ) -> tuple[GmmParams, EmTrace]:
     """Iterate EM from ``init_gmm`` until the relative change in average
-    log-likelihood falls below ``rel_tol`` or ``max_iters`` is reached; ``rng``
+    log-likelihood falls below REL_TOL or ``max_iters`` is reached; ``rng``
     draws the initial means and every re-seed. Raises DegenerateInput
     when one component starves more than MAX_RESCUE_ROUNDS rounds in a row."""
     if max_iters < 1:
@@ -188,7 +189,7 @@ def fit_gmm(
                 f"slide {patches.slide_id}: re-seeding failed {MAX_RESCUE_ROUNDS} times in a row"
             )
         lls.append(avg_ll)
-        if previous is not None and abs(avg_ll - previous) / max(abs(avg_ll), 1.0) < rel_tol:
+        if previous is not None and abs(avg_ll - previous) / max(abs(avg_ll), 1.0) < REL_TOL:
             converged = True
             break
         previous = avg_ll

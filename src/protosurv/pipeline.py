@@ -48,10 +48,10 @@ def text_shapes(reports, nt_mode: str) -> tuple[int, int, int]:
 def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=None, max_segments=None):
     """Pack the cohort for training: reports padded (``n_text`` and
     ``max_segments`` override the shapes they give, when the prototype stage
-    froze them), slide representations stacked (fitted here when neither
-    ``slide_reps`` nor the cohort holds them) and the expression matrix sliced
-    per pathway. Returns (prepared, dims, mask_set); mask_set is None without
-    the pathway modality."""
+    froze them), slide representations stacked (``slide_reps`` when given,
+    else fitted here from the cohort's patches) and the expression matrix
+    sliced per pathway. Returns (prepared, dims, mask_set); mask_set is None
+    without the pathway modality."""
     modalities = config.modalities
     times, events = _records_to_arrays(cohort.records)
     prepared = PreparedCohort(patient_ids=list(cohort.patient_ids), times=times, events=events)
@@ -64,7 +64,6 @@ def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=
         batch = pad_batch(cohort.reports, m)
         prepared.text_data, prepared.text_mask = batch.data, batch.mask
     if "h" in modalities:
-        slide_reps = cohort.slide_reps if slide_reps is None else slide_reps
         if slide_reps is None:
             slide_reps, _ = fit_slide_representations(cohort.patches, config.n_histology, config.seed)
         prepared.slides = np.stack([np.asarray(s, dtype=float) for s in slide_reps])
@@ -112,12 +111,6 @@ class CrossValResult:
     @property
     def mean_c_index(self) -> float:
         return float(np.mean(self.c_indices))
-
-    def pooled(self):
-        """(patient_ids, risks) pooled over every held-out fold."""
-        ids = [pid for f in self.folds for pid in f.held_out_ids]
-        risks = np.concatenate([f.risks for f in self.folds])
-        return ids, risks
 
 
 def score_fold(model: ModelParams, prepared: PreparedCohort, held_ids, fusion_mode: str, fold_no: int):

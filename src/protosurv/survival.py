@@ -225,6 +225,9 @@ def save_checkpoint(path, model: ModelParams, config: TrainConfig, fingerprint: 
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, str]:
+    """The model, config and fingerprint that ``save_checkpoint`` wrote to
+    ``path``. The header's tensors must be those of ``param_spec(dims)``: the
+    same names, in that order, with those shapes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 9 or raw[:4] != CHECKPOINT_MAGIC:
@@ -240,11 +243,17 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, str]:
         config = TrainConfig(**header["config"])
         tensors = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
         fingerprint = header["fingerprint"]
+        spec = param_spec(dims)
     except (TypeError, ValueError, KeyError) as exc:
         raise BadInput(f"{path}: malformed checkpoint header: {exc}") from exc
+    if tensors != spec:
+        # the first position where the two lists differ, or where the shorter one ends
+        i = next((i for i, (got, want) in enumerate(zip(tensors, spec)) if got != want), min(len(tensors), len(spec)))
+        got, want = (f"{t[i][0]} {t[i][1]}" if i < len(t) else "nothing" for t in (tensors, spec))
+        raise BadInput(f"{path}: tensor {i} is {got}, but the header's dims ask for {want}")
     values: dict[str, np.ndarray] = {}
     offset = 9 + header_len
-    for name, shape in tensors:
+    for name, shape in spec:
         size = int(np.prod(shape)) * 4
         if offset + size > len(raw):
             raise BadInput(f"{path}: tensor {name} overruns the file")

@@ -723,7 +723,7 @@ def test_load_cohort_reads_only_the_modalities_it_is_given(cohort_dir, monkeypat
     opened = _record_matrix_reads(monkeypatch)
     cohort = load_cohort(manifest, "t")
     assert sorted(opened) == sorted(f"{e['patient_id']}.report.ps3e" for e in manifest.patients)
-    assert cohort.patches is cohort.slide_reps is cohort.expressions is None
+    assert cohort.patches is cohort.expressions is None
 
 
 def test_prototype_of_fitted_representations_fails_before_reading_a_matrix(
@@ -798,6 +798,35 @@ def test_bad_prototype_slide_is_one_line_naming_the_file_and_the_patient(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n_text", "3", "key 'n_text' must be an int >= 1, got '3'"),
+        ("n_text", 2.5, "key 'n_text' must be an int >= 1, got 2.5"),
+        ("n_text", True, "key 'n_text' must be an int >= 1, got True"),
+        ("max_segments", 0, "key 'max_segments' must be an int >= 1, got 0"),
+        ("n_text", None, "no 'n_text' key"),
+    ],
+    ids=["n_text_string", "n_text_float", "n_text_bool", "max_segments_zero", "n_text_missing"],
+)
+def test_bad_prototype_text_shape_is_one_line_naming_the_file_and_the_key(
+    cohort_dir, proto_dir, tmp_path, capsys, key, value, message
+):
+    import shutil
+
+    protos = Path(shutil.copytree(proto_dir, tmp_path / "protos"))
+    meta = json.loads((protos / "prototype_meta.json").read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    path = _rewrite(protos / "prototype_meta.json", json.dumps(meta))
+    capsys.readouterr()
+    assert _train(cohort_dir, protos, tmp_path / "run") == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+    assert not (tmp_path / "run").exists()
+
+
 def _in_checkpoint(edit):
     def apply(run):
         _rewrite_checkpoint_header(run / "fold1.ckpt", edit)
@@ -808,6 +837,10 @@ def _in_checkpoint(edit):
 
 def _drop_tensor_shape(header):
     del header["tensors"][0]["shape"]
+
+
+def _rename_tensor(header):
+    header["tensors"][0]["name"] = "text.w_x"  # same shape as text.w_q
 
 
 def _name_unknown_patient(run):
@@ -838,11 +871,19 @@ _FOLDS_SHAPE = '"folds" must be a list of lists of patient-id strings'
         (_in_checkpoint(lambda header: header.pop("tensors")), "malformed checkpoint header: 'tensors'"),
         (_in_checkpoint(lambda header: header.pop("fingerprint")), "malformed checkpoint header: 'fingerprint'"),
         (_in_checkpoint(_drop_tensor_shape), "malformed checkpoint header: 'shape'"),
+        (_in_checkpoint(_rename_tensor), "tensor 0 is text.w_x (8, 8), but the header's dims ask for text.w_q (8, 8)"),
+        (
+            _in_checkpoint(lambda header: header["tensors"].pop()),
+            "tensor 62 is nothing, but the header's dims ask for head.risk.b (1,)",
+        ),
         (_name_unknown_patient, "patient 'SYN9999' is not in {manifest}"),
         (_set_folds(lambda doc: doc.update(folds=5)), _FOLDS_SHAPE),
         (_set_folds(_nest_patient), _FOLDS_SHAPE),
     ],
-    ids=["tensors", "fingerprint", "shape", "folds_patient", "folds_count", "folds_nested_id"],
+    ids=[
+        "tensors", "fingerprint", "shape", "renamed_tensor", "dropped_tensor",
+        "folds_patient", "folds_count", "folds_nested_id",
+    ],
 )
 def test_eval_of_a_bad_run_file_is_one_line_naming_the_file_and_the_key(
     cohort_dir, proto_dir, tmp_path, capsys, monkeypatch, edit, message

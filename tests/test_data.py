@@ -263,11 +263,6 @@ def test_synth_deterministic():
     np.testing.assert_array_equal(a.expressions[3], b.expressions[3])
 
 
-def test_synth_no_signal_means_constant_latent_risk():
-    cohort = synth_cohort(_spec(signal_strength=0.0))
-    assert np.all(cohort.latent_risk == 0.0)
-
-
 def test_synth_censoring_fraction_within_three_se():
     rate = 0.25
     cohort = synth_cohort(_spec(n_patients=400, censoring_rate=rate))

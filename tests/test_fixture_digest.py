@@ -20,6 +20,11 @@ def test_two_runs_print_the_same_lines_and_cover_every_eval_output(tmp_path):
                            ("metrics.csv", "km_curves.csv", "logrank.csv", "attention_summary.csv")}
         assert written <= hashed
         assert f"train_{mode}/effective_config.json" not in hashed
+    # a manifest naming the fitted representations trains and scores as --prototypes does
+    for run in ("train", "eval"):
+        for path in sorted((first / f"{run}_full").iterdir()):
+            if path.name != "effective_config.json":
+                assert (first / f"{run}_representations" / path.name).read_bytes() == path.read_bytes(), path.name
     # every attention pair reached the summary
     rows = (first / "eval_late" / "attention_summary.csv").read_text().splitlines()[1:]
     assert {f"{r.split(',')[2]}:{r.split(',')[3]}" for r in rows} == set(fixture_digest.ATTENTION_PAIRS)

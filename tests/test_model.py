@@ -149,6 +149,6 @@ def test_cross_validate_shapes():
     prepared, _, _ = build_prepared(cohort, config)
     result = cross_validate(prepared, config, n_folds=3)
     assert len(result.folds) == 3
-    ids, risks = result.pooled()
+    ids = [pid for f in result.folds for pid in f.held_out_ids]
     assert sorted(ids) == sorted(cohort.patient_ids)
-    assert len(risks) == 18
+    assert sum(len(f.risks) for f in result.folds) == 18

@@ -7,8 +7,11 @@ runs ``python3 -m protosurv.cli`` with ``CHECKOUT/src`` on ``PYTHONPATH``: the
 acceptance suite's criterion-9 fixture (``synth`` of 20 patients at seed 9,
 ``prototype`` with 3 histology components), then ``train`` and ``eval`` in each
 fusion mode, ``eval`` with the attention pairs text:pathway, pathway:pathway,
-histology:text and text:text. It prints one ``<sha256>  <path>`` line per file
-written, paths relative to the temporary directory, sorted.
+histology:text and text:text. It then writes ``cohort/representations.json``, a
+copy of the manifest whose patients name the fitted ``proto/*.slide.ps3e`` as
+their ``slide_representation``, and runs the full-mode ``train`` and ``eval``
+again from it without ``--prototypes``. It prints one ``<sha256>  <path>`` line
+per file written, paths relative to the temporary directory, sorted.
 ``effective_config.json`` is left out, because it records the run's paths. Two
 checkouts that print the same lines wrote byte-identical files.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +30,7 @@ from pathlib import Path
 FUSION_MODES = ("full", "late", "hierarchical")
 ATTENTION_PAIRS = ("text:pathway", "pathway:pathway", "histology:text", "text:text")
 MANIFEST = "cohort/manifest.json"
+REPRESENTATIONS = "cohort/representations.json"
 SHAPE = ("--d-e", "8", "--d-r", "4", "--n-histology", "3", "--n-pathways", "6")
 
 
@@ -42,7 +47,21 @@ def commands() -> list[list[str]]:
         attention = [arg for pair in ATTENTION_PAIRS for arg in ("--attention", pair)]
         runs.append(["eval", "--manifest", MANIFEST, "--prototypes", "proto", "--models", f"train_{mode}",
                      "--out", f"eval_{mode}", *attention])
+    runs.append(["train", "--manifest", REPRESENTATIONS, "--out", "train_representations",
+                 "--seed", "4", "--folds", "2", "--epochs", "2", "--fusion-mode", "full", *SHAPE])
+    runs.append(["eval", "--manifest", REPRESENTATIONS, "--models", "train_representations",
+                 "--out", "eval_representations", *attention])
     return runs
+
+
+def write_representation_manifest(workdir: Path) -> None:
+    """``REPRESENTATIONS``: ``MANIFEST`` with each patient's ``slide`` replaced by
+    its fitted ``proto/<id>.slide.ps3e``, named relative to the manifest."""
+    doc = json.loads((workdir / MANIFEST).read_text(encoding="utf-8"))
+    for entry in doc["patients"]:
+        del entry["slide"]
+        entry["slide_representation"] = f"../proto/{entry['patient_id']}.slide.ps3e"
+    (workdir / REPRESENTATIONS).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def digests(checkout: Path, workdir: Path) -> list[str]:
@@ -55,6 +74,8 @@ def digests(checkout: Path, workdir: Path) -> list[str]:
                               capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{argv[0]} exited {proc.returncode}: {proc.stderr.strip()}")
+        if argv[0] == "prototype":
+            write_representation_manifest(Path(workdir))
     files = sorted(p for p in Path(workdir).rglob("*") if p.is_file() and p.name != "effective_config.json")
     return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(workdir).as_posix()}" for p in files]
 
