@@ -187,13 +187,13 @@ def _effective_config(args) -> tuple[TrainConfig, int]:
     if args.config:
         doc = read_json(args.config)
         if not isinstance(doc, dict):
-            raise ValueError(f"{args.config}: expected a JSON object of config keys, got a {type(doc).__name__}")
+            raise BadInput(f"{args.config}: expected a JSON object of config keys, got a {type(doc).__name__}")
         unknown = doc.keys() - known - _RUN_METADATA_KEYS
         if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
+            raise BadInput(f"unknown config keys {sorted(unknown)}")
         for key, type_name in {**known, "folds": "int"}.items():
             if key in doc and not _fits(doc[key], type_name):
-                raise ValueError(f"{args.config}: key {key!r} must be {type_name}, got {doc[key]!r}")
+                raise BadInput(f"{args.config}: key {key!r} must be {type_name}, got {doc[key]!r}")
         folds = doc.get("folds")
         merged.update({k: v for k, v in doc.items() if k in known})
     merged.update({k: v for k, v in vars(args).items() if k in known and v is not None})
@@ -221,7 +221,7 @@ def _load_prepared(args, config: TrainConfig):
             raise BadInput(f"{meta_path}: expected a JSON object of prototype-stage keys, got a {type(meta).__name__}")
         for letter, key, asked in (("h", "n_histology", config.n_histology), ("t", "nt_mode", config.text_proto_mode)):
             if letter in config.modalities and meta.get(key) != asked:
-                raise ProtosurvError(f"prototypes fitted with {key}={meta.get(key)}, config asks {asked}")
+                raise BadInput(f"{meta_path}: prototypes fitted with {key}={meta.get(key)}, config asks {asked}")
         text_keys = ("n_text", "max_segments") if "t" in config.modalities else ()
         for key in text_keys:
             if key not in meta:
@@ -295,7 +295,7 @@ def cmd_eval(args) -> int:
     folds_path = models_dir / "folds.json"
     doc = read_json(folds_path)
     if not isinstance(doc, dict) or "folds" not in doc:
-        raise ProtosurvError(f'{folds_path}: no "folds" key')
+        raise BadInput(f'{folds_path}: no "folds" key')
     folds = doc["folds"]
     if not isinstance(folds, list) or not all(
         isinstance(fold, list) and all(isinstance(pid, str) for pid in fold) for fold in folds
@@ -305,7 +305,7 @@ def cmd_eval(args) -> int:
     for path in checkpoint_paths:
         fold_no = path.stem.removeprefix("fold")
         if not fold_no.isdigit() or int(fold_no) >= len(folds):
-            raise ProtosurvError(f"{path}: no fold {fold_no} in {folds_path}")
+            raise BadInput(f"{path}: no fold {fold_no} in {folds_path}")
         models.append((int(fold_no), *load_checkpoint(path)))
     config = models[0][2]
     # every fold is scored with one config, so every checkpoint must carry it
@@ -313,12 +313,12 @@ def cmd_eval(args) -> int:
         name = next((f.name for f in fields(config) if getattr(other, f.name) != getattr(config, f.name)), None)
         if name is not None:
             first = f"{checkpoint_paths[0]} has {getattr(config, name)!r}"
-            raise ProtosurvError(f"{path}: trained with {name}={getattr(other, name)!r}, but {first}")
+            raise BadInput(f"{path}: trained with {name}={getattr(other, name)!r}, but {first}")
     pairs = args.attention or []
     lacking = [block for pair in pairs for block in pair if block not in models[0][1].dims.enabled]
     if lacking:
         trained = f"checkpoints trained on modalities {config.modalities!r}"
-        raise ProtosurvError(f"--attention: {trained} have no {lacking[0]} block")
+        raise BadInput(f"--attention: {trained} have no {lacking[0]} block")
     prepared, mask_set, digest = _load_prepared(args, config)
     for fold_no, _, _, stored in models:
         if stored != digest:
@@ -454,7 +454,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return _COMMANDS[args.command](args)
-        except (ProtosurvError, OSError, ValueError, KeyError) as exc:
+        except (ProtosurvError, OSError) as exc:
             return _fail(str(exc))
 
 

@@ -9,7 +9,9 @@ order, gene sets (GMT) and survival labels (CSV).
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,14 +35,16 @@ def write_matrix(path, matrix) -> None:
     row-major little-endian float32 values."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError(f"matrix files hold 2-D arrays, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+        raise BadInput(f"matrix files hold 2-D arrays, got shape {arr.shape}")
+    with np.errstate(over="ignore"):
+        stored = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.all(np.isfinite(stored)):
         raise BadInput(f"{path}: refusing to write non-finite values")
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(bytes([MATRIX_VERSION]))
         fh.write(_HEADER.pack(arr.shape[0], arr.shape[1]))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(stored.tobytes())
 
 
 def read_matrix(path) -> np.ndarray:
@@ -55,10 +59,11 @@ def read_matrix(path) -> np.ndarray:
     rows, cols = _HEADER.unpack(raw[5:13])
     if len(raw) - 13 != rows * cols * 4:
         raise BadInput(f"{path}: {rows}x{cols} declared but payload is {len(raw) - 13} bytes")
-    data = np.frombuffer(raw[13:], dtype="<f4").astype(np.float64).reshape(rows, cols)
+    data = np.frombuffer(raw[13:], dtype="<f4")
+    # checked before the cast, which warns on a signalling NaN
     if not np.all(np.isfinite(data)):
         raise BadInput(f"{path}: non-finite values in matrix")
-    return data
+    return data.astype(np.float64).reshape(rows, cols)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -74,13 +79,25 @@ def load_matrix(path) -> np.ndarray:
     return read_matrix(path)
 
 
+def open_text(path, newline: str | None = None) -> io.StringIO:
+    """The UTF-8 text of ``path`` as a file object whose lines split as
+    ``open(path, newline=newline)`` splits them. A byte that is not UTF-8
+    raises BadInput naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def parse_gmt(path) -> dict[str, list[str]]:
     """Gene sets, one per line: name TAB description TAB gene TAB gene ...
 
     Genes within a line are deduplicated (first occurrence kept); duplicate
     set names are rejected."""
     sets: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\r\n")
             if not line.strip():
@@ -106,7 +123,7 @@ def load_survival(path) -> list[SurvivalRecord]:
     """Survival CSV with exact header ``patient_id,time,event``."""
     records: list[SurvivalRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["patient_id", "time", "event"]:
@@ -142,7 +159,7 @@ def write_survival(path, records) -> None:
 
 
 def load_gene_order(path) -> GeneOrder:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         symbols = [line.strip() for line in fh if line.strip()]
     try:
         return GeneOrder(symbols)
@@ -203,11 +220,11 @@ class CohortManifest:
 
 def read_json(path):
     """The JSON document in ``path``; a syntax error names the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+            raise BadInput(f"{path}: not valid JSON: {exc}") from None
 
 
 def load_manifest(path) -> CohortManifest:
@@ -219,11 +236,19 @@ def load_manifest(path) -> CohortManifest:
     if not isinstance(doc, dict):
         raise BadInput(f"{path}: expected a JSON object, got a {type(doc).__name__}")
     required = ["modalities", "survival", "patients"]
-    if "p" in doc.get("modalities", ""):
+    if isinstance(doc.get("modalities"), str) and "p" in doc["modalities"]:
         required += ["gene_order", "gene_sets"]
     for key in required:
         if key not in doc:
             raise BadInput(f"{path}: no {key!r} key")
+    for key in ("modalities", "survival", "gene_order", "gene_sets"):
+        if key in doc and not isinstance(doc[key], str):
+            raise BadInput(f"{path}: key {key!r} must be a string, got {doc[key]!r}")
+    if not isinstance(doc["patients"], list):
+        raise BadInput(f"{path}: key 'patients' must be a list, got a {type(doc['patients']).__name__}")
+    for i, entry in enumerate(doc["patients"]):
+        if not isinstance(entry, dict):
+            raise BadInput(f"{path}: patient entry {i} is a {type(entry).__name__}, not a JSON object")
     slide = "slide_representation" if all("slide_representation" in e for e in doc["patients"]) else "slide"
     manifest = CohortManifest(
         file=path,
@@ -243,6 +268,8 @@ def load_manifest(path) -> CohortManifest:
         if "patient_id" not in entry:
             raise BadInput(f"{path}: patient entry {i} has no 'patient_id'")
         pid = entry["patient_id"]
+        if not isinstance(pid, str):
+            raise BadInput(f"{path}: patient entry {i} has 'patient_id' {pid!r}, not a string")
         if pid in seen:
             raise BadInput(f"{path}: patient {pid!r} repeated")
         seen.add(pid)
@@ -253,10 +280,10 @@ def load_manifest(path) -> CohortManifest:
             if key in entry and not isinstance(entry[key], str):
                 raise BadInput(f"{path}: patient {pid!r} has {key!r} {entry[key]!r}, not a file name")
             if key in entry and not manifest.path(entry[key]).exists():
-                raise FileNotFoundError(f"{path}: missing file {entry[key]!r} for {pid!r}")
+                raise BadInput(f"{path}: missing file {entry[key]!r} for {pid!r}")
     for name in (manifest.gene_order_path, manifest.gene_sets_path, manifest.survival_path):
         if name and not manifest.path(name).exists():
-            raise FileNotFoundError(f"{path}: missing file {name!r}")
+            raise BadInput(f"{path}: missing file {name!r}")
     return manifest
 
 
@@ -282,7 +309,7 @@ def load_cohort(manifest: CohortManifest, modalities: str | None = None) -> Coho
     A manifest of slide representations has no patches to give ``h``."""
     modalities = manifest.check_modalities(manifest.modalities if modalities is None else modalities)
     if "h" in modalities and manifest.slide != "slide":
-        raise BadInput("manifest provides precomputed slide representations; nothing to fit")
+        raise BadInput(f"{manifest.file}: manifest provides precomputed slide representations; nothing to fit")
     survival = manifest.path(manifest.survival_path)
     records = {r.patient_id: r for r in load_survival(survival)}
     ids = [e["patient_id"] for e in manifest.patients]
@@ -331,15 +358,23 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.n_patients < 1:
-            raise ValueError("n_patients must be >= 1")
+            raise BadInput("n_patients must be >= 1")
+        for name in ("d_t", "d_h", "n_pathways"):
+            if getattr(self, name) < 1:
+                raise BadInput(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0.0 <= self.censoring_rate < 1.0):
-            raise ValueError("censoring_rate must lie in [0, 1)")
+            raise BadInput("censoring_rate must lie in [0, 1)")
+        if not math.isfinite(self.signal_strength):
+            raise BadInput(f"signal_strength must be finite, got {self.signal_strength}")
+        for name in ("n_segments", "n_patches"):
+            if getattr(self, name)[0] < 1:
+                raise BadInput(f"{name} must start at 1 or more, got {getattr(self, name)}")
         if self.n_segments[0] > self.n_segments[1] or self.n_patches[0] > self.n_patches[1]:
-            raise ValueError("ranges must be nonempty")
+            raise BadInput("ranges must be nonempty")
         if self.signal_modality not in ("pathway", "histology", "text"):
-            raise ValueError(f"unknown signal modality {self.signal_modality!r}")
+            raise BadInput(f"unknown signal modality {self.signal_modality!r}")
         if self.n_genes < self.n_pathways:
-            raise ValueError("need at least one gene per pathway")
+            raise BadInput("need at least one gene per pathway")
 
 
 _BASE_HAZARD = 0.05
@@ -428,7 +463,7 @@ def kfold_split(patient_ids, k: int, seed: int) -> list[list[str]]:
     differ by at most one."""
     ids = list(patient_ids)
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise BadInput("k must be >= 2")
     if len(ids) < k:
         raise BadInput(f"{len(ids)} patients for {k} folds")
     perm = substream(seed, "fold").permutation(len(ids))

@@ -1,8 +1,12 @@
 """Exception types raised across the package, one for each thing a caller can
 do about a failure.
 
-Every one derives from :class:`ProtosurvError`, which the CLI turns into one
-``error:`` line and exit code 1.
+Every error the library raises is one of the eight kinds here: the base
+:class:`ProtosurvError` and the seven concrete kinds derived from it, of which
+:class:`BadInput` covers every rejected file or argument. ``cli.main`` turns
+each into one ``error:`` line and exit code 1, as it does an ``OSError``, which
+comes only from the filesystem. Any other exception that reaches ``cli.main``
+is a bug and prints its traceback.
 """
 
 

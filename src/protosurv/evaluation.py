@@ -116,7 +116,7 @@ def km_curve(records) -> KmCurve:
     """Product-limit survival estimate over the distinct event times."""
     times, events = _records_to_arrays(records)
     if times.size == 0:
-        raise ValueError("no records")
+        raise BadInput("no records")
     event_times = np.unique(times[events == 1])
     at_risk, deaths = _counts_at(event_times, times, events)
     # cumprod multiplies left to right in time order, as a running product does
@@ -134,7 +134,7 @@ def log_rank(group_a, group_b) -> LogRankResult:
     times_a, events_a = _records_to_arrays(group_a)
     times_b, events_b = _records_to_arrays(group_b)
     if times_a.size == 0 or times_b.size == 0:
-        raise ValueError("both groups must be nonempty")
+        raise BadInput("both groups must be nonempty")
     times = np.concatenate([times_a, times_b])
     events = np.concatenate([events_a, events_b])
     event_times = np.unique(times[events == 1])
@@ -161,7 +161,7 @@ def stratify_median(risks) -> list[str]:
     goes high, the median itself goes low."""
     risks = np.asarray(risks, dtype=float)
     if risks.size < 2:
-        raise ValueError("need at least two risks to stratify")
+        raise BadInput("need at least two risks to stratify")
     return np.where(risks > np.median(risks), "high", "low").tolist()
 
 
@@ -197,7 +197,7 @@ def cross_attention_summary(
         raise BadInput(f"empty attention block {query_block!r} -> {key_block!r} in batch row {empty[0]}")
     names = list(key_names)
     if len(names) != sub.shape[2]:
-        raise ValueError(f"{len(names)} key names for {sub.shape[2]} keys")
+        raise BadInput(f"{len(names)} key names for {sub.shape[2]} keys")
     dispersion = sub.std(axis=-2, where=rows[:, :, None])
     order = np.argsort(-dispersion, axis=-1, kind="stable")
     return [

@@ -123,7 +123,7 @@ def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
     stage, with only pathways present to plain self-attention.
     """
     if mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}")
+        raise BadInput(f"unknown fusion mode {mode!r}")
     present = [(name, mt) for name, mt in zip(MODALITY_ORDER, (p, h, t)) if mt is not None]
     if not present:
         raise BadInput("every modality is disabled")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import BadInput, DegenerateInput
 
 VAR_FLOOR = 1e-6
 # fit_gmm stops once the average log-likelihood changes by less than this, relatively
@@ -59,7 +59,7 @@ class EmTrace:
 def init_gmm(n_components: int, dim: int, rng: np.random.Generator) -> GmmParams:
     """Means drawn from N(0, 0.1^2) by ``rng``, unit variances, uniform weights."""
     if n_components < 1 or dim < 1:
-        raise ValueError("n_components and dim must be >= 1")
+        raise BadInput("n_components and dim must be >= 1")
     return GmmParams(
         weights=np.full(n_components, 1.0 / n_components),
         means=rng.normal(scale=0.1, size=(n_components, dim)),
@@ -166,7 +166,7 @@ def fit_gmm(
     draws the initial means and every re-seed. Raises DegenerateInput
     when one component starves more than MAX_RESCUE_ROUNDS rounds in a row."""
     if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+        raise BadInput("max_iters must be >= 1")
     n, dim = patches.patches.shape
     if n < n_components:
         warnings.warn(

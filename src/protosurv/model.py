@@ -25,6 +25,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import text as text_mod
+from .errors import BadInput
 from .fusion import MODALITY_ORDER, FusionParams, ModalityTokens, fuse
 from .numerics import Tensor
 from .pathways import embed_pathways
@@ -37,9 +38,9 @@ def canonical_modalities(letters: str) -> str:
     chosen = set(letters)
     unknown = chosen - set(MODALITY_LETTERS)
     if unknown:
-        raise ValueError(f"unknown modality letters {sorted(unknown)}")
+        raise BadInput(f"unknown modality letters {sorted(unknown)}")
     if not chosen:
-        raise ValueError("modality subset is empty")
+        raise BadInput("modality subset is empty")
     return "".join(c for c in "pht" if c in chosen)
 
 
@@ -57,6 +58,13 @@ class ModelDims:
     d_r: int = 32
     modalities: str = "pht"
     shared_beta: bool = False
+
+    def __post_init__(self):
+        for name, low in (
+            ("d_t", 1), ("d_h", 1), ("max_segments", 1), ("n_text", 1), ("n_histology", 1), ("d_e", 1), ("d_r", 0)
+        ):
+            if getattr(self, name) < low:
+                raise BadInput(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def d(self) -> int:

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AllMasked, NonFiniteLoss, ShapeMismatch
+from .errors import AllMasked, BadInput, NonFiniteLoss, ShapeMismatch
 
 # Self-normalising activation constants (scaled exponential linear unit).
 SELU_SCALE = 1.0507009873554805
@@ -67,7 +67,7 @@ class Tensor:
         its frontier, not of the whole graph.
         """
         if self.data.size != 1:
-            raise ValueError("backward() requires a scalar root")
+            raise ShapeMismatch("backward() requires a scalar root")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -293,7 +293,7 @@ def _masked_exp(x: np.ndarray, mask):
     max and row sum (keepdims). Raises AllMasked for an all-zero mask row."""
     mask = np.asarray(mask, dtype=np.float64)
     if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValueError("mask entries must be 0 or 1")
+        raise BadInput("mask entries must be 0 or 1")
     if np.any(mask.sum(axis=-1) < 1):
         raise AllMasked("softmax row with every key masked")
     shifted = np.where(mask > 0.5, x, -np.inf)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Cohort, kfold_split
-from .errors import NoComparablePairs, NoEvents, NonFiniteLoss, ProtosurvError
+from .errors import BadInput, DegenerateInput, NoComparablePairs, NoEvents, NonFiniteLoss
 from .evaluation import _records_to_arrays, concordance_index
 from .histology import EmTrace, fit_gmm, slide_representation
 from .model import ModelDims, ModelParams, PreparedCohort, forward_diagnostics
@@ -31,8 +31,8 @@ def fit_slide_representations(patches_list, n_components: int, seed: int):
     for i, patches in enumerate(patches_list):
         try:
             params, trace = fit_gmm(patches, n_components, substream(seed, "gmm", i))
-        except ProtosurvError as exc:
-            raise type(exc)(f"patient {patches.slide_id}: {exc}") from exc
+        except DegenerateInput as exc:
+            raise DegenerateInput(f"patient {patches.slide_id}: {exc}") from exc
         reps.append(slide_representation(params))
         traces.append(trace)
     return reps, traces
@@ -71,7 +71,7 @@ def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=
     if "p" in modalities:
         mask_set = build_masks(cohort.gene_sets, cohort.gene_order)
         if mask_set.n_pathways != config.n_pathways:
-            raise ValueError(
+            raise BadInput(
                 f"{mask_set.n_pathways} pathways in the gene sets, config expects {config.n_pathways}"
             )
         prepared.slices = pathway_slices(cohort.expressions, mask_set)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BadInput
+
 _STREAMS = {
     "init": 1,      # model parameter initialisation
     "shuffle": 2,   # per-epoch minibatch shuffling
@@ -20,5 +22,7 @@ _STREAMS = {
 
 
 def substream(seed: int, name: str, *key: int) -> np.random.Generator:
-    """Return the generator for substream ``name`` of ``seed``."""
+    """Return the generator for substream ``name`` of ``seed``, a nonnegative integer."""
+    if seed < 0:
+        raise BadInput(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence((int(seed), _STREAMS[name], *key)))

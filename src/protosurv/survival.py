@@ -44,9 +44,9 @@ class SurvivalRecord:
 
     def __post_init__(self):
         if not (math.isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"follow-up time for {self.patient_id} must be finite and nonnegative, got {self.time}")
+            raise BadInput(f"follow-up time for {self.patient_id} must be finite and nonnegative, got {self.time}")
         if self.event not in (0, 1):
-            raise ValueError(f"event flag must be 0 or 1, got {self.event}")
+            raise BadInput(f"event flag must be 0 or 1, got {self.event}")
 
 
 @dataclass
@@ -68,16 +68,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+            raise BadInput("epochs must be >= 0 and batch_size >= 1")
+        for name, low in (("d_e", 1), ("d_r", 0), ("n_histology", 1), ("n_pathways", 1)):
+            if getattr(self, name) < low:
+                raise BadInput(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("learning_rate", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise BadInput(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate must be positive, weight_decay nonnegative")
+            raise BadInput("learning_rate must be positive, weight_decay nonnegative")
         if self.schedule != "cosine":
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+            raise BadInput(f"unknown schedule {self.schedule!r}")
         if self.fusion_mode not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode {self.fusion_mode!r}")
+            raise BadInput(f"unknown fusion mode {self.fusion_mode!r}")
         self.modalities = canonical_modalities(self.modalities)
 
 
@@ -132,7 +135,7 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
         raise NoEvents("cohort has no observed events")
     dims = prepared.dims
     if dims.modalities != config.modalities:
-        raise ValueError(
+        raise BadInput(
             f"cohort prepared for modalities {dims.modalities!r} but config asks {config.modalities!r}"
         )
     # AdamW state as flat buffers in param_spec order; the named values are views
@@ -244,7 +247,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, str]:
         tensors = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
         fingerprint = header["fingerprint"]
         spec = param_spec(dims)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (BadInput, TypeError, ValueError, KeyError) as exc:
         raise BadInput(f"{path}: malformed checkpoint header: {exc}") from exc
     if tensors != spec:
         # the first position where the two lists differ, or where the shorter one ends
@@ -257,7 +260,10 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, str]:
         size = int(np.prod(shape)) * 4
         if offset + size > len(raw):
             raise BadInput(f"{path}: tensor {name} overruns the file")
-        values[name] = np.frombuffer(raw[offset : offset + size], dtype="<f4").astype(np.float64).reshape(shape)
+        tensor = np.frombuffer(raw[offset : offset + size], dtype="<f4")
+        if not np.isfinite(tensor).all():  # before the cast, which warns on a signalling NaN
+            raise BadInput(f"{path}: tensor {name} is not finite")
+        values[name] = tensor.astype(np.float64).reshape(shape)
         offset += size
     if offset != len(raw):
         raise BadInput(f"{path}: {len(raw) - offset} trailing bytes")

@@ -66,7 +66,7 @@ def pad_batch(reports: list[ReportFeatures], m: int) -> PaddedBatch:
     """Zero-pad every report to ``m`` rows; reports longer than ``m`` keep
     their first ``m`` segments."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise BadInput("m must be >= 1")
     d_t = reports[0].segments.shape[1]
     for r in reports:
         if r.segments.shape[1] != d_t:
@@ -127,7 +127,7 @@ def select_prototypes(z, scores, mask, n_t: int) -> DiagnosticPrototypes:
     Tensor ``z`` gives Tensor embeddings.
     """
     if n_t < 1:
-        raise ValueError("n_t must be >= 1")
+        raise BadInput("n_t must be >= 1")
     order, validity = top_segment_indices(scores, mask, n_t)
     embeddings = nm.unwrap(nm.gather_rows(z, order) * validity[..., None], z)
     return DiagnosticPrototypes(embeddings, validity, order)
@@ -144,4 +144,4 @@ def compute_n_t(lengths, mode: str = "average") -> int:
     if mode == "p90":
         rank = math.ceil(0.9 * len(lengths))
         return max(1, sorted(lengths)[rank - 1])
-    raise ValueError(f"unknown prototype-count mode {mode!r}")
+    raise BadInput(f"unknown prototype-count mode {mode!r}")

@@ -522,7 +522,9 @@ def test_train_flags_and_config_file_reach_effective_config(cohort_dir, proto_di
 def test_prototypes_fitted_with_another_nt_mode_are_rejected(cohort_dir, proto_dir, proto_p90_dir, tmp_path, capsys):
     capsys.readouterr()
     assert _train(cohort_dir, proto_dir, tmp_path / "x", extra=("--nt-mode", "p90")) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: prototypes fitted with nt_mode=average, config asks p90"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {proto_dir / 'prototype_meta.json'}: prototypes fitted with nt_mode=average, config asks p90"
+    ]
     # without the text modality the text prototype count does not enter
     assert _train(cohort_dir, proto_dir, tmp_path / "ph", extra=("--modalities", "ph", "--nt-mode", "p90")) == 0
     # eval takes the mode from the checkpoints
@@ -530,7 +532,9 @@ def test_prototypes_fitted_with_another_nt_mode_are_rejected(cohort_dir, proto_d
     assert _train(cohort_dir, proto_p90_dir, run, extra=("--nt-mode", "p90")) == 0
     capsys.readouterr()
     assert _eval(cohort_dir, proto_dir, run, tmp_path / "e") == 1
-    assert capsys.readouterr().err.splitlines() == ["error: prototypes fitted with nt_mode=average, config asks p90"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {proto_dir / 'prototype_meta.json'}: prototypes fitted with nt_mode=average, config asks p90"
+    ]
 
 
 def _record_matrix_reads(monkeypatch) -> list[str]:
@@ -737,7 +741,7 @@ def test_prototype_of_fitted_representations_fails_before_reading_a_matrix(
     opened = _record_matrix_reads(monkeypatch)
     assert main(["prototype", "--manifest", str(manifest), "--out", str(tmp_path / "p")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: manifest provides precomputed slide representations; nothing to fit"]
+    assert err == [f"error: {manifest}: manifest provides precomputed slide representations; nothing to fit"]
     assert opened == []
 
 

@@ -7,10 +7,12 @@ import pytest
 from protosurv.data import (
     SyntheticSpec,
     kfold_split,
+    load_gene_order,
     load_manifest,
     load_matrix,
     load_survival,
     parse_gmt,
+    read_json,
     read_matrix,
     synth_cohort,
     write_matrix,
@@ -63,6 +65,20 @@ def test_matrix_truncated_and_bad_magic(tmp_path):
 def test_matrix_rejects_nonfinite(tmp_path):
     with pytest.raises(BadInput, match="refusing to write non-finite values"):
         write_matrix(tmp_path / "m.ps3e", np.array([[np.nan, 1.0]]))
+
+
+def test_matrix_refuses_values_that_overflow_float32(tmp_path):
+    with pytest.raises(BadInput, match="refusing to write non-finite values"):
+        write_matrix(tmp_path / "m.ps3e", np.array([[1e39, 1.0]]))
+    assert not (tmp_path / "m.ps3e").exists()
+
+
+def test_matrix_with_a_signalling_nan_is_rejected_without_a_warning(tmp_path):
+    path = tmp_path / "m.ps3e"
+    write_matrix(path, np.ones((1, 2)))
+    path.write_bytes(path.read_bytes()[:-4] + bytes.fromhex("0100807f"))  # float32 sNaN, little-endian
+    with pytest.raises(BadInput, match="non-finite values in matrix"):
+        read_matrix(path)
 
 
 def test_matrix_csv_fallback(tmp_path):
@@ -134,7 +150,7 @@ def test_load_survival_rejects_time_that_is_not_a_finite_number(tmp_path, time, 
 
 @pytest.mark.parametrize("time", [float("nan"), float("inf"), -1.0])
 def test_survival_record_rejects_time_that_is_not_finite_and_nonnegative(time):
-    with pytest.raises(ValueError, match="follow-up time for p1 must be finite and nonnegative"):
+    with pytest.raises(BadInput, match="follow-up time for p1 must be finite and nonnegative"):
         SurvivalRecord("p1", time, 1)
 
 
@@ -169,7 +185,7 @@ def test_load_manifest_missing_file_names_patient(tmp_path):
         '{"modalities": "h", "survival": "survival.csv",'
         ' "patients": [{"patient_id": "p1", "slide": "missing.ps3e"}]}'
     )
-    with pytest.raises(FileNotFoundError, match="p1"):
+    with pytest.raises(BadInput, match="missing file 'missing.ps3e' for 'p1'"):
         load_manifest(tmp_path / "manifest.json")
 
 
@@ -228,6 +244,50 @@ def test_bad_manifest_is_one_line_naming_the_file_and_the_key(tmp_path, case, me
     with pytest.raises(BadInput) as caught:
         load_manifest(path)
     assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"modalities": 5}, "key 'modalities' must be a string, got 5"),
+        ({"survival": ["x"]}, "key 'survival' must be a string, got ['x']"),
+        ({"gene_order": 5}, "key 'gene_order' must be a string, got 5"),
+        ({"gene_sets": None}, "key 'gene_sets' must be a string, got None"),
+        ({"patients": 5}, "key 'patients' must be a list, got a int"),
+        ({"patients": [{"patient_id": "p1", "expression": "s1.ps3e"}, 2]},
+         "patient entry 1 is a int, not a JSON object"),
+        ({"patients": [{"patient_id": [], "expression": "s1.ps3e"}]},
+         "patient entry 0 has 'patient_id' [], not a string"),
+    ],
+)
+def test_manifest_value_of_another_type_is_one_line_naming_the_file_and_the_key(tmp_path, edit, message):
+    path = _bad_manifest(tmp_path, "survival")  # writes survival.csv and s1.ps3e
+    files = {"gene_order": "survival.csv", "gene_sets": "survival.csv", "survival": "survival.csv"}
+    path.write_text(json.dumps({"modalities": "p", **files, "patients": [], **edit}))
+    with pytest.raises(BadInput) as caught:
+        load_manifest(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("reader", [read_json, load_survival, load_gene_order, parse_gmt])
+def test_text_file_that_is_not_utf8_is_one_line_naming_it(tmp_path, reader):
+    path = tmp_path / "file.txt"
+    path.write_bytes(b"patient_id,time,event\n\xff\n")
+    with pytest.raises(BadInput) as caught:
+        reader(path)
+    assert str(caught.value) == (
+        f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 22: invalid start byte"
+    )
+
+
+def test_text_readers_split_lines_as_open_does(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"patient_id,time,event\r\np1,5,1\rp2,3,0\n")
+    assert [(r.patient_id, r.time) for r in load_survival(path)] == [("p1", 5.0), ("p2", 3.0)]
+    path.write_bytes(b"G1\rG2\r\nG3\n")
+    assert load_gene_order(path).symbols == ["G1", "G2", "G3"]
+    path.write_bytes(b"A\tna\tG1\rB\tna\tG2\r\n")
+    assert parse_gmt(path) == {"A": ["G1"], "B": ["G2"]}
 
 
 def test_load_manifest_takes_representations_when_every_patient_names_one(tmp_path):
@@ -338,6 +398,24 @@ def test_kfold_deterministic_disjoint_exhaustive():
     assert a == b
     flat = [p for fold in a for p in fold]
     assert sorted(flat) == sorted(ids) and len(set(flat)) == len(ids)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("d_t", 0, "d_t must be >= 1, got 0"),
+        ("d_h", -1, "d_h must be >= 1, got -1"),
+        ("n_pathways", 0, "n_pathways must be >= 1, got 0"),
+        ("n_segments", (0, 0), "n_segments must start at 1 or more, got (0, 0)"),
+        ("n_patches", (-1, -1), "n_patches must start at 1 or more, got (-1, -1)"),
+        ("signal_strength", float("nan"), "signal_strength must be finite, got nan"),
+        ("signal_strength", float("inf"), "signal_strength must be finite, got inf"),
+    ],
+)
+def test_synthetic_spec_rejects_counts_below_one_and_non_finite_strength(field, value, message):
+    with pytest.raises(BadInput) as caught:
+        _spec(**{field: value})
+    assert str(caught.value) == message
 
 
 def test_kfold_too_few_patients():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from protosurv.data import SyntheticSpec, synth_cohort
+from protosurv.errors import BadInput
 from protosurv.model import (
     ModelDims,
     canonical_modalities,
@@ -19,9 +20,9 @@ from protosurv.survival import TrainConfig, predict_cohort, train
 def test_canonical_modalities():
     assert canonical_modalities("tph") == "pht"
     assert canonical_modalities("t") == "t"
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput, match=r"unknown modality letters \['x'\]"):
         canonical_modalities("px")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput, match="modality subset is empty"):
         canonical_modalities("")
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -377,6 +379,60 @@ def test_checkpoint_refuses_values_not_finite_as_float32(tmp_path):
     with pytest.raises(BadInput, match="refusing to write tensor fusion.w_q, not finite as float32"):
         save_checkpoint(tmp_path / "m.ckpt", model, config, "")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("d_e", 0, "d_e must be >= 1, got 0"),
+        ("d_r", -1, "d_r must be >= 0, got -1"),
+        ("n_histology", 0, "n_histology must be >= 1, got 0"),
+        ("n_pathways", -1, "n_pathways must be >= 1, got -1"),
+    ],
+)
+def test_train_config_rejects_counts_out_of_range(field, value, message):
+    with pytest.raises(BadInput) as caught:
+        TrainConfig(**{field: value})
+    assert str(caught.value) == message
+    TrainConfig(d_r=0)
+
+
+def test_substream_rejects_a_negative_seed():
+    with pytest.raises(BadInput) as caught:
+        substream(-1, "init")
+    assert str(caught.value) == "seed must be >= 0, got -1"
+
+
+def _saved_checkpoint(tmp_path):
+    config = _small_config(epochs=0)
+    prepared, _, _ = build_prepared(_small_cohort(), config)
+    model, _ = train(prepared, config)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, config, "")
+    return path
+
+
+def test_checkpoint_with_dims_out_of_range_is_one_line_naming_it(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[5:9])
+    header = json.loads(raw[9 : 9 + header_len])
+    header["dims"]["n_text"] = 0
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + header_len :])
+    with pytest.raises(BadInput) as caught:
+        load_checkpoint(path)
+    assert str(caught.value) == f"{path}: malformed checkpoint header: n_text must be >= 1, got 0"
+
+
+def test_checkpoint_with_a_non_finite_tensor_is_one_line_naming_it(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    name = load_checkpoint(path)[0].spec[-1][0]
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-4] + bytes.fromhex("0100807f"))  # the last value, a float32 sNaN
+    with pytest.raises(BadInput) as caught:
+        load_checkpoint(path)
+    assert str(caught.value) == f"{path}: tensor {name} is not finite"
 
 
 def test_checkpoint_prediction_consistency(tmp_path):
