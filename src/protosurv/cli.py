@@ -124,6 +124,8 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_prototype(args) -> int:
+    if args.n_histology < 1:
+        raise BadInput(f"--n-histology must be >= 1, got {args.n_histology}")
     manifest = load_manifest(args.manifest)
     modalities = manifest.modalities
     # the stage needs the reports' shapes and the patches, not the expression files
@@ -180,8 +182,11 @@ def _fits(value, type_name: str) -> bool:
 
 
 def _effective_config(args) -> tuple[TrainConfig, int]:
-    """Defaults, overlaid by --config JSON, overlaid by flags (whose dests are TrainConfig fields)."""
+    """Defaults, overlaid by --config JSON, overlaid by flags (whose dests are
+    TrainConfig fields). A rejected value is reported with the input that
+    holds it: the config file's path, or the flag."""
     known = {f.name: f.type for f in fields(TrainConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in known and v is not None}
     merged: dict = {}
     folds = None
     if args.config:
@@ -195,9 +200,18 @@ def _effective_config(args) -> tuple[TrainConfig, int]:
             if key in doc and not _fits(doc[key], type_name):
                 raise BadInput(f"{args.config}: key {key!r} must be {type_name}, got {doc[key]!r}")
         folds = doc.get("folds")
+        if folds is not None and args.folds is None and folds < 2:
+            raise BadInput(f"{args.config}: folds must be >= 2, got {folds}")
         merged.update({k: v for k, v in doc.items() if k in known})
-    merged.update({k: v for k, v in vars(args).items() if k in known and v is not None})
+        try:
+            # the file's values that no flag overrides, checked on their own
+            TrainConfig(**{k: v for k, v in merged.items() if k not in flags})
+        except BadInput as exc:
+            raise BadInput(f"{args.config}: {exc}") from None
+    merged.update(flags)
     if args.folds is not None:
+        if args.folds < 2:
+            raise BadInput(f"--folds must be >= 2, got {args.folds}")
         folds = args.folds
     return TrainConfig(**merged), int(folds) if folds is not None else 5
 
@@ -234,6 +248,11 @@ def _load_prepared(args, config: TrainConfig):
         slide_reps = load_patient_matrices(rep_paths, "slide", config.n_histology)
         modalities = modalities.replace("h", "")
     cohort = load_cohort(manifest, modalities)
+    if "p" in modalities and len(cohort.gene_sets) != config.n_pathways:
+        raise BadInput(
+            f"{manifest.path(manifest.gene_sets_path)}: {len(cohort.gene_sets)} pathways in the gene sets,"
+            f" config expects --n-pathways {config.n_pathways}"
+        )
     prepared, _, mask_set = build_prepared(
         cohort,
         config,

@@ -152,6 +152,12 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
         losses = []  # batches with events only: a zero-event batch has no loss
         for start in range(0, n, config.batch_size):
             batch = prepared.subset(order[start : start + config.batch_size])
+            # the last step's leaves, risks and loss are rebound only after this
+            # forward, so its tape (~54 MB at batch 64) stays alive through it
+            # and the two tapes set training's peak memory. Deleting them after
+            # the update lowers the peak, but glibc then trims the freed heap top
+            # and the next forward faults it back in, which makes steps slower.
+            # Keep the overlap until the step reuses its allocations.
             leaves = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
             risks = forward_risks(batch, leaves, dims, config.fusion_mode)
             loss, degenerate = cox_loss(risks, (batch.times, batch.events))

@@ -690,7 +690,63 @@ def test_non_finite_learning_rate_fails_before_any_fold(cohort_dir, tmp_path, fl
         argv += ["--config", str(_rewrite(tmp_path / "config.json", config))]
     proc = _cli_subprocess(argv)
     assert proc.returncode == 1
-    assert proc.stderr.splitlines() == [f"error: {message}"]
+    # a value from the config file is reported with the file's path
+    named = "" if config is None else f"{tmp_path / 'config.json'}: "
+    assert proc.stderr.splitlines() == [f"error: {named}{message}"]
+    assert not run.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        ([], '{"d_r": -1}', "{config}: d_r must be >= 0, got -1"),
+        (["--d-r", "-1"], None, "d_r must be >= 0, got -1"),
+        (["--d-r", "-1"], '{"epochs": 2}', "d_r must be >= 0, got -1"),
+        (["--epochs", "-2"], '{"d_r": 3}', "epochs must be >= 0 and batch_size >= 1"),
+        (["--n-histology", "2"], '{"n_histology": 0, "n_pathways": 0}', "{config}: n_pathways must be >= 1, got 0"),
+        (["--folds", "0"], None, "--folds must be >= 2, got 0"),
+        (["--folds", "1"], '{"folds": 3}', "--folds must be >= 2, got 1"),
+        ([], '{"folds": 1}', "{config}: folds must be >= 2, got 1"),
+    ],
+    ids=["config", "flag", "flag_over_config", "flag_beside_config", "config_beside_flag", "folds_0", "folds_1",
+         "config_folds"],
+)
+def test_rejected_train_argument_names_the_input_holding_it(tmp_path, capsys, flags, config, message):
+    # the arguments are checked before the manifest is read
+    argv = ["train", "--manifest", str(tmp_path / "absent.json"), "--out", str(tmp_path / "run"), *flags]
+    if config is not None:
+        argv += ["--config", str(_rewrite(tmp_path / "config.json", config))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message.format(config=tmp_path / 'config.json')}"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_value_a_flag_overrides_is_not_checked(tmp_path):
+    from protosurv.cli import _effective_config, build_parser
+
+    path = _rewrite(tmp_path / "config.json", '{"d_r": -1, "folds": 1, "epochs": 3}')
+    argv = ["train", "--manifest", "m.json", "--out", "o", "--config", str(path), "--d-r", "2", "--folds", "4"]
+    config, folds = _effective_config(build_parser().parse_args(argv))
+    assert (config.d_r, config.epochs, folds) == (2, 3, 4)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_prototype_n_histology_below_one_names_the_flag(cohort_dir, tmp_path, capsys, value):
+    argv = ["prototype", "--manifest", str(cohort_dir / "manifest.json"), "--out", str(tmp_path / "p"),
+            "--n-histology", value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --n-histology must be >= 1, got {value}"]
+    assert not (tmp_path / "p").exists()
+
+
+def test_gene_set_count_mismatch_names_the_gmt_file(cohort_dir, proto_dir, tmp_path, capsys):
+    cohort, doc = _cohort_copy(cohort_dir, tmp_path)
+    gmt = cohort / doc["gene_sets"]
+    gmt.write_text("".join(gmt.read_text().splitlines(True)[1:]))
+    run = tmp_path / "run"
+    assert _train(cohort, proto_dir, run) == 1
+    expected = [f"error: {gmt}: 7 pathways in the gene sets, config expects --n-pathways 8"]
+    assert capsys.readouterr().err.splitlines() == expected
     assert not run.exists()
 
 

@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from protosurv import histology
 from protosurv.data import SyntheticSpec, synth_cohort
 from protosurv.histology import (
     EmTrace,
@@ -273,7 +274,42 @@ def test_fit_gmm_memory_linear_in_patches():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * x.nbytes
+    assert peak <= x.nbytes // 4
+
+
+def _paper_small_slide(seed, n, d, patterns=8):
+    """A scaled-down slides_paper slide: ``patterns`` planted centres, noise 0.5."""
+    rng = np.random.default_rng([seed, 0])
+    centres = rng.normal(0.0, 2.0, size=(patterns, d))
+    x = centres[rng.permutation(np.repeat(np.arange(patterns), n // patterns))] + rng.normal(0.0, 0.5, size=(n, d))
+    return PatchFeatures("paper_small", x)
+
+
+def test_fit_gmm_in_row_blocks_matches_one_block(monkeypatch):
+    # five full blocks and a 272-row tail at the module's BLOCK_BYTES
+    patches = _paper_small_slide(2, 3000, 48)
+    assert patches.patches.nbytes > 4 * histology.BLOCK_BYTES
+    blocked, blocked_trace = fit_gmm(patches, 4, np.random.default_rng([2, 0, 1]))
+    blocked_resp, blocked_ll = responsibilities(patches, blocked), log_density(patches, blocked)
+    monkeypatch.setattr(histology, "BLOCK_BYTES", patches.patches.nbytes)
+    whole, whole_trace = fit_gmm(patches, 4, np.random.default_rng([2, 0, 1]))
+    assert (blocked_trace.iterations, blocked_trace.converged) == (whole_trace.iterations, whole_trace.converged)
+    for got, want in [
+        (blocked.weights, whole.weights),
+        (blocked.means, whole.means),
+        (blocked.variances, whole.variances),
+        (np.asarray(blocked_trace.log_likelihoods), np.asarray(whole_trace.log_likelihoods)),
+    ]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the E-step is row-wise, but BLAS may take another kernel for a block
+    # of fewer rows, so a row's products can round differently: compare
+    # the posterior on the log scale, as the direct oracle test does
+    whole_resp, whole_ll = responsibilities(patches, blocked), log_density(patches, blocked)
+    assert np.abs(blocked_ll - whole_ll).max() <= 1e-12 * np.abs(whole_ll).max()
+    np.testing.assert_array_equal(blocked_resp == 0, whole_resp == 0)
+    live = whole_resp > 0
+    log_whole = np.log(whole_resp[live])
+    assert np.all(np.abs(np.log(blocked_resp[live]) - log_whole) <= 1e-12 * np.maximum(1.0, np.abs(log_whole)))
 
 
 def test_em_step_flushes_sub_normal_responsibilities_without_changing_the_fit():
