@@ -62,18 +62,16 @@ class FusionOutput:
 
 def append_learnable(tokens, e_r):
     """Concatenate the same learnable vector to every token row."""
-    if e_r is None or nm.as_tensor(e_r).shape[-1] == 0:
+    if e_r is None or np.shape(e_r)[-1] == 0:
         return tokens
-    x, e = nm.as_tensor(tokens), nm.as_tensor(e_r)
-    out = nm.concat([x, nm.broadcast_to(e, x.shape[:-1] + e.shape[-1:])], axis=-1)
-    return nm.unwrap(out, tokens, e_r)
+    return nm.concat([tokens, nm.broadcast_to(e_r, np.shape(tokens)[:-1] + np.shape(e_r)[-1:])], axis=-1)
 
 
-def _fusion_output(out, attention, names, sizes, inputs) -> FusionOutput:
+def _fusion_output(out, attention, names, sizes) -> FusionOutput:
     """Split the fused sequence back into its modality blocks."""
     fused = FusionOutput(None, None, None, nm.as_tensor(attention).data, dict(zip(names, sizes)))
     for name, (start, stop) in fused.spans.items():
-        setattr(fused, name, nm.unwrap(nm.narrow(out, -2, start, stop - start), *inputs))
+        setattr(fused, name, nm.narrow(out, -2, start, stop - start))
     return fused
 
 
@@ -89,12 +87,11 @@ def _block_diagonal(blocks) -> np.ndarray:
 
 def _sequence(tokens):
     """Concatenated token sequence and per-block sizes, widths checked."""
-    tensors = [nm.as_tensor(t) for t in tokens]
-    widths = {t.shape[-1] for t in tensors}
+    widths = {np.shape(t)[-1] for t in tokens}
     if len(widths) != 1:
         raise ShapeMismatch(f"token widths differ across modalities: {sorted(widths)}")
-    seq = tensors[0] if len(tensors) == 1 else nm.concat(tensors, axis=-2)
-    return seq, [t.shape[-2] for t in tensors]
+    seq = tokens[0] if len(tokens) == 1 else nm.concat(tokens, axis=-2)
+    return seq, [np.shape(t)[-2] for t in tokens]
 
 
 def block_attention(p, h, t, params: FusionParams, key_validity) -> FusionOutput:
@@ -104,7 +101,7 @@ def block_attention(p, h, t, params: FusionParams, key_validity) -> FusionOutput
     text order; absent modalities are passed as None and simply omitted. The
     learnable embedding of ``params`` is not appended again.
     """
-    sizes = [nm.as_tensor(m).shape[-2] for m in (p, h, t) if m is not None]
+    sizes = [np.shape(m)[-2] for m in (p, h, t) if m is not None]
     key_validity = np.asarray(key_validity, dtype=float)
     if sizes and key_validity.shape[-1] != sum(sizes):
         raise ShapeMismatch(f"key validity length {key_validity.shape[-1]} vs {sum(sizes)} tokens")
@@ -131,7 +128,6 @@ def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
     seq, sizes = _sequence(appended)
     validity = np.concatenate([np.asarray(mt.validity, dtype=float) for _, mt in present], axis=-1)
     weights = (params.w_q, params.w_k, params.w_v)
-    inputs = [mt.tokens for _, mt in present] + [params.e_r, *weights]
     names = [name for name, _ in present]
     if mode == "late":
         parts = [
@@ -139,11 +135,11 @@ def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
             for x, (_, mt) in zip(appended, present)
         ]
         out = parts[0][0] if len(parts) == 1 else nm.concat([o for o, _ in parts], axis=-2)
-        return _fusion_output(out, _block_diagonal([a for _, a in parts]), names, sizes, inputs)
+        return _fusion_output(out, _block_diagonal([a for _, a in parts]), names, sizes)
     n_p = sizes[0] if names[0] == "pathway" else 0
-    if mode == "hierarchical" and 0 < n_p < seq.shape[-2]:
-        rest = nm.narrow(seq, -2, n_p, seq.shape[-2] - n_p)
+    if mode == "hierarchical" and 0 < n_p < sum(sizes):
+        rest = nm.narrow(seq, -2, n_p, sum(sizes) - n_p)
         merged, _ = nm.masked_attention(rest, *weights, validity[..., None, n_p:])
         seq = nm.concat([nm.narrow(seq, -2, 0, n_p), merged], axis=-2)
     out, attention = nm.masked_attention(seq, *weights, validity[..., None, :])
-    return _fusion_output(out, attention, names, sizes, inputs)
+    return _fusion_output(out, attention, names, sizes)

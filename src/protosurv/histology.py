@@ -41,6 +41,8 @@ VAR_FLOOR = 1e-6
 BLOCK_BYTES = 256 * 1024
 # fit_gmm stops once the average log-likelihood changes by less than this, relatively
 REL_TOL = 1e-5
+# and after this many EM iterations at most
+MAX_ITERS = 100
 # a component owning less than this fraction of total responsibility is re-seeded
 RESCUE_FRACTION = 1e-8
 # fit_gmm gives up when one component starves more rounds than this in a row
@@ -204,15 +206,15 @@ def fit_gmm(
     patches: PatchFeatures,
     n_components: int,
     rng: np.random.Generator,
-    max_iters: int = 100,
 ) -> tuple[GmmParams, EmTrace]:
     """Iterate EM from ``init_gmm`` until the relative change in average
-    log-likelihood falls below REL_TOL or ``max_iters`` is reached; ``rng``
-    draws the initial means and every re-seed. Raises DegenerateInput
-    when one component starves more than MAX_RESCUE_ROUNDS rounds in a row."""
-    if max_iters < 1:
-        raise BadInput("max_iters must be >= 1")
+    log-likelihood falls below REL_TOL or MAX_ITERS is reached; ``rng``
+    draws the initial means and every re-seed. Raises BadInput for a slide
+    without patches, and DegenerateInput when one component starves more
+    than MAX_RESCUE_ROUNDS rounds in a row."""
     n, dim = patches.patches.shape
+    if n == 0:
+        raise BadInput(f"slide {patches.slide_id}: no patches")
     if n < n_components:
         warnings.warn(
             f"slide {patches.slide_id}: {n} patches for {n_components} components",
@@ -225,7 +227,7 @@ def fit_gmm(
     converged = False
     starved_rounds = np.zeros(n_components, dtype=int)  # consecutive, per component
     previous = None
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         params, avg_ll, starved = _em_step(patches.patches, centre, blocks(), params, rng)
         rescues += int(starved.sum())
         starved_rounds = np.where(starved, starved_rounds + 1, 0)

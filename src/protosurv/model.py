@@ -27,7 +27,6 @@ from . import numerics as nm
 from . import text as text_mod
 from .errors import BadInput
 from .fusion import MODALITY_ORDER, FusionParams, ModalityTokens, fuse
-from .numerics import Tensor
 from .pathways import embed_pathways
 
 MODALITY_LETTERS = {"p": "pathway", "h": "histology", "t": "text"}
@@ -46,7 +45,7 @@ def canonical_modalities(letters: str) -> str:
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Everything that determines parameter shapes."""
+    """Model shapes: parameter widths, text padding and prototype counts, and the modality subset."""
 
     d_t: int  # report segment embedding width
     d_h: int  # patch embedding width
@@ -153,11 +152,11 @@ def flatten_params(values: Mapping[str, np.ndarray], spec) -> np.ndarray:
     return np.concatenate([np.asarray(values[name], dtype=float).ravel() for name, _ in spec])
 
 
-def unflatten_tensors(flat: Tensor, spec) -> dict[str, Tensor]:
-    """Named Tensor views of a vector (leaf Tensor or array) laid out by
-    ``flatten_params``, for functions of the whole parameter vector such as
-    ``grad_check``; the gradients of every view accumulate in that leaf."""
-    out: dict[str, Tensor] = {}
+def unflatten_tensors(flat, spec) -> dict:
+    """Named views of a vector laid out by ``flatten_params``: Tensors whose
+    gradients accumulate in ``flat`` when it is a leaf that requires one (as
+    in ``grad_check``), else array views of it."""
+    out = {}
     offset = 0
     for name, shape in spec:
         size = int(np.prod(shape))
@@ -213,8 +212,8 @@ def _snn_layers(pt: Mapping, prefix: str):
 
 
 def forward_risks(prepared: PreparedCohort, pt: Mapping, dims: ModelDims, fusion_mode: str = "full"):
-    """Risk score per patient as a (n,) Tensor. ``pt`` maps parameter names
-    to Tensors (training, gradients flow) or plain arrays (inference)."""
+    """Risk score per patient, (n,). ``pt`` maps parameter names to leaf
+    Tensors (training: a Tensor result) or plain arrays (inference: an array)."""
     risks, _, _ = forward_diagnostics(prepared, pt, dims, fusion_mode)
     return risks
 
@@ -258,7 +257,7 @@ def _pooled_risk(blocks: Mapping, validity: Mapping, pt: Mapping, dims: ModelDim
     pooled = []
     for name in dims.enabled:
         group = "shared" if dims.shared_beta else name
-        beta = nm.snn_forward(nm.as_tensor(blocks[name]), _snn_layers(pt, f"head.beta.{group}"))
+        beta = nm.snn_forward(blocks[name], _snn_layers(pt, f"head.beta.{group}"))
         y = nm.layer_norm(beta, pt[f"head.ln.{group}.gain"], pt[f"head.ln.{group}.bias"])
         mask = np.asarray(validity[name], dtype=float)
         counts = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)

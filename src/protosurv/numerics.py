@@ -1,10 +1,12 @@
 """Dense linear-algebra kernel shared by every stage of the pipeline.
 
 All arithmetic is float64. Differentiation is reverse-mode over a recorded
-computation graph: each operation returns a :class:`Tensor` holding the
+computation graph: an operation returns a :class:`Tensor` holding the
 forward value plus a closure that maps the output adjoint to the input
-adjoints.
+adjoints, or, when no input requires a gradient, its plain ndarray.
 
+- No gradient, no node: ``_node`` makes that choice for every operation, so
+  training and inference run one code path.
 - A self-normalising layer ``selu(x @ W + b)`` is one node.
 - ``affine`` and the layers take a stack of rows, (..., n, d): one row is
   a batch of one, (1, d).
@@ -102,7 +104,9 @@ class Tensor:
                     parent.grad = parent.grad + g
                     summed.add(id(parent))
 
-    # operator sugar; every op promotes plain arrays to constant Tensors
+    # operator sugar; every op promotes plain arrays to constant Tensors, and
+    # numpy defers to it (``array * tensor`` is ``__rmul__``'s node)
+    __array_ufunc__ = None
     def __add__(self, other):
         return add(self, other)
 
@@ -133,21 +137,14 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def unwrap(out: Tensor, *inputs):
-    """``out`` when any input is a Tensor, else its plain ndarray.
-
-    Public functions run one taped body and call this at their boundary, so
-    that array inputs still give array outputs.
-    """
-    return out if any(isinstance(v, Tensor) for v in inputs) else out.data
-
-
-def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+def _node(data: np.ndarray, parents: Sequence[Tensor], backward):
+    """A Tensor recording ``backward`` when any parent requires a gradient, else ``data``."""
+    data = np.asarray(data, dtype=np.float64)
+    if not any(p.requires_grad for p in parents):
+        return data
+    out = Tensor(data, requires_grad=True)
+    out._parents = tuple(parents)
+    out._backward = backward
     return out
 
 
@@ -166,7 +163,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
+def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return _node(
         a.data + b.data,
@@ -178,7 +175,7 @@ def add(a, b) -> Tensor:
     )
 
 
-def mul(a, b) -> Tensor:
+def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return _node(
         a.data * b.data,
@@ -197,14 +194,14 @@ def _matmul_grads(g, a: Tensor, b: Tensor):
     return ga, gb
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
     return _node(a.data @ b.data, (a, b), lambda g: _matmul_grads(g, a, b))
 
 
-def swap_last(x) -> Tensor:
+def swap_last(x):
     x = as_tensor(x)
     return _node(
         np.swapaxes(x.data, -1, -2),
@@ -213,7 +210,7 @@ def swap_last(x) -> Tensor:
     )
 
 
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x, axis=None, keepdims: bool = False):
     x = as_tensor(x)
 
     def backward(g):
@@ -225,12 +222,12 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
 
 
-def reshape(x, shape) -> Tensor:
+def reshape(x, shape):
     x = as_tensor(x)
     return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
 
-def broadcast_to(x, shape) -> Tensor:
+def broadcast_to(x, shape):
     x = as_tensor(x)
     return _node(
         np.broadcast_to(x.data, shape).copy(),
@@ -239,7 +236,7 @@ def broadcast_to(x, shape) -> Tensor:
     )
 
 
-def narrow(x, axis: int, start: int, length: int) -> Tensor:
+def narrow(x, axis: int, start: int, length: int):
     """Contiguous slice ``[start, start+length)`` along one axis."""
     x = as_tensor(x)
     slicer = [slice(None)] * x.data.ndim
@@ -254,7 +251,7 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     return _node(x.data[slicer], (x,), backward)
 
 
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
+def concat(parts: Sequence, axis: int = 0):
     parts = [as_tensor(p) for p in parts]
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
@@ -265,7 +262,7 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return _node(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
 
 
-def gather_rows(x, idx: np.ndarray) -> Tensor:
+def gather_rows(x, idx: np.ndarray):
     """Select rows along axis -2: ``out[..., j, :] = x[..., idx[..., j], :]``."""
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
@@ -306,9 +303,8 @@ def masked_softmax(logits, key_mask):
     """Row-stochastic softmax over unmasked keys; masked columns are exactly 0.
 
     ``key_mask`` applies to the last axis and may broadcast over rows. Raises
-    :class:`AllMasked` when any mask vector is all zeros. Accepts either a
-    plain array (returns an array) or a :class:`Tensor` (returns a graph
-    node whose backward treats the mask as constant).
+    :class:`AllMasked` when any mask vector is all zeros. The mask is a
+    constant: no adjoint flows to it.
     """
     x = as_tensor(logits)
     weights, _, total = _masked_exp(x.data, key_mask)
@@ -320,10 +316,10 @@ def masked_softmax(logits, key_mask):
         gx *= out_data
         return (gx,)
 
-    return unwrap(_node(out_data, (x,), backward), logits)
+    return _node(out_data, (x,), backward)
 
 
-def masked_logsumexp(x, mask) -> Tensor:
+def masked_logsumexp(x, mask):
     """log Σ_j∈mask exp(x_j) along the last axis, computed stably."""
     x = as_tensor(x)
     weights, row_max, total = _masked_exp(x.data, mask)
@@ -355,7 +351,7 @@ def affine(x, weight, bias):
     or Tensors; one row is a (1, d_in) stack, and a 1-D ``x`` raises."""
     xt, wt, bt = as_tensor(x), as_tensor(weight), as_tensor(bias)
     _check_affine(xt, wt, bt)
-    return unwrap(add(matmul(xt, wt), bt), x, weight, bias)
+    return add(matmul(xt, wt), bt)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
@@ -387,10 +383,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
 
     out_data = normed * gt.data
     out_data += bt.data
-    return unwrap(_node(out_data, (xt, gt, bt), backward), x, gain, bias)
+    return _node(out_data, (xt, gt, bt), backward)
 
 
-def _selu_layer(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def _selu_layer(x: Tensor, weight: Tensor, bias: Tensor):
     """One node for ``selu(x @ weight + bias)``: with p = x @ weight + bias,
     selu(p) = S·(max(p, 0) + A·expm1(min(p, 0))) and its slope is S for
     p > 0, else S·A·exp(min(p, 0)). The minimum keeps exp from overflowing on
@@ -429,10 +425,10 @@ def snn_forward(x, layers):
     ``layers`` is a sequence of (weight, bias) pairs; ``x`` is a stack of
     rows, as for :func:`affine`.
     """
-    out = as_tensor(x)
+    out = x
     for weight, bias in layers:
-        out = _selu_layer(out, as_tensor(weight), as_tensor(bias))
-    return unwrap(out, x, *(p for layer in layers for p in layer))
+        out = _selu_layer(as_tensor(out), as_tensor(weight), as_tensor(bias))
+    return out
 
 
 def masked_attention(x, w_q, w_k, w_v, key_mask):
@@ -445,18 +441,17 @@ def masked_attention(x, w_q, w_k, w_v, key_mask):
     valid query when the mask lets it attend to itself; invalid query rows of
     the output are zero. Returns (output, attention).
     """
-    inputs = (x, w_q, w_k, w_v)
-    h, *weights = (as_tensor(v) for v in inputs)
+    h, weights = as_tensor(x), (w_q, w_k, w_v)
     n, d = h.shape[-2:]
     for w in weights:
-        if w.shape != (d, d):
-            raise ShapeMismatch(f"attention weight {w.shape} does not match token width {d}")
+        if np.shape(w) != (d, d):
+            raise ShapeMismatch(f"attention weight {np.shape(w)} does not match token width {d}")
     mask = np.asarray(key_mask, dtype=np.float64)
     query_mask = np.diagonal(np.broadcast_to(mask, mask.shape[:-2] + (n, n)), axis1=-2, axis2=-1)
-    q, k, v = (h @ w for w in weights)
-    attention = masked_softmax((q @ swap_last(k)) * (1.0 / math.sqrt(d)), mask)
-    out = (attention @ v) * query_mask[..., :, None]
-    return unwrap(out, *inputs), unwrap(attention, *inputs)
+    q, k, v = (matmul(h, w) for w in weights)
+    attention = masked_softmax(mul(matmul(q, swap_last(k)), 1.0 / math.sqrt(d)), mask)
+    out = mul(matmul(attention, v), query_mask[..., :, None])
+    return out, attention
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +467,21 @@ class GradReport:
 def grad_check(loss_fn, params, eps: float = 1e-5) -> GradReport:
     """Compare the taped gradient of ``loss_fn`` with central differences.
 
-    ``loss_fn`` maps a flat parameter :class:`Tensor` to a scalar Tensor.
-    The relative error per coordinate uses the denominator
-    max(|analytic|, |numeric|, 1e-8).
+    ``loss_fn`` maps a flat parameter :class:`Tensor` to a scalar, a Tensor
+    when that one requires a gradient. The relative error per coordinate
+    uses the denominator max(|analytic|, |numeric|, 1e-8).
     """
     params = np.asarray(params, dtype=np.float64).ravel()
 
     def evaluate(values: np.ndarray) -> float:
-        value = float(np.asarray(loss_fn(Tensor(values)).data).reshape(()))
+        value = float(as_tensor(loss_fn(Tensor(values))).data.reshape(()))
         if not np.isfinite(value):
             raise NonFiniteLoss(f"loss is {value} at a probed point")
         return value
 
     leaf = Tensor(params.copy(), requires_grad=True)
-    out = loss_fn(leaf)
-    centre = float(np.asarray(out.data).reshape(()))
+    out = as_tensor(loss_fn(leaf))
+    centre = float(out.data.reshape(()))
     if not np.isfinite(centre):
         raise NonFiniteLoss(f"loss is {centre} at the supplied parameters")
     out.backward()

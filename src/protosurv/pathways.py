@@ -92,13 +92,13 @@ def embed_pathways(slices, snns):
     tokens on axis -2: token i is ``snn_forward(slices[i], snns[i])``.
 
     (n, width) slices give an (n, P, d_e) batch; a 1-D slice raises
-    ShapeMismatch. Tensor parameters give a Tensor result.
+    ShapeMismatch. The result is a Tensor only when a gradient can reach it.
     """
     if len(slices) != len(snns):
         raise ShapeMismatch(f"{len(slices)} slices for {len(snns)} networks")
     rows = [nm.snn_forward(s, layers) for s, layers in zip(slices, snns)]
     tokens = [nm.reshape(r, r.shape[:-1] + (1, r.shape[-1])) for r in rows]
-    return nm.unwrap(tokens[0] if len(tokens) == 1 else nm.concat(tokens, axis=-2), *rows)
+    return tokens[0] if len(tokens) == 1 else nm.concat(tokens, axis=-2)
 
 
 def fingerprint(order: GeneOrder, masks: PathwayMaskSet) -> str:

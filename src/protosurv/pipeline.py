@@ -120,7 +120,6 @@ def score_fold(model: ModelParams, prepared: PreparedCohort, held_ids, fusion_mo
     position = {pid: i for i, pid in enumerate(prepared.patient_ids)}
     held = prepared.subset(np.asarray([position[p] for p in held_ids], dtype=int))
     risks, fused, validity = forward_diagnostics(held, model.values, model.dims, fusion_mode)
-    risks = np.asarray(risks.data)
     try:
         c_index = concordance_index(risks, (held.times, held.events))
     except NoComparablePairs as exc:

@@ -95,23 +95,22 @@ def cox_loss(risks, records):
     """Negative log partial likelihood (Breslow ties), averaged over events.
 
     ``records`` may be SurvivalRecords or a (times, events) pair. Returns
-    (loss, degenerate): with zero events in the batch the loss is 0 and the
-    degenerate flag is set. Tensor risks give a Tensor loss.
+    (loss, degenerate): a Tensor loss when a gradient can reach it, else a
+    float, and 0.0 with the degenerate flag set when the batch has no event.
     """
     times, events = _records_to_arrays(records)
     n = times.shape[0]
     event_idx = np.flatnonzero(events == 1)
     n_events = event_idx.size
     if n_events == 0:
-        loss = Tensor(0.0)
-    else:
-        # risk set of event i: everyone still under observation at that time
-        at_risk = (times[None, :] >= times[event_idx, None]).astype(float)
-        eta = nm.reshape(nm.as_tensor(risks), (n,))
-        observed = nm.gather_rows(nm.reshape(eta, (n, 1)), event_idx)
-        pooled = nm.masked_logsumexp(nm.broadcast_to(nm.reshape(eta, (1, n)), (n_events, n)), at_risk)
-        loss = (nm.tsum(pooled) - nm.tsum(observed)) * (1.0 / n_events)
-    return (loss if isinstance(risks, Tensor) else float(loss.data)), n_events == 0
+        return 0.0, True
+    # risk set of event i: everyone still under observation at that time
+    at_risk = (times[None, :] >= times[event_idx, None]).astype(float)
+    eta = nm.reshape(risks, (n,))
+    observed = nm.gather_rows(nm.reshape(eta, (n, 1)), event_idx)
+    pooled = nm.masked_logsumexp(nm.broadcast_to(nm.reshape(eta, (1, n)), (n_events, n)), at_risk)
+    loss = (nm.tsum(pooled) - nm.tsum(observed)) * (1.0 / n_events)
+    return (loss if isinstance(loss, Tensor) else float(loss)), False
 
 
 def cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
@@ -141,7 +140,7 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
     # AdamW state as flat buffers in param_spec order; the named values are views
     spec = param_spec(dims)
     flat = flatten_params(init_params(dims, substream(config.seed, "init")), spec)
-    values = {name: view.data for name, view in unflatten_tensors(flat, spec).items()}
+    values = unflatten_tensors(flat, spec)
     grad, moment1, moment2, update, scratch = (np.zeros_like(flat) for _ in range(5))
     step = 0
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
@@ -196,8 +195,7 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
 
 def predict_cohort(model: ModelParams, prepared: PreparedCohort, fusion_mode: str = "full") -> np.ndarray:
     """Deterministic risk scores for every prepared patient."""
-    risks = forward_risks(prepared, model.values, model.dims, fusion_mode)
-    return np.asarray(risks.data)
+    return forward_risks(prepared, model.values, model.dims, fusion_mode)
 
 
 # ---------------------------------------------------------------------------

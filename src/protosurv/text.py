@@ -17,7 +17,6 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import BadInput, ShapeMismatch
-from .numerics import Tensor
 
 
 @dataclass
@@ -35,7 +34,7 @@ class PaddedBatch:
 
 @dataclass
 class DiagnosticPrototypes:
-    embeddings: np.ndarray  # (b, n_t, d_t), a Tensor for Tensor input; rows with validity 0 are zero
+    embeddings: np.ndarray  # (b, n_t, d_t), a Tensor when a gradient can reach it; rows with validity 0 are zero
     validity: np.ndarray  # (b, n_t)
     source_indices: np.ndarray  # (b, n_t) original segment index per slot, meaningful where validity is 1
 
@@ -85,8 +84,8 @@ def text_self_attention(batch: PaddedBatch, params: TextAttentionParams):
 
     Padded keys are masked out of every softmax row and padded query rows of
     the output are zeroed. Returns (Z, A): post-attention embeddings
-    (b, m, d_t) and attention weights (b, m, m). Tensor parameters yield
-    Tensor outputs, recording the computation for backprop.
+    (b, m, d_t) and attention weights (b, m, m), Tensors that record the
+    computation when a parameter requires a gradient, else arrays.
     """
     return nm.masked_attention(batch.data, params.w_q, params.w_k, params.w_v, batch.mask[..., None, :])
 
@@ -97,7 +96,7 @@ def importance_scores(attention, mask) -> np.ndarray:
     Masked positions score exactly 0; valid scores form a distribution.
     Takes attention (..., m, m) with its mask (..., m).
     """
-    att = attention.data if isinstance(attention, Tensor) else np.asarray(attention, dtype=float)
+    att = nm.as_tensor(attention).data
     mask = np.asarray(mask, dtype=float)
     counts = mask.sum(axis=-1)
     scores = (att * mask[..., :, None]).sum(axis=-2) / np.maximum(counts, 1.0)[..., None]
@@ -124,12 +123,12 @@ def select_prototypes(z, scores, mask, n_t: int) -> DiagnosticPrototypes:
     ordered by descending score, zero-filling unused slots.
 
     Takes a batch: ``z`` (b, m, d_t) with ``scores`` and ``mask`` (b, m);
-    Tensor ``z`` gives Tensor embeddings.
+    the embeddings are a Tensor when ``z`` requires a gradient.
     """
     if n_t < 1:
         raise BadInput("n_t must be >= 1")
     order, validity = top_segment_indices(scores, mask, n_t)
-    embeddings = nm.unwrap(nm.gather_rows(z, order) * validity[..., None], z)
+    embeddings = nm.mul(nm.gather_rows(z, order), validity[..., None])
     return DiagnosticPrototypes(embeddings, validity, order)
 
 

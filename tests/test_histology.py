@@ -7,6 +7,7 @@ import pytest
 
 from protosurv import histology
 from protosurv.data import SyntheticSpec, synth_cohort
+from protosurv.errors import BadInput
 from protosurv.histology import (
     EmTrace,
     GmmParams,
@@ -175,9 +176,10 @@ def test_em_step_invariants():
     np.testing.assert_allclose(resp.sum(axis=1), np.ones(len(resp)), atol=1e-9)
 
 
-def test_fit_gmm_single_iteration():
+def test_fit_gmm_single_iteration(monkeypatch):
+    monkeypatch.setattr(histology, "MAX_ITERS", 1)
     patches, _, _ = _cluster_slide(8)
-    params_one, trace = fit_gmm(patches, 2, substream(0, "gmm"), max_iters=1)
+    params_one, trace = fit_gmm(patches, 2, substream(0, "gmm"))
     assert trace.iterations == 1 and not trace.converged
     step_params, _ = em_step(patches, init_gmm(2, patches.patches.shape[1], substream(0, "gmm")),
                              substream(0, "gmm"))
@@ -216,18 +218,25 @@ def test_fit_gmm_patch_order_invariance():
     assert np.max(np.abs(rep_a - rep_b)) < 1e-9
 
 
-def test_fit_gmm_single_component_one_step_exact():
+def test_fit_gmm_single_component_one_step_exact(monkeypatch):
+    monkeypatch.setattr(histology, "MAX_ITERS", 1)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(50, 4))
-    params, _ = fit_gmm(PatchFeatures("s", x), 1, substream(0, "gmm"), max_iters=1)
+    params, _ = fit_gmm(PatchFeatures("s", x), 1, substream(0, "gmm"))
     np.testing.assert_allclose(params.means[0], x.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(params.variances[0], x.var(axis=0), atol=1e-12)
 
 
-def test_fit_gmm_warns_on_few_patches():
+def test_fit_gmm_warns_on_few_patches(monkeypatch):
+    monkeypatch.setattr(histology, "MAX_ITERS", 2)
     rng = np.random.default_rng(13)
     with pytest.warns(UserWarning):
-        fit_gmm(PatchFeatures("s", rng.normal(size=(3, 2))), 5, substream(0, "gmm"), max_iters=2)
+        fit_gmm(PatchFeatures("s", rng.normal(size=(3, 2))), 5, substream(0, "gmm"))
+
+
+def test_fit_gmm_rejects_a_slide_without_patches():
+    with pytest.raises(BadInput, match="slide empty: no patches"):
+        fit_gmm(PatchFeatures("empty", np.zeros((0, 3))), 2, substream(0, "gmm"))
 
 
 def test_fit_gmm_identical_patches_resolved():
@@ -265,12 +274,13 @@ def test_fit_gmm_large_offset_keeps_precision():
     np.testing.assert_allclose(rep_moved[:, 1 + d:], rep_base[:, 1 + d:], rtol=1e-6)
 
 
-def test_fit_gmm_memory_linear_in_patches():
+def test_fit_gmm_memory_linear_in_patches(monkeypatch):
+    monkeypatch.setattr(histology, "MAX_ITERS", 2)
     # an (n, k, d) temporary would take 16x the patches alone
     x = np.random.default_rng(18).normal(size=(4096, 384))
     tracemalloc.start()
     try:
-        fit_gmm(PatchFeatures("paper", x), 16, substream(0, "gmm"), max_iters=2)
+        fit_gmm(PatchFeatures("paper", x), 16, substream(0, "gmm"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

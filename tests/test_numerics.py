@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from protosurv import numerics as nm
+from protosurv.data import SyntheticSpec, synth_cohort
 from protosurv.errors import AllMasked, NonFiniteLoss, ShapeMismatch
+from protosurv.fusion import FusionParams, ModalityTokens, fuse
+from protosurv.model import forward_risks, init_params
 from protosurv.pathways import embed_pathways
+from protosurv.pipeline import build_prepared
+from protosurv.rng import substream
+from protosurv.survival import TrainConfig, cox_loss
+from protosurv.text import select_prototypes
 
 
 def _selu_scalar(v):
@@ -494,3 +501,96 @@ def test_backward_sums_adjoints_without_touching_shared_ones():
     loss.backward()
     np.testing.assert_array_equal(b.grad, [1.0, 10.0])
     np.testing.assert_array_equal(a.grad, [8.0, 17.0])
+
+
+# ---------------------------------------------------------------------------
+# no gradient, no node: an op that no gradient can reach returns its array
+# ---------------------------------------------------------------------------
+
+def test_numpy_defers_to_a_tensor():
+    leaf = nm.Tensor(np.ones((2, 3)), requires_grad=True)
+    product = np.full((2, 3), 2.0) * leaf
+    assert isinstance(product, nm.Tensor)
+    nm.tsum(product).backward()
+    np.testing.assert_array_equal(leaf.grad, np.full((2, 3), 2.0))
+    with pytest.raises(TypeError):
+        np.ones((3, 2)) @ leaf
+
+
+_VALIDITY = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def _fuse_blocks(mode):
+    def build(p, h, e_r, w_q, w_k, w_v):
+        fused = fuse(
+            ModalityTokens("pathway", p, np.ones((2, 2))),
+            ModalityTokens("histology", h, _VALIDITY),
+            None,
+            FusionParams(e_r, w_q, w_k, w_v),
+            mode,
+        )
+        return nm.concat([fused.pathway, fused.histology], axis=-2)
+
+    return build, [(2, 2, 3), (2, 3, 3), (2,), (5, 5), (5, 5), (5, 5)]
+
+
+# each stage's (build, input shapes): every input is one a gradient can reach
+_STAGES = {
+    "masked_softmax": (lambda a: nm.masked_softmax(a, _VALIDITY[:, None, :]), [(2, 3, 3)]),
+    "affine": (lambda x, w, b: nm.affine(x, w, b), [(2, 3, 4), (4, 5), (5,)]),
+    "layer_norm": (lambda x, g, b: nm.layer_norm(x, g, b), [(2, 3, 4), (4,), (4,)]),
+    "snn_forward": (lambda x, w, b: nm.snn_forward(x, [(w, b), (np.eye(5), np.zeros(5))]), [(2, 3, 4), (4, 5), (5,)]),
+    "masked_attention": (
+        lambda x, q, k, v: nm.masked_attention(x, q, k, v, _VALIDITY[:, None, :])[0],
+        [(2, 3, 4), (4, 4), (4, 4), (4, 4)],
+    ),
+    "fuse_full": _fuse_blocks("full"),
+    "fuse_late": _fuse_blocks("late"),
+    "fuse_hierarchical": _fuse_blocks("hierarchical"),
+    "embed_pathways": (
+        lambda s0, s1, w0, b0, w1, b1: embed_pathways([s0, s1], [[(w0, b0)], [(w1, b1)]]),
+        [(3, 2), (3, 4), (2, 5), (5,), (4, 5), (5,)],
+    ),
+    "select_prototypes": (
+        lambda z: select_prototypes(z, np.array([[0.2, 0.5, 0.0], [0.9, 0.0, 0.0]]), _VALIDITY, 2).embeddings,
+        [(2, 3, 4)],
+    ),
+    "cox_loss": (lambda risks: cox_loss(risks, (np.array([1.0, 3.0, 2.0]), np.array([1, 0, 1])))[0], [(3,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STAGES))
+def test_an_output_no_gradient_reaches_is_a_plain_array(name):
+    build, shapes = _STAGES[name]
+    rng = np.random.default_rng(36)
+    values = [rng.normal(size=s) for s in shapes]
+    plain = build(*values)
+    constant = build(*(nm.Tensor(v) for v in values))
+    for out in (plain, constant):
+        if name == "cox_loss":
+            assert type(out) is float
+        else:
+            assert type(out) is np.ndarray and out.dtype == np.float64
+    np.testing.assert_array_equal(constant, plain)
+    for i in range(len(values)):
+        leaf = nm.Tensor(values[i], requires_grad=True)
+        out = build(*values[:i], leaf, *values[i + 1 :])
+        assert isinstance(out, nm.Tensor), f"input {i}"
+        np.testing.assert_array_equal(out.data, plain)
+        nm.tsum(out * rng.normal(size=out.shape)).backward()
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape, f"input {i}"
+
+
+def test_forward_risks_with_array_parameters_returns_an_array():
+    cohort = synth_cohort(SyntheticSpec(
+        n_patients=6, n_segments=(2, 4), n_patches=(15, 25), d_t=5, d_h=4, n_genes=20, n_pathways=5, seed=0,
+    ))
+    config = TrainConfig(d_e=4, d_r=2, n_histology=3, n_pathways=5)
+    prepared, dims, _ = build_prepared(cohort, config)
+    values = init_params(dims, substream(0, "init"))
+    for mode in ("full", "late", "hierarchical"):
+        risks = forward_risks(prepared, values, dims, mode)
+        assert type(risks) is np.ndarray and risks.shape == (6,)
+        taped = forward_risks(prepared, {k: nm.Tensor(v, requires_grad=True) for k, v in values.items()}, dims, mode)
+        assert isinstance(taped, nm.Tensor)
+        np.testing.assert_array_equal(taped.data, risks)

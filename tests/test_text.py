@@ -216,7 +216,7 @@ def test_select_prototypes_batch_equals_per_report_calls(n_t):
         np.testing.assert_array_equal(batched.embeddings[i], single.embeddings[0])
         np.testing.assert_array_equal(batched.validity[i], single.validity[0])
         np.testing.assert_array_equal(batched.source_indices[i], single.source_indices[0])
-    taped = select_prototypes(nm.Tensor(z), scores, batch.mask, n_t)
+    taped = select_prototypes(nm.Tensor(z, requires_grad=True), scores, batch.mask, n_t)
     assert isinstance(taped.embeddings, nm.Tensor)
     np.testing.assert_array_equal(taped.embeddings.data, batched.embeddings)
 
