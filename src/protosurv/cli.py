@@ -323,7 +323,10 @@ def cmd_eval(args) -> int:
     models = []
     for path in checkpoint_paths:
         fold_no = path.stem.removeprefix("fold")
-        if not fold_no.isdigit() or int(fold_no) >= len(folds):
+        # only the name train writes, fold<k>.ckpt: fold01, or fold1 in other digits, would score fold 1 twice
+        if not (fold_no.isdecimal() and str(int(fold_no)) == fold_no):
+            raise BadInput(f"{path}: not a checkpoint name train writes (fold<k>.ckpt)")
+        if int(fold_no) >= len(folds):
             raise BadInput(f"{path}: no fold {fold_no} in {folds_path}")
         models.append((int(fold_no), *load_checkpoint(path)))
     config = models[0][2]

@@ -79,6 +79,10 @@ def load_matrix(path) -> np.ndarray:
     return read_matrix(path)
 
 
+# a name that becomes a field of an output CSV holds none of these
+_CSV_UNSAFE = ',"\r\n'
+
+
 def open_text(path, newline: str | None = None) -> io.StringIO:
     """The UTF-8 text of ``path`` as a file object whose lines split as
     ``open(path, newline=newline)`` splits them. A byte that is not UTF-8
@@ -107,6 +111,8 @@ def parse_gmt(path) -> dict[str, list[str]]:
             if len(parts) < 3 or not genes:
                 raise BadInput(f"{path}:{lineno}: expected name, description and genes")
             name = parts[0]
+            if any(c in name for c in _CSV_UNSAFE):
+                raise BadInput(f"{path}:{lineno}: gene set name {name!r} holds a comma, a quote or a line break")
             if name in sets:
                 raise BadInput(f"{path}:{lineno}: gene set {name!r} repeated")
             sets[name] = list(dict.fromkeys(genes))
@@ -270,6 +276,8 @@ def load_manifest(path) -> CohortManifest:
         pid = entry["patient_id"]
         if not isinstance(pid, str):
             raise BadInput(f"{path}: patient entry {i} has 'patient_id' {pid!r}, not a string")
+        if pid in ("", ".", "..") or any(c in pid for c in "/\\" + _CSV_UNSAFE):
+            raise BadInput(f"{path}: patient entry {i} has 'patient_id' {pid!r}, not a file name or CSV field")
         if pid in seen:
             raise BadInput(f"{path}: patient {pid!r} repeated")
         seen.add(pid)

@@ -1,16 +1,19 @@
 """Attention fusion of pathway, histology and text prototype tokens.
 
-Each token is widened by one shared learnable embedding, and the tokens of
-every present modality are concatenated in pathway, histology, text order.
-One masked scaled dot-product attention kernel
-(:func:`numerics.masked_attention`) fuses them; the fusion modes differ only
-in the tokens and the mask they pass. ``full`` lets every token attend to
-every valid token; ``late`` runs the kernel once per modality, so each token
-sees only its own modality and the attention matrix is block-diagonal (one
-call under a block-diagonal mask gives the same result with about twice the
-arithmetic, spent on cross blocks that come out zero); and
-``hierarchical`` runs the kernel twice: histology and text first, then
-pathways join the fused pair.
+Each token is widened by one shared learnable embedding, and the blocks of
+the present modalities keep pathway, histology, text order. One masked scaled
+dot-product attention kernel (:func:`numerics.masked_attention`) fuses them;
+the fusion modes differ only in which blocks each kernel call joins:
+
+- ``full`` joins every block into one sequence, attends once and cuts the
+  output back into its blocks.
+- ``late`` attends within each block alone, so each call's output is its
+  block and nothing is joined or cut. The attention matrix is block-diagonal
+  (one call under a block-diagonal mask gives the same result with about
+  twice the arithmetic, spent on cross blocks that come out zero).
+- ``hierarchical`` joins histology and text for a first call, then joins the
+  pathway block with that call's output for a second, whose output it cuts.
+  Without pathways, or with pathways alone, it is ``full``.
 """
 
 from __future__ import annotations
@@ -67,14 +70,6 @@ def append_learnable(tokens, e_r):
     return nm.concat([tokens, nm.broadcast_to(e_r, np.shape(tokens)[:-1] + np.shape(e_r)[-1:])], axis=-1)
 
 
-def _fusion_output(out, attention, names, sizes) -> FusionOutput:
-    """Split the fused sequence back into its modality blocks."""
-    fused = FusionOutput(None, None, None, nm.as_tensor(attention).data, dict(zip(names, sizes)))
-    for name, (start, stop) in fused.spans.items():
-        setattr(fused, name, nm.narrow(out, -2, start, stop - start))
-    return fused
-
-
 def _block_diagonal(blocks) -> np.ndarray:
     """(..., n, n) matrix with the given square blocks on its diagonal, zero elsewhere."""
     blocks = [nm.as_tensor(b).data for b in blocks]
@@ -83,15 +78,6 @@ def _block_diagonal(blocks) -> np.ndarray:
     for start, n, b in zip(np.cumsum([0] + sizes[:-1]), sizes, blocks):
         out[..., start : start + n, start : start + n] = b
     return out
-
-
-def _sequence(tokens):
-    """Concatenated token sequence and per-block sizes, widths checked."""
-    widths = {np.shape(t)[-1] for t in tokens}
-    if len(widths) != 1:
-        raise ShapeMismatch(f"token widths differ across modalities: {sorted(widths)}")
-    seq = tokens[0] if len(tokens) == 1 else nm.concat(tokens, axis=-2)
-    return seq, [np.shape(t)[-2] for t in tokens]
 
 
 def block_attention(p, h, t, params: FusionParams, key_validity) -> FusionOutput:
@@ -111,35 +97,36 @@ def block_attention(p, h, t, params: FusionParams, key_validity) -> FusionOutput
 
 
 def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
-    """Fuse modality token sets after appending the learnable embedding.
-
-    full: one attention over everything present. late: attention within each
-    modality only (cross blocks of the attention matrix are exactly zero).
-    hierarchical: histology and text fuse first, then the fused pair attends
-    jointly with pathways; with pathways absent this collapses to the first
-    stage, with only pathways present to plain self-attention.
-    """
+    """Fuse modality token sets after appending the learnable embedding, in
+    one of the modes the module docstring describes."""
     if mode not in FUSION_MODES:
         raise BadInput(f"unknown fusion mode {mode!r}")
-    present = [(name, mt) for name, mt in zip(MODALITY_ORDER, (p, h, t)) if mt is not None]
+    present = {name: mt for name, mt in zip(MODALITY_ORDER, (p, h, t)) if mt is not None}
     if not present:
         raise BadInput("every modality is disabled")
-    appended = [append_learnable(mt.tokens, params.e_r) for _, mt in present]
-    seq, sizes = _sequence(appended)
-    validity = np.concatenate([np.asarray(mt.validity, dtype=float) for _, mt in present], axis=-1)
-    weights = (params.w_q, params.w_k, params.w_v)
-    names = [name for name, _ in present]
+    tokens = {name: append_learnable(mt.tokens, params.e_r) for name, mt in present.items()}
+    widths = {np.shape(x)[-1] for x in tokens.values()}
+    if len(widths) != 1:
+        raise ShapeMismatch(f"token widths differ across modalities: {sorted(widths)}")
+    sizes = {name: np.shape(x)[-2] for name, x in tokens.items()}
+
+    def attend(blocks, modalities):
+        """The kernel over ``blocks`` joined on the token axis, under the joined validity of ``modalities``."""
+        seq = blocks[0] if len(blocks) == 1 else nm.concat(blocks, axis=-2)
+        validity = np.concatenate([np.asarray(present[n].validity, dtype=float) for n in modalities], axis=-1)
+        return nm.masked_attention(seq, params.w_q, params.w_k, params.w_v, validity[..., None, :])
+
+    names = list(tokens)
     if mode == "late":
-        parts = [
-            nm.masked_attention(x, *weights, np.asarray(mt.validity, dtype=float)[..., None, :])
-            for x, (_, mt) in zip(appended, present)
-        ]
-        out = parts[0][0] if len(parts) == 1 else nm.concat([o for o, _ in parts], axis=-2)
-        return _fusion_output(out, _block_diagonal([a for _, a in parts]), names, sizes)
-    n_p = sizes[0] if names[0] == "pathway" else 0
-    if mode == "hierarchical" and 0 < n_p < sum(sizes):
-        rest = nm.narrow(seq, -2, n_p, sum(sizes) - n_p)
-        merged, _ = nm.masked_attention(rest, *weights, validity[..., None, n_p:])
-        seq = nm.concat([nm.narrow(seq, -2, 0, n_p), merged], axis=-2)
-    out, attention = nm.masked_attention(seq, *weights, validity[..., None, :])
-    return _fusion_output(out, attention, names, sizes)
+        parts = [attend([tokens[n]], [n]) for n in names]
+        blocks, attention = [out for out, _ in parts], _block_diagonal([a for _, a in parts])
+    else:
+        if mode == "hierarchical" and names[0] == "pathway" and len(names) > 1:
+            merged, _ = attend([tokens[n] for n in names[1:]], names[1:])
+            out, attention = attend([tokens["pathway"], merged], names)
+        else:
+            out, attention = attend(list(tokens.values()), names)
+        starts = accumulate(sizes.values(), initial=0)
+        blocks = [nm.narrow(out, -2, start, n) for start, n in zip(starts, sizes.values())]
+    by_name = dict(zip(names, blocks))
+    return FusionOutput(*map(by_name.get, MODALITY_ORDER), nm.as_tensor(attention).data, sizes)

@@ -96,9 +96,8 @@ def embed_pathways(slices, snns):
     """
     if len(slices) != len(snns):
         raise ShapeMismatch(f"{len(slices)} slices for {len(snns)} networks")
-    rows = [nm.snn_forward(s, layers) for s, layers in zip(slices, snns)]
-    tokens = [nm.reshape(r, r.shape[:-1] + (1, r.shape[-1])) for r in rows]
-    return tokens[0] if len(tokens) == 1 else nm.concat(tokens, axis=-2)
+    joined = nm.concat([nm.snn_forward(s, layers) for s, layers in zip(slices, snns)], axis=-1)
+    return nm.reshape(joined, joined.shape[:-1] + (len(snns), -1))
 
 
 def fingerprint(order: GeneOrder, masks: PathwayMaskSet) -> str:

@@ -391,6 +391,20 @@ def test_eval_checkpoint_without_fold_entry_is_one_line_error(cohort_dir, proto_
     assert "fold3.ckpt" in err[0]
 
 
+@pytest.mark.parametrize("name", ["fold01.ckpt", "fold\u0661.ckpt"])
+def test_eval_checkpoint_name_train_does_not_write_is_one_line_error(cohort_dir, proto_dir, tmp_path, capsys, name):
+    import shutil
+
+    run = tmp_path / "run"
+    assert _train(cohort_dir, proto_dir, run) == 0
+    shutil.copy(run / "fold1.ckpt", run / name)  # scored as fold 1 a second time, were it read
+    capsys.readouterr()
+    assert _eval(cohort_dir, proto_dir, run, tmp_path / "e") == 1
+    expected = [f"error: {run / name}: not a checkpoint name train writes (fold<k>.ckpt)"]
+    assert capsys.readouterr().err.splitlines() == expected
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize("mode", ["full", "late", "hierarchical"])
 def test_eval_attention_rows_match_per_patient_forward(cohort_dir, proto_dir, tmp_path, mode):
     from protosurv.data import load_cohort, load_manifest, load_matrix
@@ -756,6 +770,20 @@ def _cohort_copy(cohort_dir, tmp_path) -> tuple[Path, dict]:
 
     copy = Path(shutil.copytree(cohort_dir, tmp_path / "cohort"))
     return copy, json.loads((copy / "manifest.json").read_text())
+
+
+def test_prototype_of_a_patient_id_outside_its_directory_writes_nothing(cohort_dir, tmp_path, capsys):
+    cohort, doc = _cohort_copy(cohort_dir, tmp_path)
+    old = doc["patients"][0]["patient_id"]
+    doc["patients"][0]["patient_id"] = "../outside"
+    manifest = _rewrite(cohort / "manifest.json", json.dumps(doc))
+    survival = cohort / doc["survival"]
+    survival.write_text(survival.read_text().replace(f"\n{old},", "\n../outside,"))
+    work = tmp_path / "work"
+    assert main(["prototype", "--manifest", str(manifest), "--out", str(work / "p3"), "--n-histology", "4"]) == 1
+    expected = [f"error: {manifest}: patient entry 0 has 'patient_id' '../outside', not a file name or CSV field"]
+    assert capsys.readouterr().err.splitlines() == expected
+    assert not work.exists()
 
 
 @pytest.mark.parametrize("gene_files", [True, False])

@@ -117,6 +117,15 @@ def test_parse_gmt_duplicate_name(tmp_path):
         parse_gmt(path)
 
 
+@pytest.mark.parametrize("name", ["PW,000", 'PW"000'])
+def test_parse_gmt_rejects_a_set_name_that_cannot_be_a_csv_field(tmp_path, name):
+    path = tmp_path / "sets.gmt"
+    path.write_text(f"A\tdesc\tG1\n{name}\tdesc\tG2\n")
+    with pytest.raises(BadInput) as caught:
+        parse_gmt(path)
+    assert str(caught.value) == f"{path}:2: gene set name {name!r} holds a comma, a quote or a line break"
+
+
 # ---------------------------------------------------------------------------
 # survival CSV
 # ---------------------------------------------------------------------------
@@ -267,6 +276,16 @@ def test_manifest_value_of_another_type_is_one_line_naming_the_file_and_the_key(
     with pytest.raises(BadInput) as caught:
         load_manifest(path)
     assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("pid", ["", ".", "..", "../outside", "a/b", "a\\b", "SYN,0000", 'a"b', "a\rb", "a\nb"])
+def test_manifest_patient_id_that_cannot_name_a_file_or_csv_field_is_rejected(tmp_path, pid):
+    path = _bad_manifest(tmp_path, "survival")  # writes survival.csv and s1.ps3e
+    path.write_text(json.dumps({"modalities": "h", "survival": "survival.csv", "patients": [
+        {"patient_id": "p1", "slide": "s1.ps3e"}, {"patient_id": pid, "slide": "s1.ps3e"}]}))
+    with pytest.raises(BadInput) as caught:
+        load_manifest(path)
+    assert str(caught.value) == f"{path}: patient entry 1 has 'patient_id' {pid!r}, not a file name or CSV field"
 
 
 @pytest.mark.parametrize("reader", [read_json, load_survival, load_gene_order, parse_gmt])

@@ -1,16 +1,20 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from protosurv.errors import BadInput
+from protosurv import numerics as nm
+from protosurv.errors import BadInput, ShapeMismatch
 from protosurv.fusion import (
+    FUSION_MODES,
     FusionParams,
     ModalityTokens,
     append_learnable,
     block_attention,
     fuse,
 )
+from protosurv.pathways import embed_pathways
 
 
 def monolithic_attention(tokens, key_mask, w_q, w_k, w_v, scale=None):
@@ -263,3 +267,109 @@ def test_fuse_batched_late_and_hierarchical_match_per_patient_oracle():
         stacked = np.vstack([hier.pathway[i], hier.histology[i], hier.text[i]])
         assert np.max(np.abs(stacked - stage2)) < 1e-12
         assert np.max(np.abs(hier.attention[i] - att2)) < 1e-12
+
+
+def _batch(rng, b, d_e):
+    """Batched pathway, histology and text tokens, the last text token of each patient invalid."""
+    text_validity = np.ones((b, 3))
+    text_validity[:, -1] = 0.0
+    return (
+        ModalityTokens("pathway", rng.normal(size=(b, 4, d_e)), np.ones((b, 4))),
+        ModalityTokens("histology", rng.normal(size=(b, 2, d_e)), np.ones((b, 2))),
+        ModalityTokens("text", rng.normal(size=(b, 3, d_e)) * text_validity[..., None], text_validity),
+    )
+
+
+@pytest.mark.parametrize("present", ["ht", "h", "t", "p"])
+def test_fuse_hierarchical_without_a_second_stage_is_full_bit_for_bit(present):
+    rng = np.random.default_rng(13)
+    tokens = [mt if mt.modality[0] in present else None for mt in _batch(rng, 3, 4)]
+    params = _params(rng, 6, d_r=2)
+    hier, full = fuse(*tokens, params, mode="hierarchical"), fuse(*tokens, params, mode="full")
+    for name in ("pathway", "histology", "text"):
+        if name[0] in present:
+            np.testing.assert_array_equal(hier.block(name), full.block(name))
+        else:
+            assert hier.block(name) is None
+    np.testing.assert_array_equal(hier.attention, full.attention)
+    assert hier.block_sizes == full.block_sizes
+
+
+@pytest.mark.parametrize("other", ["histology", "text"])
+def test_fuse_hierarchical_pathways_with_one_other_modality_matches_two_stage_oracle(other):
+    rng = np.random.default_rng(14)
+    d = 4
+    p, h, t = _batch(rng, 2, d)
+    second = {"histology": h, "text": t}[other]
+    params = _params(rng, d)
+    weights = (params.w_q, params.w_k, params.w_v)
+    out = fuse(p, h if other == "histology" else None, t if other == "text" else None, params, mode="hierarchical")
+    n_p = p.tokens.shape[-2]
+    for i in range(2):
+        stage1, _ = monolithic_attention(second.tokens[i], second.validity[i], *weights)
+        mask = np.concatenate([p.validity[i], second.validity[i]])
+        stage2, att2 = monolithic_attention(np.vstack([p.tokens[i], stage1]), mask, *weights)
+        assert np.max(np.abs(out.pathway[i] - stage2[:n_p])) < 1e-12
+        assert np.max(np.abs(out.block(other)[i] - stage2[n_p:])) < 1e-12
+        assert np.max(np.abs(out.attention[i] - att2)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", FUSION_MODES)
+def test_fuse_tokens_of_unequal_width_raise_shape_mismatch(mode):
+    rng = np.random.default_rng(15)
+    p, h = _tokens(rng, 2, 4, "pathway"), _tokens(rng, 3, 5, "histology")
+    with pytest.raises(ShapeMismatch, match=r"token widths differ across modalities: \[6, 7\]"):
+        fuse(p, h, None, _params(rng, 6, d_r=2), mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# tape census: the token joins and cuts each stage records
+# ---------------------------------------------------------------------------
+
+def _interior_kinds(*outputs) -> Counter:
+    """How many recorded nodes of each numerics operation reach ``outputs``
+    through ``_parents``, leaves left out. An operation is named by the
+    function that defines its backward closure."""
+    seen, stack, kinds = set(), [o for o in outputs if isinstance(o, nm.Tensor)], Counter()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            kinds[node._backward.__qualname__.split(".")[0]] += 1
+        stack.extend(node._parents)
+    return kinds
+
+
+def _leaf(x):
+    return nm.Tensor(x, requires_grad=True)
+
+
+def test_embed_pathways_records_one_join_and_one_reshape():
+    rng = np.random.default_rng(16)
+    widths = (2, 5, 1, 3)
+    x = rng.normal(size=(3, sum(widths)))
+    slices = np.split(x, np.cumsum(widths)[:-1], axis=-1)
+    snns = [[(_leaf(rng.normal(size=(w, 4))), _leaf(rng.normal(size=4))),
+             (_leaf(rng.normal(size=(4, 4))), _leaf(rng.normal(size=4)))] for w in widths]
+    # 2P + 2 interior nodes: two layers per pathway network, one join, one reshape
+    assert _interior_kinds(embed_pathways(slices, snns)) == {"_selu_layer": 2 * len(widths), "concat": 1, "reshape": 1}
+
+
+# joins: one append per modality, plus full's one sequence and hierarchical's two stages
+@pytest.mark.parametrize("mode, narrows, concats", [("full", 3, 4), ("late", 0, 3), ("hierarchical", 3, 5)])
+def test_fuse_cuts_only_its_final_output(mode, narrows, concats):
+    rng = np.random.default_rng(17)
+    tokens = [ModalityTokens(mt.modality, _leaf(mt.tokens), mt.validity) for mt in _batch(rng, 2, 4)]
+    params = FusionParams(_leaf(rng.normal(size=2)), *(_leaf(rng.normal(size=(6, 6))) for _ in range(3)))
+    out = fuse(*tokens, params, mode=mode)
+    blocks = [out.pathway, out.histology, out.text]
+    kinds = _interior_kinds(*blocks)
+    assert (kinds["narrow"], kinds["concat"]) == (narrows, concats)
+    if narrows:
+        # every cut is of the one output of the last kernel call
+        assert len({id(block._parents[0]) for block in blocks}) == 1
+    else:
+        # late: each block is its own kernel call's output, the query-mask product
+        assert {block._backward.__qualname__.split(".")[0] for block in blocks} == {"mul"}
