@@ -320,7 +320,7 @@ def cmd_eval(args) -> int:
         isinstance(fold, list) and all(isinstance(pid, str) for pid in fold) for fold in folds
     ):
         raise BadInput(f'{folds_path}: "folds" must be a list of lists of patient-id strings')
-    models = []
+    numbered = []
     for path in checkpoint_paths:
         fold_no = path.stem.removeprefix("fold")
         # only the name train writes, fold<k>.ckpt: fold01, or fold1 in other digits, would score fold 1 twice
@@ -328,7 +328,11 @@ def cmd_eval(args) -> int:
             raise BadInput(f"{path}: not a checkpoint name train writes (fold<k>.ckpt)")
         if int(fold_no) >= len(folds):
             raise BadInput(f"{path}: no fold {fold_no} in {folds_path}")
-        models.append((int(fold_no), *load_checkpoint(path)))
+        numbered.append((int(fold_no), path))
+    # fold order, as train's summary lists them; by name, fold10 would come before fold2
+    numbered.sort()
+    checkpoint_paths = [path for _, path in numbered]
+    models = [(fold_no, *load_checkpoint(path)) for fold_no, path in numbered]
     config = models[0][2]
     # every fold is scored with one config, so every checkpoint must carry it
     for path, (_, _, other, _) in zip(checkpoint_paths, models):

@@ -251,16 +251,14 @@ def forward_diagnostics(prepared: PreparedCohort, pt: Mapping, dims: ModelDims, 
 
 def _pooled_risk(blocks: Mapping, validity: Mapping, pt: Mapping, dims: ModelDims):
     """Risk of each patient in a batch from the fused blocks of the enabled
-    modalities. Per modality, in ``dims.enabled`` order: f_beta each fused
-    token, layer-normalise, mean over the valid tokens; concatenate the
-    pooled vectors and apply the risk layer."""
+    modalities. Per modality, in ``dims.enabled`` order, one
+    ``numerics.snn_norm_pool`` node: f_beta each fused token, layer-normalise,
+    mean over the valid tokens. Then concatenate the pooled vectors and apply
+    the risk layer."""
     pooled = []
     for name in dims.enabled:
         group = "shared" if dims.shared_beta else name
-        beta = nm.snn_forward(blocks[name], _snn_layers(pt, f"head.beta.{group}"))
-        y = nm.layer_norm(beta, pt[f"head.ln.{group}.gain"], pt[f"head.ln.{group}.bias"])
-        mask = np.asarray(validity[name], dtype=float)
-        counts = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
-        pooled.append(nm.tsum(y * mask[..., None], axis=-2) * (1.0 / counts))
+        layers, ln = _snn_layers(pt, f"head.beta.{group}"), f"head.ln.{group}"
+        pooled.append(nm.snn_norm_pool(blocks[name], layers, pt[f"{ln}.gain"], pt[f"{ln}.bias"], validity[name]))
     stacked = pooled[0] if len(pooled) == 1 else nm.concat(pooled, axis=-1)
     return nm.affine(stacked, pt["head.risk.w"], pt["head.risk.b"])

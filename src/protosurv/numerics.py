@@ -8,6 +8,24 @@ adjoints, or, when no input requires a gradient, its plain ndarray.
 - No gradient, no node: ``_node`` makes that choice for every operation, so
   training and inference run one code path.
 - A self-normalising layer ``selu(x @ W + b)`` is one node.
+- ``masked_attention`` is two nodes. The weights node (parents x, w_q, w_k)
+  returns the attention weights P and keeps q, k and P; the value node
+  (parents P, x, w_v) returns the query-masked P (x w_v) and keeps x w_v.
+  Neither keeps the logits, their scaled copy or the unmasked product.
+- ``snn_norm_pool``, the risk head of one modality, is one node: its SELU
+  layers, layer norm and masked mean over tokens. It keeps each layer's
+  pre-activation, each output but the last, and the normalised values with
+  their 1/std; not the last SELU output, the layer-norm output or the masked
+  rows.
+- Both run forward and backward over blocks of patients, each block at most
+  ``BLOCK_BYTES`` (256 KiB) of per-patient working set, so their
+  temporaries stay small. Their bits do not depend on the block size:
+  numpy's stacked matmul makes one product per patient, softmax, layer norm
+  and the masked mean reduce within one patient, and a parameter's adjoint
+  keeps its per-patient stack, summed over the batch at the end as
+  ``_unbroadcast`` sums it. x's attention adjoint is the q and k parts
+  summed, plus the v part: the order in which the chain of taped operations
+  they replace summed it while P fed only the value product.
 - ``affine`` and the layers take a stack of rows, (..., n, d): one row is
   a batch of one, (1, d).
 - An operand that does not require a gradient (a constant: input data, a
@@ -201,15 +219,6 @@ def matmul(a, b):
     return _node(a.data @ b.data, (a, b), lambda g: _matmul_grads(g, a, b))
 
 
-def swap_last(x):
-    x = as_tensor(x)
-    return _node(
-        np.swapaxes(x.data, -1, -2),
-        (x,),
-        lambda g: (np.swapaxes(g, -1, -2),),
-    )
-
-
 def tsum(x, axis=None, keepdims: bool = False):
     x = as_tensor(x)
 
@@ -299,24 +308,19 @@ def _masked_exp(x: np.ndarray, mask):
     return weights, row_max, weights.sum(axis=-1, keepdims=True)
 
 
-def masked_softmax(logits, key_mask):
-    """Row-stochastic softmax over unmasked keys; masked columns are exactly 0.
+def _masked_softmax(x: np.ndarray, mask) -> np.ndarray:
+    """Row-stochastic softmax of ``x`` over unmasked keys, masked columns
+    exactly 0; ``mask`` applies to the last axis and may broadcast over rows."""
+    weights, _, total = _masked_exp(x, mask)
+    return weights / total
 
-    ``key_mask`` applies to the last axis and may broadcast over rows. Raises
-    :class:`AllMasked` when any mask vector is all zeros. The mask is a
-    constant: no adjoint flows to it.
-    """
-    x = as_tensor(logits)
-    weights, _, total = _masked_exp(x.data, key_mask)
-    out_data = weights / total
 
-    def backward(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        gx = g - inner
-        gx *= out_data
-        return (gx,)
-
-    return _node(out_data, (x,), backward)
+def _softmax_adjoint(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Adjoint of the softmax input given its output ``p`` and output adjoint ``g``."""
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    gx = g - inner
+    gx *= p
+    return gx
 
 
 def masked_logsumexp(x, mask):
@@ -337,85 +341,63 @@ def masked_logsumexp(x, mask):
 # layers
 # ---------------------------------------------------------------------------
 
-def _check_affine(x: Tensor, weight: Tensor, bias: Tensor) -> None:
-    if x.ndim < 2:
-        raise ShapeMismatch(f"affine input {x.shape} is not a stack of rows")
-    if weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
-        raise ShapeMismatch(f"affine input {x.shape} vs weight {weight.shape}")
-    if bias.shape not in ((), (weight.shape[1],)):
-        raise ShapeMismatch(f"affine bias {bias.shape} vs weight {weight.shape}")
+def _check_affine(x_shape, weight_shape, bias_shape) -> None:
+    if len(x_shape) < 2:
+        raise ShapeMismatch(f"affine input {x_shape} is not a stack of rows")
+    if len(weight_shape) != 2 or x_shape[-1] != weight_shape[0]:
+        raise ShapeMismatch(f"affine input {x_shape} vs weight {weight_shape}")
+    if bias_shape not in ((), (weight_shape[1],)):
+        raise ShapeMismatch(f"affine bias {bias_shape} vs weight {weight_shape}")
 
 
 def affine(x, weight, bias):
     """Row-wise ``x @ weight + bias`` on a (..., n, d_in) stack of rows, arrays
     or Tensors; one row is a (1, d_in) stack, and a 1-D ``x`` raises."""
     xt, wt, bt = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    _check_affine(xt, wt, bt)
+    _check_affine(xt.shape, wt.shape, bt.shape)
     return add(matmul(xt, wt), bt)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5):
-    """Normalise the last axis to zero mean / unit variance, then affine.
-
-    With gain 1 and bias 0 the output has (population) mean 0 and variance 1
-    up to the eps regulariser.
-    """
-    xt, gt, bt = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    normed = xt.data - xt.data.mean(axis=-1, keepdims=True)
-    var = (normed * normed).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    normed *= inv_std
-
-    def backward(g):
-        g_norm = g * gt.data
-        d = xt.data.shape[-1]
-        spread = g_norm * normed
-        np.multiply(normed, spread.sum(axis=-1, keepdims=True), out=spread)
-        spread /= d
-        g_norm -= g_norm.mean(axis=-1, keepdims=True)
-        g_norm -= spread
-        g_norm *= inv_std
-        return (
-            g_norm if xt.requires_grad else None,
-            _unbroadcast(g * normed, gt.data.shape) if gt.requires_grad else None,
-            _unbroadcast(g, bt.data.shape) if bt.requires_grad else None,
-        )
-
-    out_data = normed * gt.data
-    out_data += bt.data
-    return _node(out_data, (xt, gt, bt), backward)
-
-
-def _selu_layer(x: Tensor, weight: Tensor, bias: Tensor):
-    """One node for ``selu(x @ weight + bias)``: with p = x @ weight + bias,
-    selu(p) = S·(max(p, 0) + A·expm1(min(p, 0))) and its slope is S for
-    p > 0, else S·A·exp(min(p, 0)). The minimum keeps exp from overflowing on
-    large positive p; both equal the closed form S·where(p > 0, p, A·expm1(p))
-    and its slope bit for bit."""
-    _check_affine(x, weight, bias)
-    pre = x.data @ weight.data
-    pre += bias.data
+def _selu(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """selu(p) = S·(max(p, 0) + A·expm1(min(p, 0))), written to ``out`` when
+    given. The minimum keeps exp from overflowing on large positive p; this
+    equals the closed form S·where(p > 0, p, A·expm1(p)) bit for bit."""
     tail = np.minimum(pre, 0.0)
     np.expm1(tail, out=tail)
     tail *= SELU_ALPHA
-    out_data = np.maximum(pre, 0.0)
-    out_data += tail
-    out_data *= SELU_SCALE
+    out = np.maximum(pre, 0.0, out=out)
+    out += tail
+    out *= SELU_SCALE
+    return out
+
+
+def _selu_slope(pre: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``g`` times the slope of selu at ``pre``, written to ``out`` when given:
+    S·(pos + (1 - pos)·A·exp(min(p, 0))) with pos the 0/1 indicator of
+    p > 0, which equals S for p > 0, else S·A·exp(p), bit for bit."""
+    positive = (pre > 0).astype(np.float64)
+    slope = np.subtract(1.0, positive, out=out)
+    slope *= SELU_ALPHA
+    tail = np.minimum(pre, 0.0)
+    slope *= np.exp(tail, out=tail)
+    slope += positive
+    slope *= SELU_SCALE
+    slope *= g
+    return slope
+
+
+def _selu_layer(x: Tensor, weight: Tensor, bias: Tensor):
+    """One node for ``selu(x @ weight + bias)``."""
+    _check_affine(x.shape, weight.shape, bias.shape)
+    pre = x.data @ weight.data
+    pre += bias.data
 
     def backward(g):
-        # S·(pos + (1 - pos)·A·exp(min(p, 0))) with pos the 0/1 indicator of p > 0
-        positive = (pre > 0).astype(np.float64)
-        slope = 1.0 - positive
-        slope *= SELU_ALPHA
-        tail = np.minimum(pre, 0.0)
-        slope *= np.exp(tail, out=tail)
-        slope += positive
-        slope *= SELU_SCALE
-        slope *= g
+        slope = _selu_slope(pre, g)
         gx, gw = _matmul_grads(slope, x, weight)
         return gx, gw, _unbroadcast(slope, bias.data.shape) if bias.requires_grad else None
 
-    return _node(out_data, (x, weight, bias), backward)
+    return _node(_selu(pre), (x, weight, bias), backward)
 
 
 def snn_forward(x, layers):
@@ -431,6 +413,208 @@ def snn_forward(x, layers):
     return out
 
 
+def _layer_norm(x: np.ndarray, eps: float = 1e-5):
+    """(normed, inv_std) along the last axis: ``x`` at zero mean and unit
+    (population) variance up to the eps regulariser, and the
+    1/sqrt(var + eps) that scaled it (keepdims)."""
+    normed = x - x.mean(axis=-1, keepdims=True)
+    var = (normed * normed).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normed *= inv_std
+    return normed, inv_std
+
+
+def _layer_norm_adjoint(g_norm: np.ndarray, normed: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """Adjoint of the layer-norm input given ``g_norm``, the adjoint of
+    ``normed``, which it overwrites and returns."""
+    spread = g_norm * normed
+    np.multiply(normed, spread.sum(axis=-1, keepdims=True), out=spread)
+    spread /= normed.shape[-1]
+    g_norm -= g_norm.mean(axis=-1, keepdims=True)
+    g_norm -= spread
+    g_norm *= inv_std
+    return g_norm
+
+
+# ---------------------------------------------------------------------------
+# blocked nodes: attention and the pooled head
+# ---------------------------------------------------------------------------
+
+# Working set per patient block of the blocked nodes' forward and backward.
+BLOCK_BYTES = 256 * 1024
+
+
+def _blocks(count: int, patient_bytes: int) -> list[slice]:
+    """Slices of ``range(count)``, each as many patients as fit in BLOCK_BYTES, at least one."""
+    step = max(1, BLOCK_BYTES // patient_bytes)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _part(stack: np.ndarray | None, blk: slice):
+    """The block's rows of ``stack``, or None (a fresh output) without a stack."""
+    return None if stack is None else stack[blk]
+
+
+def _batch_sum(stack: np.ndarray | None, lead: tuple[int, ...], shape: tuple[int, ...]):
+    """A parameter's adjoint from its (count, ...) per-patient stack, summed
+    over the ``lead`` batch axes as ``_unbroadcast`` sums a broadcast one."""
+    return None if stack is None else _unbroadcast(stack.reshape(lead + stack.shape[1:]), shape)
+
+
+def snn_norm_pool(x, layers, gain, bias, validity):
+    """Mean over each stack's valid rows of ``layer_norm(snn_forward(x, layers))``
+    with ``gain`` and ``bias``, as one tape node.
+
+    ``x`` is a (..., n, d) stack of rows and ``validity`` its (..., n) 0/1 row
+    mask; the result is (..., width), width the last layer's, and a stack
+    with no valid row pools to zeros. Layer norm uses eps 1e-5. The node keeps
+    each layer's pre-activation, each output but the last, and the
+    normalised values with their 1/std: not the last SELU output, the
+    layer-norm output or the masked rows, which no adjoint reads.
+    """
+    xt, gt, bt = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    shape = xt.shape
+    for w, b in layers:
+        _check_affine(shape, w.shape, b.shape)
+        shape = shape[:-1] + w.shape[1:]
+    lead, (n, d_in), width = xt.shape[:-2], xt.shape[-2:], shape[-1]
+    if np.shape(validity) != lead + (n,):
+        raise ShapeMismatch(f"row validity {np.shape(validity)} vs rows {xt.shape}")
+    x3 = xt.data.reshape(-1, n, d_in)
+    count = x3.shape[0]
+    mask = np.asarray(validity, dtype=np.float64).reshape(count, n, 1)
+    inv_count = 1.0 / np.maximum(mask.sum(axis=-2), 1.0)
+    pres = [np.empty((count, n, w.shape[1])) for w, _ in layers]
+    outs = [np.empty(pre.shape) for pre in pres[:-1]]
+    normed, inv_std, pooled = np.empty((count, n, width)), np.empty((count, n, 1)), np.empty((count, width))
+    blocks = _blocks(count, 8 * n * (d_in + sum(pre.shape[-1] for pre in pres)))
+    for blk in blocks:
+        h = x3[blk]
+        for i, (w, b) in enumerate(layers):
+            pre = np.matmul(h, w.data, out=pres[i][blk])
+            pre += b.data
+            h = _selu(pre, outs[i][blk] if i < len(outs) else None)
+        normed[blk], inv_std[blk] = _layer_norm(h)
+        y = normed[blk] * gt.data
+        y += bt.data
+        y *= mask[blk]
+        np.multiply(y.sum(axis=-2), inv_count[blk], out=pooled[blk])
+
+    def backward(g):
+        g = g.reshape(count, width)
+        # reaches[i]: the adjoint of layer i's input is needed
+        reaches = [xt.requires_grad]
+        for w, b in layers:
+            reaches.append(reaches[-1] or w.requires_grad or b.requires_grad)
+        gx = np.empty(x3.shape) if xt.requires_grad else None
+        gws = [np.empty((count,) + w.shape) if w.requires_grad else None for w, _ in layers]
+        slopes = [np.empty(pre.shape) if b.requires_grad else None for pre, (_, b) in zip(pres, layers)]
+        g_gain = np.empty(normed.shape) if gt.requires_grad else None
+        g_bias = np.empty(normed.shape) if bt.requires_grad else None
+        for blk in blocks:
+            gy = np.multiply((g[blk] * inv_count[blk])[:, None, :], mask[blk], out=_part(g_bias, blk))
+            if g_gain is not None:
+                np.multiply(gy, normed[blk], out=g_gain[blk])
+            if not reaches[-1]:
+                continue
+            grad = _layer_norm_adjoint(gy * gt.data, normed[blk], inv_std[blk])
+            for i in reversed(range(len(layers))):
+                slope = _selu_slope(pres[i][blk], grad, _part(slopes[i], blk))
+                if gws[i] is not None:
+                    rows = x3[blk] if i == 0 else outs[i - 1][blk]
+                    np.matmul(np.swapaxes(rows, -1, -2), slope, out=gws[i][blk])
+                if not reaches[i]:
+                    break
+                grad = np.matmul(slope, np.swapaxes(layers[i][0].data, -1, -2), out=_part(gx, blk) if i == 0 else None)
+        grads = [None if gx is None else gx.reshape(xt.shape)]
+        for (w, b), gw, slope in zip(layers, gws, slopes):
+            grads += [_batch_sum(gw, lead, w.shape), _batch_sum(slope, lead, b.shape)]
+        return (*grads, _batch_sum(g_gain, lead, gt.shape), _batch_sum(g_bias, lead, bt.shape))
+
+    parents = (xt, *(t for layer in layers for t in layer), gt, bt)
+    return _node(pooled.reshape(lead + (width,)), parents, backward)
+
+
+def _attention_weights(h: Tensor, w_q: Tensor, w_k: Tensor, mask: np.ndarray):
+    """One node for ``softmax_mask((h w_q)(h w_k)ᵀ / √d)`` under a (count, 1 or
+    n, n) ``mask``; it keeps q, k and the weights."""
+    x = h.data.reshape(mask.shape[:1] + h.shape[-2:])
+    count, n, d = x.shape
+    scale = 1.0 / math.sqrt(d)
+    q, k, att = np.empty(x.shape), np.empty(x.shape), np.empty((count, n, n))
+    blocks = _blocks(count, 8 * n * (n + d))
+    for blk in blocks:
+        np.matmul(x[blk], w_q.data, out=q[blk])
+        np.matmul(x[blk], w_k.data, out=k[blk])
+        logits = q[blk] @ np.swapaxes(k[blk], -1, -2)
+        logits *= scale
+        att[blk] = _masked_softmax(logits, mask[blk])
+
+    def backward(g):
+        g = g.reshape(att.shape)
+        gx = np.empty(x.shape) if h.requires_grad else None
+        gw_q = np.empty((count, d, d)) if w_q.requires_grad else None
+        gw_k = np.empty((count, d, d)) if w_k.requires_grad else None
+        for blk in blocks:
+            g_logits = _softmax_adjoint(g[blk], att[blk])
+            g_logits *= scale
+            gq = g_logits @ k[blk]
+            # the transpose of qᵀ·g, as the adjoint of a swapped k
+            gk = np.swapaxes(np.swapaxes(q[blk], -1, -2) @ g_logits, -1, -2)
+            if gx is not None:
+                np.matmul(gq, np.swapaxes(w_q.data, -1, -2), out=gx[blk])
+                gx[blk] += gk @ np.swapaxes(w_k.data, -1, -2)
+            if gw_q is not None:
+                np.matmul(np.swapaxes(x[blk], -1, -2), gq, out=gw_q[blk])
+            if gw_k is not None:
+                np.matmul(np.swapaxes(x[blk], -1, -2), gk, out=gw_k[blk])
+        lead = h.shape[:-2]
+        return (
+            None if gx is None else gx.reshape(h.shape),
+            _batch_sum(gw_q, lead, w_q.shape),
+            _batch_sum(gw_k, lead, w_k.shape),
+        )
+
+    return _node(att.reshape(h.shape[:-2] + (n, n)), (h, w_q, w_k), backward)
+
+
+def _attention_values(att: Tensor, h: Tensor, w_v: Tensor, mask: np.ndarray):
+    """One node for ``(att @ (h w_v))`` with the rows of invalid queries zeroed,
+    those whose own key the (count, 1 or n, n) ``mask`` masks; it keeps h w_v."""
+    x = h.data.reshape(mask.shape[:1] + h.shape[-2:])
+    count, n, d = x.shape
+    weights = att.data.reshape(count, n, n)
+    query = np.diagonal(np.broadcast_to(mask, (count, n, n)), axis1=-2, axis2=-1)[..., None]
+    v, out = np.empty(x.shape), np.empty(x.shape)
+    blocks = _blocks(count, 8 * n * (n + d))
+    for blk in blocks:
+        np.matmul(x[blk], w_v.data, out=v[blk])
+        np.multiply(weights[blk] @ v[blk], query[blk], out=out[blk])
+
+    def backward(g):
+        g = g.reshape(x.shape)
+        g_att = np.empty(weights.shape) if att.requires_grad else None
+        gx = np.empty(x.shape) if h.requires_grad else None
+        gw_v = np.empty((count, d, d)) if w_v.requires_grad else None
+        for blk in blocks:
+            g_rows = g[blk] * query[blk]
+            if g_att is not None:
+                np.matmul(g_rows, np.swapaxes(v[blk], -1, -2), out=g_att[blk])
+            gv = np.swapaxes(weights[blk], -1, -2) @ g_rows
+            if gx is not None:
+                np.matmul(gv, np.swapaxes(w_v.data, -1, -2), out=gx[blk])
+            if gw_v is not None:
+                np.matmul(np.swapaxes(x[blk], -1, -2), gv, out=gw_v[blk])
+        return (
+            None if g_att is None else g_att.reshape(att.shape),
+            None if gx is None else gx.reshape(h.shape),
+            _batch_sum(gw_v, h.shape[:-2], w_v.shape),
+        )
+
+    return _node(out.reshape(h.shape), (att, h, w_v), backward)
+
+
 def masked_attention(x, w_q, w_k, w_v, key_mask):
     """Scaled dot-product self-attention over the rows of ``x`` under a mask.
 
@@ -439,19 +623,24 @@ def masked_attention(x, w_q, w_k, w_v, key_mask):
     (..., 1, n) per-token validity, or an (..., n, n) mask that also limits
     which tokens see which. Masked keys get exactly zero weight. Token i is a
     valid query when the mask lets it attend to itself; invalid query rows of
-    the output are zero. Returns (output, attention).
+    the output are zero. Returns (output, attention), two tape nodes: the
+    attention weights, and the output computed from them.
     """
-    h, weights = as_tensor(x), (w_q, w_k, w_v)
+    h = as_tensor(x)
     n, d = h.shape[-2:]
+    weights = [as_tensor(w) for w in (w_q, w_k, w_v)]
     for w in weights:
-        if np.shape(w) != (d, d):
-            raise ShapeMismatch(f"attention weight {np.shape(w)} does not match token width {d}")
+        if w.shape != (d, d):
+            raise ShapeMismatch(f"attention weight {w.shape} does not match token width {d}")
+    full = h.shape[:-2] + (n, n)
     mask = np.asarray(key_mask, dtype=np.float64)
-    query_mask = np.diagonal(np.broadcast_to(mask, mask.shape[:-2] + (n, n)), axis1=-2, axis2=-1)
-    q, k, v = (matmul(h, w) for w in weights)
-    attention = masked_softmax(mul(matmul(q, swap_last(k)), 1.0 / math.sqrt(d)), mask)
-    out = mul(matmul(attention, v), query_mask[..., :, None])
-    return out, attention
+    if mask.ndim > len(full) or any(m not in (1, f) for m, f in zip(mask.shape[::-1], full[::-1])):
+        raise ShapeMismatch(f"attention mask {mask.shape} does not broadcast to {full}")
+    # one mask per patient, its rows left as given: (count, 1 or n, 1 or n)
+    mask = mask.reshape((1,) * (len(full) - mask.ndim) + mask.shape)
+    mask = np.broadcast_to(mask, full[:-2] + mask.shape[-2:]).reshape((-1,) + mask.shape[-2:])
+    attention = _attention_weights(h, weights[0], weights[1], mask)
+    return _attention_values(as_tensor(attention), h, weights[2], mask), attention
 
 
 # ---------------------------------------------------------------------------

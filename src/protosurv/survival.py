@@ -152,8 +152,8 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
         for start in range(0, n, config.batch_size):
             batch = prepared.subset(order[start : start + config.batch_size])
             # the last step's leaves, risks and loss are rebound only after this
-            # forward, so its tape (~54 MB at batch 64) stays alive through it
-            # and the two tapes set training's peak memory. Deleting them after
+            # forward, so its tape (~39 MiB at batch 64 in full mode) stays alive
+            # through it and the two tapes set training's peak memory. Deleting them after
             # the update lowers the peak, but glibc then trims the freed heap top
             # and the next forward faults it back in, which makes steps slower.
             # Keep the overlap until the step reuses its allocations.

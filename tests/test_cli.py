@@ -405,6 +405,31 @@ def test_eval_checkpoint_name_train_does_not_write_is_one_line_error(cohort_dir,
     assert not (tmp_path / "e").exists()
 
 
+def test_eval_of_eleven_folds_writes_them_in_fold_order(tmp_path):
+    cohort, proto, run, out = (tmp_path / name for name in ("cohort", "proto", "run", "eval"))
+    assert main([
+        "synth", "--out", str(cohort), "--patients", "66", "--seed", "7",
+        "--genes", "40", "--pathways", "8", "--d-t", "8", "--d-h", "6",
+        "--segments", "2", "5", "--patches", "20", "32",
+    ]) == 0
+    assert main([
+        "prototype", "--manifest", str(cohort / "manifest.json"), "--out", str(proto), "--seed", "7", "--n-histology", "4",
+    ]) == 0
+    assert main([
+        "train", "--manifest", str(cohort / "manifest.json"), "--prototypes", str(proto), "--out", str(run),
+        "--seed", "3", "--folds", "11", "--epochs", "1",
+        "--d-e", "8", "--d-r", "4", "--n-histology", "4", "--n-pathways", "8",
+    ]) == 0
+    assert main([
+        "eval", "--manifest", str(cohort / "manifest.json"), "--prototypes", str(proto), "--models", str(run),
+        "--out", str(out), "--attention", "text:pathway",
+    ]) == 0
+    # fold 10 after fold 9, as train's summary lists them, and the same pooled mean
+    assert (out / "metrics.csv").read_bytes() == (run / "summary.csv").read_bytes()
+    folds = [int(row.split(",")[0]) for row in (out / "attention_summary.csv").read_text().splitlines()[1:]]
+    assert folds == sorted(folds) and set(folds) == set(range(11))
+
+
 @pytest.mark.parametrize("mode", ["full", "late", "hierarchical"])
 def test_eval_attention_rows_match_per_patient_forward(cohort_dir, proto_dir, tmp_path, mode):
     from protosurv.data import load_cohort, load_manifest, load_matrix

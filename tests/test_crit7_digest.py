@@ -11,7 +11,9 @@ def test_two_runs_print_the_same_line_for_every_fold_of_every_mode():
     lines = crit7_digest.digests(ROOT, epochs=0)
     assert lines == crit7_digest.digests(ROOT, epochs=0)
     assert [line.split("  ")[1] for line in lines] == [
-        f"{mode}/fold{k}" for mode in crit7_digest.FUSION_MODES for k in range(crit7_digest.N_FOLDS)
+        f"{arm}/fold{k}"
+        for arm in ("full", "late", "hierarchical", "full-shared-beta")
+        for k in range(crit7_digest.N_FOLDS)
     ]
-    # untrained folds still differ: each holds out other patients, and each mode fuses them otherwise
-    assert len({line.split("  ")[0] for line in lines}) == 15
+    # untrained folds still differ: each holds out other patients, and each arm fuses or pools them otherwise
+    assert len({line.split("  ")[0] for line in lines}) == 20

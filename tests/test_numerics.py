@@ -22,27 +22,82 @@ def _selu_scalar(v):
 
 
 # ---------------------------------------------------------------------------
+# the taped composition the blocked nodes replace, kept as their oracle: one
+# node per swap, softmax and layer norm, over numerics' bodies of that math
+# ---------------------------------------------------------------------------
+
+def swap_last(x):
+    x = nm.as_tensor(x)
+    return nm._node(np.swapaxes(x.data, -1, -2), (x,), lambda g: (np.swapaxes(g, -1, -2),))
+
+
+def masked_softmax(logits, key_mask):
+    """Row-stochastic softmax over unmasked keys; the mask gets no adjoint."""
+    x = nm.as_tensor(logits)
+    out = nm._masked_softmax(x.data, key_mask)
+    return nm._node(out, (x,), lambda g: (nm._softmax_adjoint(g, out),))
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """The last axis at zero mean and unit variance, then ``* gain + bias``."""
+    xt, gt, bt = nm.as_tensor(x), nm.as_tensor(gain), nm.as_tensor(bias)
+    normed, inv_std = nm._layer_norm(xt.data, eps)
+
+    def backward(g):
+        return (
+            nm._layer_norm_adjoint(g * gt.data, normed, inv_std) if xt.requires_grad else None,
+            nm._unbroadcast(g * normed, gt.shape) if gt.requires_grad else None,
+            nm._unbroadcast(g, bt.shape) if bt.requires_grad else None,
+        )
+
+    out = normed * gt.data
+    out += bt.data
+    return nm._node(out, (xt, gt, bt), backward)
+
+
+def taped_attention(x, w_q, w_k, w_v, key_mask):
+    """``masked_attention`` as eight nodes: three projections, the swap of k,
+    the scale, the softmax, the value product and the query mask."""
+    h = nm.as_tensor(x)
+    n, d = h.shape[-2:]
+    mask = np.asarray(key_mask, dtype=np.float64)
+    query_mask = np.diagonal(np.broadcast_to(mask, mask.shape[:-2] + (n, n)), axis1=-2, axis2=-1)
+    q, k, v = (nm.matmul(h, w) for w in (w_q, w_k, w_v))
+    attention = masked_softmax(nm.mul(nm.matmul(q, swap_last(k)), 1.0 / math.sqrt(d)), mask)
+    return nm.mul(nm.matmul(attention, v), query_mask[..., :, None]), attention
+
+
+def taped_pool(x, layers, gain, bias, validity):
+    """``snn_norm_pool`` as a SELU node per layer, a layer norm, the row mask,
+    the sum over rows and the division by the valid-row count."""
+    y = layer_norm(nm.snn_forward(x, layers), gain, bias)
+    mask = np.asarray(validity, dtype=float)
+    counts = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
+    return nm.tsum(y * mask[..., None], axis=-2) * (1.0 / counts)
+
+
+# ---------------------------------------------------------------------------
 # masked_softmax
 # ---------------------------------------------------------------------------
 
 def test_masked_softmax_uniform_logits():
-    out = nm.masked_softmax(np.zeros((2, 2)), np.array([1, 1]))
+    out = masked_softmax(np.zeros((2, 2)), np.array([1, 1]))
     np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_masked_softmax_single_unmasked_key():
-    out = nm.masked_softmax(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, 0]))
+    out = masked_softmax(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, 0]))
     np.testing.assert_array_equal(out, [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_masked_softmax_closed_form():
-    out = nm.masked_softmax(np.array([[0.0, math.log(2.0)]]), np.array([1, 1]))
+    out = masked_softmax(np.array([[0.0, math.log(2.0)]]), np.array([1, 1]))
     np.testing.assert_allclose(out, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
 
 
 def test_masked_softmax_all_masked_raises():
     with pytest.raises(AllMasked):
-        nm.masked_softmax(np.zeros((2, 2)), np.array([0, 0]))
+        masked_softmax(np.zeros((2, 2)), np.array([0, 0]))
 
 
 def test_masked_softmax_rows_sum_to_one_and_masked_cols_zero():
@@ -52,7 +107,7 @@ def test_masked_softmax_rows_sum_to_one_and_masked_cols_zero():
         logits = rng.normal(scale=rng.uniform(0.1, 50.0), size=(m, m))
         mask = np.zeros(m)
         mask[rng.choice(m, size=rng.integers(1, m + 1), replace=False)] = 1
-        out = nm.masked_softmax(logits, mask)
+        out = masked_softmax(logits, mask)
         np.testing.assert_allclose(out.sum(axis=1), np.ones(m), atol=1e-9)
         assert np.all(out[:, mask == 0] == 0.0)
 
@@ -61,13 +116,13 @@ def test_masked_softmax_row_shift_invariance():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(4, 4))
     mask = np.array([1, 1, 0, 1])
-    base = nm.masked_softmax(logits, mask)
+    base = masked_softmax(logits, mask)
     shifted = logits.copy()
     shifted[2] += 123.456
-    out = nm.masked_softmax(shifted, mask)
-    assert np.max(np.abs(out - np.vstack([base[:2], nm.masked_softmax(shifted, mask)[2], base[3]]))) < 1e-9
+    out = masked_softmax(shifted, mask)
+    assert np.max(np.abs(out - np.vstack([base[:2], masked_softmax(shifted, mask)[2], base[3]]))) < 1e-9
     # shifting every row by its own constant leaves the whole matrix unchanged
-    out_all = nm.masked_softmax(logits + rng.normal(size=(4, 1)) * 0 + 5.0, mask)
+    out_all = masked_softmax(logits + rng.normal(size=(4, 1)) * 0 + 5.0, mask)
     assert np.max(np.abs(out_all - base)) < 1e-9
 
 
@@ -76,16 +131,16 @@ def test_masked_softmax_row_shift_invariance():
 # ---------------------------------------------------------------------------
 
 def test_layer_norm_constant_input():
-    np.testing.assert_allclose(nm.layer_norm(np.ones(3), 1.0, 0.0), np.zeros(3), atol=1e-12)
+    np.testing.assert_allclose(layer_norm(np.ones(3), 1.0, 0.0), np.zeros(3), atol=1e-12)
 
 
 def test_layer_norm_already_normalised():
-    np.testing.assert_allclose(nm.layer_norm(np.array([1.0, -1.0]), 1.0, 0.0, eps=0.0), [1.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(layer_norm(np.array([1.0, -1.0]), 1.0, 0.0, eps=0.0), [1.0, -1.0], atol=1e-12)
 
 
 def test_layer_norm_hand_case():
     # x=[0,2]: mu=1, sigma=1 -> xhat=[-1,1]; *2 + 1 = [-1, 3]
-    out = nm.layer_norm(np.array([0.0, 2.0]), np.array([2.0, 2.0]), np.array([1.0, 1.0]), eps=0.0)
+    out = layer_norm(np.array([0.0, 2.0]), np.array([2.0, 2.0]), np.array([1.0, 1.0]), eps=0.0)
     np.testing.assert_allclose(out, [-1.0, 3.0], atol=1e-12)
 
 
@@ -93,9 +148,9 @@ def test_layer_norm_shift_and_scale_invariance():
     # variance large enough that the eps=1e-5 regulariser stays below tolerance
     rng = np.random.default_rng(9)
     x = rng.normal(scale=10.0, size=12)
-    base = nm.layer_norm(x, 1.0, 0.0)
-    shifted = nm.layer_norm(x + 37.5, 1.0, 0.0)
-    scaled = nm.layer_norm(x * 4.0, 1.0, 0.0)
+    base = layer_norm(x, 1.0, 0.0)
+    shifted = layer_norm(x + 37.5, 1.0, 0.0)
+    scaled = layer_norm(x * 4.0, 1.0, 0.0)
     assert np.max(np.abs(base - shifted)) < 1e-6
     assert np.max(np.abs(base - scaled)) < 1e-6
 
@@ -204,7 +259,7 @@ def test_grad_masked_softmax():
 
     def loss(p):
         logits = nm.reshape(p, (3, 4))
-        soft = nm.masked_softmax(logits, mask)
+        soft = masked_softmax(logits, mask)
         return nm.tsum(soft * np.arange(12.0).reshape(3, 4))
 
     _check_op(loss, 12, seed=2)
@@ -215,7 +270,7 @@ def test_grad_layer_norm():
         x = nm.reshape(nm.narrow(p, 0, 0, 10), (2, 5))
         gain = nm.narrow(p, 0, 10, 5)
         bias = nm.narrow(p, 0, 15, 5)
-        y = nm.layer_norm(x, gain, bias)
+        y = layer_norm(x, gain, bias)
         return nm.tsum(y * y)
 
     _check_op(loss, 20, seed=3)
@@ -264,7 +319,7 @@ def test_grad_swap_and_attention_shape():
         q = nm.reshape(nm.narrow(p, 0, 0, 6), (3, 2))
         k = nm.reshape(nm.narrow(p, 0, 6, 6), (3, 2))
         v = nm.reshape(nm.narrow(p, 0, 12, 6), (3, 2))
-        att = nm.masked_softmax((q @ nm.swap_last(k)) * (1.0 / math.sqrt(2.0)), mask)
+        att = masked_softmax((q @ swap_last(k)) * (1.0 / math.sqrt(2.0)), mask)
         return nm.tsum((att @ v) * np.arange(6.0).reshape(3, 2))
 
     _check_op(loss, 18, seed=7)
@@ -320,6 +375,13 @@ def test_masked_attention_rejects_wrong_weight_width():
         nm.masked_attention(np.ones((2, 3)), np.eye(3), np.eye(2), np.eye(3), np.ones(2))
 
 
+def test_masked_attention_rejects_a_mask_that_does_not_broadcast():
+    x, w_q, w_k, w_v = _attention_arrays((2, 3, 4), seed=24)
+    for mask in (np.ones((3, 1, 3)), np.ones((2, 2, 3)), np.ones((1, 2, 1, 3))):
+        with pytest.raises(ShapeMismatch, match="attention mask"):
+            nm.masked_attention(x, w_q, w_k, w_v, mask)
+
+
 def test_grad_masked_attention():
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     x = np.random.default_rng(22).normal(size=(3, 2))
@@ -330,6 +392,146 @@ def test_grad_masked_attention():
         return nm.tsum(out * np.arange(6.0).reshape(3, 2)) + nm.tsum(att * att)
 
     _check_op(loss, 12, seed=23)
+
+
+# ---------------------------------------------------------------------------
+# the blocked nodes against their taped composition, bit for bit, at any block
+# ---------------------------------------------------------------------------
+
+def _run_taped(build, arrays, constant, rng):
+    """Outputs of ``build`` on leaves of ``arrays`` (plain arrays at the
+    ``constant`` positions), and the gradient of every leaf after one sweep
+    of a random contraction of the first output. (The attention weights are
+    a second output that the model reads without a gradient; a second
+    consumer would change the order in which the composition sums x's
+    adjoint.)"""
+    leaves = [a if i in constant else nm.Tensor(a, requires_grad=True) for i, a in enumerate(arrays)]
+    outputs = build(*leaves)
+    nm.tsum(outputs[0] * rng.normal(size=outputs[0].shape)).backward()
+    return [nm.as_tensor(out).data for out in outputs], [leaf.grad for leaf in leaves if isinstance(leaf, nm.Tensor)]
+
+
+def _assert_same_bits(build, oracle, arrays, constant=()):
+    ours = _run_taped(build, arrays, constant, np.random.default_rng(40))
+    theirs = _run_taped(oracle, arrays, constant, np.random.default_rng(40))
+    for got, want in zip(ours[0] + ours[1], theirs[0] + theirs[1]):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# patients per block: BLOCK_BYTES at one patient, three, and the whole batch
+_BUDGETS = {"one": lambda patient: 1, "three": lambda patient: 3 * patient, "whole": lambda patient: 1 << 40}
+_VALID_ROWS = np.array([
+    [1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [1, 0, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [1, 0, 1, 0, 1], [1, 1, 1, 1, 1],
+], dtype=float)
+
+
+def _attention_arrays(shape, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=shape)] + [rng.normal(size=(shape[-1], shape[-1])) for _ in range(3)]
+
+
+_ATTENTION_CASES = {
+    # (x shape, mask, constant inputs): 0 is x, 1-3 the weights
+    "batch": ((7, 5, 4), _VALID_ROWS[:, None, :], ()),
+    "one": ((1, 5, 4), _VALID_ROWS[1:2, None, :], ()),
+    "constant-x": ((7, 5, 4), _VALID_ROWS[:, None, :], (0,)),
+    "constant-weights": ((7, 5, 4), _VALID_ROWS[:, None, :], (1, 2, 3)),
+    "structural-2d": ((5, 4), np.kron(np.eye(2), np.ones((3, 3)))[:5, :5] * _VALID_ROWS[5], ()),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_BUDGETS))
+@pytest.mark.parametrize("case", sorted(_ATTENTION_CASES))
+def test_attention_nodes_equal_the_taped_composition(monkeypatch, case, budget):
+    shape, mask, constant = _ATTENTION_CASES[case]
+    n, d = shape[-2:]
+    patient = 8 * n * (n + d)
+    monkeypatch.setattr(nm, "BLOCK_BYTES", _BUDGETS[budget](patient))
+    assert len(nm._blocks(7, patient)) == {"one": 7, "three": 3, "whole": 1}[budget]
+    _assert_same_bits(
+        lambda *a: nm.masked_attention(*a, mask),
+        lambda *a: taped_attention(*a, mask),
+        _attention_arrays(shape, seed=41),
+        constant,
+    )
+
+
+def test_attention_is_a_weights_node_and_a_value_node():
+    x, w_q, w_k, w_v = (nm.Tensor(a, requires_grad=True) for a in _attention_arrays((7, 5, 4), seed=42))
+    out, att = nm.masked_attention(x, w_q, w_k, w_v, _VALID_ROWS[:, None, :])
+    assert out._parents == (att, x, w_v) and att._parents == (x, w_q, w_k)
+
+
+def _pool_arrays(shape, widths, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=shape)]
+    for d_in, d_out in zip((shape[-1],) + widths, widths):
+        arrays += [rng.normal(size=(d_in, d_out)), rng.normal(size=d_out)]
+    return arrays + [rng.normal(size=widths[-1]), rng.normal(size=widths[-1])]
+
+
+def _pool(x, w0, b0, w1, b1, gain, bias, validity):
+    return (nm.snn_norm_pool(x, [(w0, b0), (w1, b1)], gain, bias, validity),)
+
+
+def _taped_pool(x, w0, b0, w1, b1, gain, bias, validity):
+    return (taped_pool(x, [(w0, b0), (w1, b1)], gain, bias, validity),)
+
+
+_POOL_CASES = {
+    # (x shape, validity, constant inputs): 0 is x, 1-4 the layers, 5-6 gain and bias
+    "batch": ((7, 5, 4), _VALID_ROWS * (np.arange(7) != 2)[:, None], ()),
+    "one": ((1, 5, 4), _VALID_ROWS[1:2], ()),
+    "constant-x": ((7, 5, 4), _VALID_ROWS, (0,)),
+    "constant-weights": ((7, 5, 4), _VALID_ROWS, (1, 2, 3, 4)),
+    "rows-2d": ((5, 4), _VALID_ROWS[3], ()),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_BUDGETS))
+@pytest.mark.parametrize("case", sorted(_POOL_CASES))
+def test_pool_node_equals_the_taped_composition(monkeypatch, case, budget):
+    shape, validity, constant = _POOL_CASES[case]
+    patient = 8 * shape[-2] * (shape[-1] + 3 + 3)
+    monkeypatch.setattr(nm, "BLOCK_BYTES", _BUDGETS[budget](patient))
+    assert len(nm._blocks(7, patient)) == {"one": 7, "three": 3, "whole": 1}[budget]
+    _assert_same_bits(
+        lambda *a: _pool(*a, validity),
+        lambda *a: _taped_pool(*a, validity),
+        _pool_arrays(shape, (3, 3), seed=43),
+        constant,
+    )
+
+
+def test_pool_node_rejects_validity_of_another_shape():
+    x, w0, b0, w1, b1, gain, bias = _pool_arrays((7, 5, 4), (3, 3), seed=44)
+    with pytest.raises(ShapeMismatch, match="row validity"):
+        _pool(x, w0, b0, w1, b1, gain, bias, _VALID_ROWS[:, :4])
+    with pytest.raises(ShapeMismatch, match="affine input"):
+        _pool(x, w1, b0, w1, b1, gain, bias, _VALID_ROWS)
+
+
+@pytest.mark.parametrize("constant_weights", [False, True], ids=["all-inputs", "constant-weights"])
+def test_grad_blocked_nodes(monkeypatch, constant_weights):
+    monkeypatch.setattr(nm, "BLOCK_BYTES", 1)  # a block per patient
+    rng = np.random.default_rng(45)
+    fixed = [rng.normal(size=s) for s in ((4, 4), (4, 4), (4, 4), (4, 3), (3,), (3, 3), (3,), (3,), (3,))]
+    validity = _VALID_ROWS[:3, :4]
+
+    def loss(p):
+        x = nm.reshape(nm.narrow(p, 0, 0, 48), (3, 4, 4))
+        if constant_weights:
+            params = fixed
+        else:
+            offsets = np.cumsum([48] + [a.size for a in fixed])
+            params = [nm.reshape(nm.narrow(p, 0, o, a.size), a.shape) for o, a in zip(offsets, fixed)]
+        out, att = nm.masked_attention(x, *params[:3], validity[:, None, :])
+        pooled = nm.snn_norm_pool(out, [(params[3], params[4]), (params[5], params[6])], params[7], params[8], validity)
+        return nm.tsum(pooled * np.arange(9.0).reshape(3, 3)) + nm.tsum(att * att)
+
+    n_params = 48 if constant_weights else 48 + sum(a.size for a in fixed)
+    report = nm.grad_check(loss, np.random.default_rng(46).normal(size=n_params), eps=1e-5)
+    assert report.max_relative_error < 1e-6, report
 
 
 def test_selu_large_input_does_not_overflow():
@@ -452,20 +654,24 @@ _READ_ONLY_OPS = {
     "add": (lambda a, b: nm.add(a, nm.reshape(b, (3, 4))), [(3, 4), (12,)]),
     "mul": (lambda a, b: nm.mul(a, nm.reshape(b, (3, 4))), [(3, 4), (12,)]),
     "matmul": (lambda a, b: nm.matmul(a, b), [(2, 3, 4), (4, 3)]),
-    "swap_last": (lambda a: nm.swap_last(a), [(2, 3, 4)]),
+    "swap_last": (lambda a: swap_last(a), [(2, 3, 4)]),
     "tsum": (lambda a: nm.tsum(a, axis=1), [(3, 4)]),
     "broadcast_to": (lambda a: nm.broadcast_to(a, (3, 4)), [(4,)]),
     "narrow": (lambda a: nm.narrow(a, 1, 1, 2), [(3, 4)]),
     "concat": (lambda a, b: nm.concat([a, b], axis=-1), [(3, 4), (3, 2)]),
     "gather_rows": (lambda a: nm.gather_rows(a, np.array([[2, 0], [1, 1]])), [(2, 3, 4)]),
-    "masked_softmax": (lambda a: nm.masked_softmax(a, _MASK), [(3, 4)]),
+    "masked_softmax": (lambda a: masked_softmax(a, _MASK), [(3, 4)]),
     "masked_logsumexp": (lambda a: nm.masked_logsumexp(a, _MASK), [(3, 4)]),
     "affine": (lambda a, w, b: nm.affine(a, w, b), [(2, 3, 4), (4, 5), (5,)]),
-    "layer_norm": (lambda a, g, b: nm.layer_norm(a, g, b), [(2, 3, 4), (4,), (4,)]),
+    "layer_norm": (lambda a, g, b: layer_norm(a, g, b), [(2, 3, 4), (4,), (4,)]),
     "snn_forward": (lambda a, w, b: nm.snn_forward(a, [(w, b)]), [(2, 3, 4), (4, 5), (5,)]),
     "masked_attention": (
         lambda a, q, k, v: nm.masked_attention(a, q, k, v, _frozen(_MASK[..., :3])[None, :1, :])[0],
         [(2, 3, 4), (4, 4), (4, 4), (4, 4)],
+    ),
+    "snn_norm_pool": (
+        lambda a, w, b, g, c: nm.snn_norm_pool(a, [(w, b)], g, c, _frozen(_MASK[:2, :3])),
+        [(2, 3, 4), (4, 5), (5,), (5,), (5,)],
     ),
 }
 
@@ -536,13 +742,17 @@ def _fuse_blocks(mode):
 
 # each stage's (build, input shapes): every input is one a gradient can reach
 _STAGES = {
-    "masked_softmax": (lambda a: nm.masked_softmax(a, _VALIDITY[:, None, :]), [(2, 3, 3)]),
+    "masked_softmax": (lambda a: masked_softmax(a, _VALIDITY[:, None, :]), [(2, 3, 3)]),
     "affine": (lambda x, w, b: nm.affine(x, w, b), [(2, 3, 4), (4, 5), (5,)]),
-    "layer_norm": (lambda x, g, b: nm.layer_norm(x, g, b), [(2, 3, 4), (4,), (4,)]),
+    "layer_norm": (lambda x, g, b: layer_norm(x, g, b), [(2, 3, 4), (4,), (4,)]),
     "snn_forward": (lambda x, w, b: nm.snn_forward(x, [(w, b), (np.eye(5), np.zeros(5))]), [(2, 3, 4), (4, 5), (5,)]),
     "masked_attention": (
         lambda x, q, k, v: nm.masked_attention(x, q, k, v, _VALIDITY[:, None, :])[0],
         [(2, 3, 4), (4, 4), (4, 4), (4, 4)],
+    ),
+    "snn_norm_pool": (
+        lambda x, w, b, g, c: nm.snn_norm_pool(x, [(w, b), (np.eye(5), np.zeros(5))], g, c, _VALIDITY),
+        [(2, 3, 4), (4, 5), (5,), (5,), (5,)],
     ),
     "fuse_full": _fuse_blocks("full"),
     "fuse_late": _fuse_blocks("late"),
@@ -594,3 +804,33 @@ def test_forward_risks_with_array_parameters_returns_an_array():
         taped = forward_risks(prepared, {k: nm.Tensor(v, requires_grad=True) for k, v in values.items()}, dims, mode)
         assert isinstance(taped, nm.Tensor)
         np.testing.assert_array_equal(taped.data, risks)
+
+
+@pytest.mark.parametrize("budget", [1, 3000, 1 << 40], ids=["patient", "3000B", "batch"])
+@pytest.mark.parametrize(
+    "mode, shared", [("full", False), ("late", False), ("hierarchical", False), ("full", True)],
+    ids=["full", "late", "hierarchical", "full-shared-beta"],
+)
+def test_model_risks_and_gradients_equal_the_taped_composition(monkeypatch, mode, shared, budget):
+    cohort = synth_cohort(SyntheticSpec(
+        n_patients=7, n_segments=(1, 4), n_patches=(15, 25), d_t=5, d_h=4, n_genes=20, n_pathways=5, seed=0,
+    ))
+    config = TrainConfig(d_e=4, d_r=2, n_histology=3, n_pathways=5, fusion_mode=mode, shared_beta_mlp=shared)
+    prepared, dims, _ = build_prepared(cohort, config)
+    assert prepared.text_mask.sum(axis=-1).min() < dims.n_text  # some text prototype slots are empty
+    values = init_params(dims, substream(0, "init"))
+    monkeypatch.setattr(nm, "BLOCK_BYTES", budget)
+
+    def step(batch):
+        leaves = {name: nm.Tensor(v, requires_grad=True) for name, v in values.items()}
+        risks = forward_risks(batch, leaves, dims, mode)
+        nm.tsum(risks * np.linspace(-1.0, 2.0, len(batch))).backward()
+        return [risks.data] + [leaves[name].grad for name in sorted(leaves)]
+
+    batches = [prepared, prepared.subset([3])]  # seven patients, and a batch of one
+    ours = [step(batch) for batch in batches]
+    monkeypatch.setattr(nm, "masked_attention", taped_attention)
+    monkeypatch.setattr(nm, "snn_norm_pool", taped_pool)
+    for got, want in zip(ours, [step(batch) for batch in batches]):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

@@ -7,8 +7,9 @@ CHECKOUT is the root of a source checkout. The tool runs a child Python with
 acceptance suite's 300-patient cohort (seed 11, pathway signal strength 2.5,
 censoring 0.25) split by ``kfold_split(ids, 5, 1)``, each fold trained with
 ``TrainConfig(seed=1, d_e=64, d_r=16)`` at E epochs (default 50) and scored on
-its held-out patients, in each fusion mode. It prints one
-``<sha256>  <mode>/fold<k>`` line per fold, 15 in all. A digest covers the
+its held-out patients, in each arm: the three fusion modes, and full mode with
+one head network shared by the modalities (``shared_beta_mlp``). It prints one
+``<sha256>  <arm>/fold<k>`` line per fold, 20 in all. A digest covers the
 held-out risks, then every trained parameter's name and values in name order.
 Two checkouts that print the same lines trained and scored bit-identical folds.
 """
@@ -23,6 +24,12 @@ import sys
 from pathlib import Path
 
 FUSION_MODES = ("full", "late", "hierarchical")
+# each arm's label and the TrainConfig fields it sets; a shared head's leaves
+# each take one gradient contribution per modality, summed in an order the
+# tape's shape sets
+ARMS = tuple((mode, {"fusion_mode": mode}) for mode in FUSION_MODES) + (
+    ("full-shared-beta", {"fusion_mode": "full", "shared_beta_mlp": True}),
+)
 COHORT = dict(
     n_patients=300, n_segments=(3, 8), n_patches=(64, 128), d_t=16, d_h=16,
     n_genes=200, n_pathways=50, signal_modality="pathway",
@@ -38,7 +45,9 @@ CHILD = (
 
 
 def fold_lines(epochs: int) -> list[str]:
-    """The ``<sha256>  <mode>/fold<k>`` lines, computed with the protosurv on ``sys.path``."""
+    """The ``<sha256>  <arm>/fold<k>`` lines, computed with the protosurv on ``sys.path``."""
+    from dataclasses import replace
+
     import numpy as np
 
     from protosurv.data import SyntheticSpec, kfold_split, synth_cohort
@@ -49,15 +58,17 @@ def fold_lines(epochs: int) -> list[str]:
     prepared, _, _ = build_prepared(cohort, TrainConfig(seed=SEED, d_e=64, d_r=16, epochs=epochs))
     folds = kfold_split(prepared.patient_ids, N_FOLDS, SEED)
     lines = []
-    for mode in FUSION_MODES:
-        config = TrainConfig(seed=SEED, d_e=64, d_r=16, epochs=epochs, fusion_mode=mode)
+    for label, fields in ARMS:
+        config = TrainConfig(seed=SEED, d_e=64, d_r=16, epochs=epochs, **fields)
+        # the shared head is a model shape, which the prepared cohort carries
+        arm = replace(prepared, dims=replace(prepared.dims, shared_beta=config.shared_beta_mlp))
         for k, held_ids in enumerate(folds):
-            result = run_fold(prepared, config, held_ids, k)
+            result = run_fold(arm, config, held_ids, k)
             digest = hashlib.sha256(np.ascontiguousarray(result.risks, dtype="<f8").tobytes())
             for name in sorted(result.model.values):
                 digest.update(name.encode())
                 digest.update(np.ascontiguousarray(result.model.values[name], dtype="<f8").tobytes())
-            lines.append(f"{digest.hexdigest()}  {mode}/fold{k}")
+            lines.append(f"{digest.hexdigest()}  {label}/fold{k}")
     return lines
 
 
