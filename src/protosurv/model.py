@@ -1,5 +1,7 @@
 """Model assembly: parameter layout, the prepared-cohort container and the
 forward pass from prepared modality inputs to per-patient risk scores.
+A prepared cohort fixes ``text_proto_mode``, the slide fit's seed and
+``n_histology``; ``model_dims`` takes the other model choices from the config.
 
 The forward pass composes the public stage functions, each of which takes
 a batch: ``text.select_prototypes``, ``pathways.embed_pathways``,
@@ -18,7 +20,7 @@ comparisons use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -179,7 +181,9 @@ class ModelParams:
 
 @dataclass
 class PreparedCohort:
-    """Training-ready arrays for one cohort (or one minibatch of it)."""
+    """Training-ready arrays for one cohort (or one minibatch of it) and the
+    text prototype count frozen with them. ``text_proto_mode``, the slide
+    fit's seed and ``n_histology`` are chosen when it is prepared."""
 
     patient_ids: list[str]
     times: np.ndarray  # (n,)
@@ -188,7 +192,7 @@ class PreparedCohort:
     text_mask: np.ndarray | None = None  # (n, m)
     slides: np.ndarray | None = None  # (n, n_histology, 1 + 2 d_h)
     slices: list[np.ndarray] | None = None  # per pathway, (n, width)
-    dims: ModelDims | None = None
+    n_text: int | None = None  # diagnostic prototypes per report, with text
 
     def __len__(self) -> int:
         return len(self.patient_ids)
@@ -203,8 +207,38 @@ class PreparedCohort:
             text_mask=None if self.text_mask is None else self.text_mask[idx],
             slides=None if self.slides is None else self.slides[idx],
             slices=None if self.slices is None else [s[idx] for s in self.slices],
-            dims=self.dims,
+            n_text=self.n_text,
         )
+
+
+def model_dims(prepared: PreparedCohort, config) -> ModelDims:
+    """The config's model choices over the shapes of the cohort's arrays (1, or
+    no pathways, for a modality the config leaves out). A modality the cohort
+    lacks, or another pathway or slide row count, raises BadInput."""
+    held = {"t": prepared.text_data, "h": prepared.slides, "p": prepared.slices}
+    lacking = [MODALITY_LETTERS[c] for c in config.modalities if held[c] is None]
+    if lacking:
+        raise BadInput(f"config asks for modalities {config.modalities!r}, the prepared cohort has no {lacking[0]}")
+    text, slides, slices = (held[c] if c in config.modalities else None for c in "thp")
+    if slices is not None and len(slices) != config.n_pathways:
+        raise BadInput(f"{len(slices)} pathways in the gene sets, config expects {config.n_pathways}")
+    if slides is not None and slides.shape[1] != config.n_histology:
+        raise BadInput(f"{slides.shape[1]} prototypes per slide, config expects n_histology {config.n_histology}")
+    shapes = ModelDims(
+        d_t=1 if text is None else text.shape[2], d_h=1 if slides is None else (slides.shape[2] - 1) // 2,
+        max_segments=1 if text is None else text.shape[1], n_text=1 if text is None else prepared.n_text,
+        n_histology=1 if slides is None else slides.shape[1],
+        pathway_widths=() if slices is None else tuple(s.shape[1] for s in slices),
+    )
+    return with_config(shapes, config)
+
+
+def with_config(shapes: ModelDims, config) -> ModelDims:
+    """``shapes`` with a ``TrainConfig``'s model choices: n_histology, d_e, d_r, modalities, shared head."""
+    return replace(
+        shapes, n_histology=config.n_histology, d_e=config.d_e, d_r=config.d_r, modalities=config.modalities,
+        shared_beta=config.shared_beta_mlp,
+    )
 
 
 def _snn_layers(pt: Mapping, prefix: str):

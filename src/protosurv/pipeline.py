@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Cohort, kfold_split
-from .errors import BadInput, DegenerateInput, NoComparablePairs, NoEvents, NonFiniteLoss
+from .errors import DegenerateInput, NoComparablePairs, NoEvents, NonFiniteLoss
 from .evaluation import _records_to_arrays, concordance_index
 from .histology import EmTrace, fit_gmm, slide_representation
-from .model import ModelDims, ModelParams, PreparedCohort, forward_diagnostics
+from .model import ModelParams, PreparedCohort, forward_diagnostics, model_dims
 from .pathways import PathwayMaskSet, build_masks, pathway_slices
 from .rng import substream
 from .survival import EpochStats, TrainConfig, train
@@ -46,48 +46,29 @@ def text_shapes(reports, nt_mode: str) -> tuple[int, int, int]:
 
 
 def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=None, max_segments=None):
-    """Pack the cohort for training: reports padded (``n_text`` and
-    ``max_segments`` override the shapes they give, when the prototype stage
-    froze them), slide representations stacked (``slide_reps`` when given,
-    else fitted here from the cohort's patches) and the expression matrix
-    sliced per pathway. Returns (prepared, dims, mask_set); mask_set is None
-    without the pathway modality."""
-    modalities = config.modalities
+    """Pack the cohort's modalities in ``config``: reports padded (``n_text``
+    and ``max_segments`` override the shapes they give, when the prototype
+    stage froze them), slide representations stacked (``slide_reps`` when
+    given, else fitted here from the cohort's patches) and the expression
+    matrix sliced per pathway. This fixes ``text_proto_mode``, the slide fit's
+    ``seed`` and ``n_histology``. Returns (prepared, ``model_dims(prepared,
+    config)``, mask_set); mask_set is None without the pathway modality."""
     times, events = _records_to_arrays(cohort.records)
     prepared = PreparedCohort(patient_ids=list(cohort.patient_ids), times=times, events=events)
     mask_set: PathwayMaskSet | None = None
-    d_t = d_h = m = n_t = 1
-    if "t" in modalities:
-        d_t, m, n_t = text_shapes(cohort.reports, config.text_proto_mode)
-        m = max_segments if max_segments is not None else m
-        n_t = n_text if n_text is not None else n_t
-        batch = pad_batch(cohort.reports, m)
+    if "t" in config.modalities:
+        _, m, n_t = text_shapes(cohort.reports, config.text_proto_mode)
+        prepared.n_text = n_t if n_text is None else n_text
+        batch = pad_batch(cohort.reports, max_segments if max_segments is not None else m)
         prepared.text_data, prepared.text_mask = batch.data, batch.mask
-    if "h" in modalities:
+    if "h" in config.modalities:
         if slide_reps is None:
             slide_reps, _ = fit_slide_representations(cohort.patches, config.n_histology, config.seed)
         prepared.slides = np.stack([np.asarray(s, dtype=float) for s in slide_reps])
-        d_h = (prepared.slides.shape[2] - 1) // 2
-    if "p" in modalities:
+    if "p" in config.modalities:
         mask_set = build_masks(cohort.gene_sets, cohort.gene_order)
-        if mask_set.n_pathways != config.n_pathways:
-            raise BadInput(
-                f"{mask_set.n_pathways} pathways in the gene sets, config expects {config.n_pathways}"
-            )
         prepared.slices = pathway_slices(cohort.expressions, mask_set)
-    prepared.dims = ModelDims(
-        d_t=d_t,
-        d_h=d_h,
-        max_segments=m,
-        n_text=n_t,
-        n_histology=config.n_histology,
-        pathway_widths=() if mask_set is None else mask_set.widths,
-        d_e=config.d_e,
-        d_r=config.d_r,
-        modalities=modalities,
-        shared_beta=config.shared_beta_mlp,
-    )
-    return prepared, prepared.dims, mask_set
+    return prepared, model_dims(prepared, config), mask_set
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -29,8 +29,10 @@ from .model import (
     flatten_params,
     forward_risks,
     init_params,
+    model_dims,
     param_spec,
     unflatten_tensors,
+    with_config,
 )
 from .numerics import Tensor
 from .rng import substream
@@ -120,7 +122,9 @@ def cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
 
 @np.errstate(all="ignore")  # divergence is checked on the loss and gradients instead
 def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
-    """Minibatch Cox training; deterministic given (cohort, config).
+    """Minibatch Cox training of ``model_dims(prepared, config)``; deterministic
+    given (cohort, config). ``text_proto_mode``, the slide fit's seed and
+    ``n_histology`` were chosen when the cohort was prepared.
 
     An epoch's ``mean_loss`` averages the batches that have an event. A
     non-finite loss or gradient raises :class:`NonFiniteLoss` naming the
@@ -132,11 +136,7 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
         raise NoEvents("empty cohort")
     if int(prepared.events.sum()) == 0:
         raise NoEvents("cohort has no observed events")
-    dims = prepared.dims
-    if dims.modalities != config.modalities:
-        raise BadInput(
-            f"cohort prepared for modalities {dims.modalities!r} but config asks {config.modalities!r}"
-        )
+    dims = model_dims(prepared, config)
     # AdamW state as flat buffers in param_spec order; the named values are views
     spec = param_spec(dims)
     flat = flatten_params(init_params(dims, substream(config.seed, "init")), spec)
@@ -206,10 +206,20 @@ CHECKPOINT_MAGIC = b"PS3C"
 CHECKPOINT_VERSION = 1
 
 
+def _refuse_dims_clash(path, dims: ModelDims, config: TrainConfig) -> None:
+    """Raise BadInput at the first field where ``dims`` differ from ``config``'s choices over their shapes."""
+    asked = with_config(dims, config)
+    name = next((f.name for f in fields(ModelDims) if getattr(dims, f.name) != getattr(asked, f.name)), None)
+    if name is not None:
+        raise BadInput(f"{path}: dims {name}={getattr(dims, name)!r} contradict the config's {getattr(asked, name)!r}")
+
+
 def save_checkpoint(path, model: ModelParams, config: TrainConfig, fingerprint: str = "") -> None:
     """Versioned binary container: named float32 little-endian tensors plus
     the full training config, model dims and gene/pathway fingerprint.
-    A tensor that is not finite as float32 raises before the file opens."""
+    Dims that contradict the config, or a tensor that is not finite as
+    float32, raise before the file opens."""
+    _refuse_dims_clash(path, model.dims, config)
     spec = model.spec
     with np.errstate(over="ignore"):
         tensors = [np.ascontiguousarray(model.values[name], dtype="<f4") for name, _ in spec]
@@ -233,8 +243,9 @@ def save_checkpoint(path, model: ModelParams, config: TrainConfig, fingerprint: 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, str]:
     """The model, config and fingerprint that ``save_checkpoint`` wrote to
-    ``path``. The header's tensors must be those of ``param_spec(dims)``: the
-    same names, in that order, with those shapes."""
+    ``path``. The header's dims must carry its config's model choices, and
+    its tensors must be those of ``param_spec(dims)``: the same names, in that
+    order, with those shapes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 9 or raw[:4] != CHECKPOINT_MAGIC:
@@ -253,6 +264,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig, str]:
         spec = param_spec(dims)
     except (BadInput, TypeError, ValueError, KeyError) as exc:
         raise BadInput(f"{path}: malformed checkpoint header: {exc}") from exc
+    _refuse_dims_clash(path, dims, config)
     if tensors != spec:
         # the first position where the two lists differ, or where the shorter one ends
         i = next((i for i, (got, want) in enumerate(zip(tensors, spec)) if got != want), min(len(tensors), len(spec)))

@@ -378,6 +378,25 @@ def test_eval_checkpoint_with_unknown_header_key_is_one_line_error(cohort_dir, p
     assert "fold1.ckpt" in err[0] and "bogus_key" in err[0]
 
 
+@pytest.mark.parametrize(
+    "key, value, stored", [("modalities", "ph", "'pht'"), ("n_histology", 3, "4")], ids=["modalities", "n_histology"]
+)
+def test_eval_checkpoint_whose_dims_contradict_its_config_is_one_line_naming_it(
+    cohort_dir, proto_dir, tmp_path, capsys, key, value, stored
+):
+    run = tmp_path / "run"
+    assert _train(cohort_dir, proto_dir, run) == 0
+    # one checkpoint, so no other checkpoint's config is compared with the edited one first
+    for name in ("fold1.ckpt", "fold2.ckpt"):
+        (run / name).unlink()
+    _rewrite_checkpoint_header(run / "fold0.ckpt", lambda header: header["config"].update({key: value}))
+    capsys.readouterr()
+    assert _eval(cohort_dir, proto_dir, run, tmp_path / "e") == 1
+    expected = [f"error: {run / 'fold0.ckpt'}: dims {key}={stored} contradict the config's {value!r}"]
+    assert capsys.readouterr().err.splitlines() == expected
+    assert not (tmp_path / "e").exists()
+
+
 def test_eval_checkpoint_without_fold_entry_is_one_line_error(cohort_dir, proto_dir, tmp_path, capsys):
     import shutil
 

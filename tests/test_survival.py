@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from protosurv.model import (
     flatten_params,
     forward_risks,
     init_params,
+    model_dims,
     param_spec,
     unflatten_tensors,
 )
@@ -209,9 +211,69 @@ def test_train_zero_epochs_returns_initialisation():
         np.testing.assert_array_equal(model.values[name], expected[name])
 
 
+_WIDTHS = (4, 4, 4, 4, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "modalities, dims",
+    [
+        ("pht", ModelDims(6, 5, 4, 3, 3, _WIDTHS, 6, 2, "pht")),
+        ("ht", ModelDims(6, 5, 4, 3, 3, (), 6, 2, "ht")),
+        ("pt", ModelDims(6, 1, 4, 3, 3, _WIDTHS, 6, 2, "pt")),
+        ("ph", ModelDims(1, 5, 1, 1, 3, _WIDTHS, 6, 2, "ph")),
+        ("p", ModelDims(1, 1, 1, 1, 3, _WIDTHS, 6, 2, "p")),
+        ("h", ModelDims(1, 5, 1, 1, 3, (), 6, 2, "h")),
+        ("t", ModelDims(6, 1, 4, 3, 3, (), 6, 2, "t")),
+    ],
+)
+def test_build_prepared_dims_of_each_modality_subset(modalities, dims):
+    # checkpoint headers store these dims, so their bytes rest on every field,
+    # the placeholders of the absent modalities too
+    assert build_prepared(_small_cohort(), _small_config(modalities=modalities))[1] == dims
+
+
+@pytest.mark.parametrize(
+    "change, dims_change",
+    [
+        (dict(d_e=4, d_r=0), dict(d_e=4, d_r=0)),
+        (dict(shared_beta_mlp=True), dict(shared_beta=True)),
+        (dict(modalities="ph"), dict(modalities="ph", d_t=1, max_segments=1, n_text=1)),
+        (dict(fusion_mode="late"), {}),
+    ],
+    ids=["widths", "shared_head", "modalities", "fusion_mode"],
+)
+def test_one_prepared_cohort_trains_the_model_of_each_config(change, dims_change):
+    cohort = _small_cohort()
+    prepared, dims, _ = build_prepared(cohort, _small_config())
+    config = _small_config(epochs=1, **change)
+    model, _ = train(prepared, config)
+    assert model.dims == replace(dims, **dims_change)
+    assert [(name, value.shape) for name, value in model.values.items()] == param_spec(model.dims)
+    # the same bits as a cohort prepared for that config alone
+    alone, _ = train(build_prepared(cohort, config)[0], config)
+    for name, value in alone.values.items():
+        np.testing.assert_array_equal(model.values[name], value)
+
+
+@pytest.mark.parametrize(
+    "prepared_for, change, message",
+    [
+        ("ph", {}, "config asks for modalities 'pht', the prepared cohort has no text"),
+        ("pht", dict(n_pathways=5), "6 pathways in the gene sets, config expects 5"),
+        ("pht", dict(n_histology=4), "3 prototypes per slide, config expects n_histology 4"),
+    ],
+    ids=["modality", "n_pathways", "n_histology"],
+)
+def test_model_dims_refuses_a_config_the_cohort_cannot_serve(prepared_for, change, message):
+    prepared, _, _ = build_prepared(_small_cohort(), _small_config(modalities=prepared_for))
+    with pytest.raises(BadInput) as caught:
+        model_dims(prepared, _small_config(**change))
+    assert str(caught.value) == message
+
+
 def _adamw_per_tensor(prepared, config):
     """Reference loop: AdamW on one array per named parameter, new arrays each step."""
-    dims = prepared.dims
+    dims = model_dims(prepared, config)
     values = init_params(dims, substream(config.seed, "init"))
     m1 = {k: np.zeros_like(v) for k, v in values.items()}
     m2 = {k: np.zeros_like(v) for k, v in values.items()}
@@ -369,6 +431,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(
             loaded.values[name], model.values[name].astype(np.float32).astype(np.float64)
         )
+
+
+def test_checkpoint_refuses_dims_that_contradict_its_config(tmp_path):
+    config = _small_config(epochs=0)
+    prepared, _, _ = build_prepared(_small_cohort(), config)
+    model, _ = train(prepared, config)
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(BadInput) as caught:
+        save_checkpoint(path, model, _small_config(epochs=0, d_e=8), "")
+    assert str(caught.value) == f"{path}: dims d_e=6 contradict the config's 8"
+    assert not path.exists()
 
 
 def test_checkpoint_refuses_values_not_finite_as_float32(tmp_path):

@@ -8,7 +8,8 @@ acceptance suite's 300-patient cohort (seed 11, pathway signal strength 2.5,
 censoring 0.25) split by ``kfold_split(ids, 5, 1)``, each fold trained with
 ``TrainConfig(seed=1, d_e=64, d_r=16)`` at E epochs (default 50) and scored on
 its held-out patients, in each arm: the three fusion modes, and full mode with
-one head network shared by the modalities (``shared_beta_mlp``). It prints one
+one head network shared by the modalities (``shared_beta_mlp``). The cohort is
+prepared once; each arm's config takes its model from it. It prints one
 ``<sha256>  <arm>/fold<k>`` line per fold, 20 in all. A digest covers the
 held-out risks, then every trained parameter's name and values in name order.
 Two checkouts that print the same lines trained and scored bit-identical folds.
@@ -46,8 +47,6 @@ CHILD = (
 
 def fold_lines(epochs: int) -> list[str]:
     """The ``<sha256>  <arm>/fold<k>`` lines, computed with the protosurv on ``sys.path``."""
-    from dataclasses import replace
-
     import numpy as np
 
     from protosurv.data import SyntheticSpec, kfold_split, synth_cohort
@@ -60,10 +59,8 @@ def fold_lines(epochs: int) -> list[str]:
     lines = []
     for label, fields in ARMS:
         config = TrainConfig(seed=SEED, d_e=64, d_r=16, epochs=epochs, **fields)
-        # the shared head is a model shape, which the prepared cohort carries
-        arm = replace(prepared, dims=replace(prepared.dims, shared_beta=config.shared_beta_mlp))
         for k, held_ids in enumerate(folds):
-            result = run_fold(arm, config, held_ids, k)
+            result = run_fold(prepared, config, held_ids, k)
             digest = hashlib.sha256(np.ascontiguousarray(result.risks, dtype="<f8").tobytes())
             for name in sorted(result.model.values):
                 digest.update(name.encode())
