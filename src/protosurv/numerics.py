@@ -22,10 +22,12 @@ adjoints, or, when no input requires a gradient, its plain ndarray.
   temporaries stay small. Their bits do not depend on the block size:
   numpy's stacked matmul makes one product per patient, softmax, layer norm
   and the masked mean reduce within one patient, and a parameter's adjoint
-  keeps its per-patient stack, summed over the batch at the end as
-  ``_unbroadcast`` sums it. x's attention adjoint is the q and k parts
-  summed, plus the v part: the order in which the chain of taped operations
-  they replace summed it while P fed only the value product.
+  is a running sum: each block adds the earlier blocks' total into the
+  first row of its own per-patient stack and sums that stack, the order in
+  which ``_unbroadcast`` sums the batch's. x's attention adjoint is the q
+  and k parts summed, plus the v part: the order in which the chain of
+  taped operations they replace summed it while P fed only the value
+  product.
 - ``affine`` and the layers take a stack of rows, (..., n, d): one row is
   a batch of one, (1, d).
 - An operand that does not require a gradient (a constant: input data, a
@@ -371,12 +373,12 @@ def _selu(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _selu_slope(pre: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``g`` times the slope of selu at ``pre``, written to ``out`` when given:
-    S·(pos + (1 - pos)·A·exp(min(p, 0))) with pos the 0/1 indicator of
-    p > 0, which equals S for p > 0, else S·A·exp(p), bit for bit."""
+def _selu_slope(pre: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` times the slope of selu at ``pre``: S·(pos + (1 - pos)·A·exp(min(p, 0)))
+    with pos the 0/1 indicator of p > 0, which equals S for p > 0, else
+    S·A·exp(p), bit for bit."""
     positive = (pre > 0).astype(np.float64)
-    slope = np.subtract(1.0, positive, out=out)
+    slope = np.subtract(1.0, positive)
     slope *= SELU_ALPHA
     tail = np.minimum(pre, 0.0)
     slope *= np.exp(tail, out=tail)
@@ -450,15 +452,16 @@ def _blocks(count: int, patient_bytes: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _part(stack: np.ndarray | None, blk: slice):
-    """The block's rows of ``stack``, or None (a fresh output) without a stack."""
-    return None if stack is None else stack[blk]
-
-
-def _batch_sum(stack: np.ndarray | None, lead: tuple[int, ...], shape: tuple[int, ...]):
-    """A parameter's adjoint from its (count, ...) per-patient stack, summed
-    over the ``lead`` batch axes as ``_unbroadcast`` sums a broadcast one."""
-    return None if stack is None else _unbroadcast(stack.reshape(lead + stack.shape[1:]), shape)
+def _running_sum(total: np.ndarray | None, part: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A parameter's adjoint over the blocks so far, summed to ``shape``:
+    ``total``, the earlier blocks' sum (None for the first block), plus
+    ``part``, this block's per-patient stack. ``total`` is added into the
+    stack's first row in place, and numpy adds the rows one after another,
+    so the blocks sum in the order ``_unbroadcast`` sums the whole stack."""
+    rows = part.reshape((-1,) + shape)
+    if total is not None:
+        rows[0] += total
+    return rows.sum(axis=0)
 
 
 def snn_norm_pool(x, layers, gain, bias, validity):
@@ -474,6 +477,7 @@ def snn_norm_pool(x, layers, gain, bias, validity):
     """
     xt, gt, bt = as_tensor(x), as_tensor(gain), as_tensor(bias)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    params = [t for layer in layers for t in layer] + [gt, bt]
     shape = xt.shape
     for w, b in layers:
         _check_affine(shape, w.shape, b.shape)
@@ -508,32 +512,32 @@ def snn_norm_pool(x, layers, gain, bias, validity):
         for w, b in layers:
             reaches.append(reaches[-1] or w.requires_grad or b.requires_grad)
         gx = np.empty(x3.shape) if xt.requires_grad else None
-        gws = [np.empty((count,) + w.shape) if w.requires_grad else None for w, _ in layers]
-        slopes = [np.empty(pre.shape) if b.requires_grad else None for pre, (_, b) in zip(pres, layers)]
-        g_gain = np.empty(normed.shape) if gt.requires_grad else None
-        g_bias = np.empty(normed.shape) if bt.requires_grad else None
+        # running sums of the parameters' adjoints, in parent order after x
+        sums = [None] * len(params)
         for blk in blocks:
-            gy = np.multiply((g[blk] * inv_count[blk])[:, None, :], mask[blk], out=_part(g_bias, blk))
-            if g_gain is not None:
-                np.multiply(gy, normed[blk], out=g_gain[blk])
-            if not reaches[-1]:
+            gy = np.multiply((g[blk] * inv_count[blk])[:, None, :], mask[blk])
+            if gt.requires_grad:
+                sums[-2] = _running_sum(sums[-2], gy * normed[blk], gt.shape)
+            grad = _layer_norm_adjoint(gy * gt.data, normed[blk], inv_std[blk]) if reaches[-1] else None
+            if bt.requires_grad:
+                sums[-1] = _running_sum(sums[-1], gy, bt.shape)
+            if grad is None:
                 continue
-            grad = _layer_norm_adjoint(gy * gt.data, normed[blk], inv_std[blk])
             for i in reversed(range(len(layers))):
-                slope = _selu_slope(pres[i][blk], grad, _part(slopes[i], blk))
-                if gws[i] is not None:
+                w, b = layers[i]
+                slope = _selu_slope(pres[i][blk], grad)
+                if w.requires_grad:
                     rows = x3[blk] if i == 0 else outs[i - 1][blk]
-                    np.matmul(np.swapaxes(rows, -1, -2), slope, out=gws[i][blk])
+                    sums[2 * i] = _running_sum(sums[2 * i], np.swapaxes(rows, -1, -2) @ slope, w.shape)
+                if reaches[i]:
+                    grad = np.matmul(slope, np.swapaxes(w.data, -1, -2), out=gx[blk] if i == 0 else None)
+                if b.requires_grad:
+                    sums[2 * i + 1] = _running_sum(sums[2 * i + 1], slope, b.shape)
                 if not reaches[i]:
                     break
-                grad = np.matmul(slope, np.swapaxes(layers[i][0].data, -1, -2), out=_part(gx, blk) if i == 0 else None)
-        grads = [None if gx is None else gx.reshape(xt.shape)]
-        for (w, b), gw, slope in zip(layers, gws, slopes):
-            grads += [_batch_sum(gw, lead, w.shape), _batch_sum(slope, lead, b.shape)]
-        return (*grads, _batch_sum(g_gain, lead, gt.shape), _batch_sum(g_bias, lead, bt.shape))
+        return (None if gx is None else gx.reshape(xt.shape), *sums)
 
-    parents = (xt, *(t for layer in layers for t in layer), gt, bt)
-    return _node(pooled.reshape(lead + (width,)), parents, backward)
+    return _node(pooled.reshape(lead + (width,)), (xt, *params), backward)
 
 
 def _attention_weights(h: Tensor, w_q: Tensor, w_k: Tensor, mask: np.ndarray):
@@ -554,8 +558,7 @@ def _attention_weights(h: Tensor, w_q: Tensor, w_k: Tensor, mask: np.ndarray):
     def backward(g):
         g = g.reshape(att.shape)
         gx = np.empty(x.shape) if h.requires_grad else None
-        gw_q = np.empty((count, d, d)) if w_q.requires_grad else None
-        gw_k = np.empty((count, d, d)) if w_k.requires_grad else None
+        gw_q = gw_k = None
         for blk in blocks:
             g_logits = _softmax_adjoint(g[blk], att[blk])
             g_logits *= scale
@@ -565,16 +568,11 @@ def _attention_weights(h: Tensor, w_q: Tensor, w_k: Tensor, mask: np.ndarray):
             if gx is not None:
                 np.matmul(gq, np.swapaxes(w_q.data, -1, -2), out=gx[blk])
                 gx[blk] += gk @ np.swapaxes(w_k.data, -1, -2)
-            if gw_q is not None:
-                np.matmul(np.swapaxes(x[blk], -1, -2), gq, out=gw_q[blk])
-            if gw_k is not None:
-                np.matmul(np.swapaxes(x[blk], -1, -2), gk, out=gw_k[blk])
-        lead = h.shape[:-2]
-        return (
-            None if gx is None else gx.reshape(h.shape),
-            _batch_sum(gw_q, lead, w_q.shape),
-            _batch_sum(gw_k, lead, w_k.shape),
-        )
+            if w_q.requires_grad:
+                gw_q = _running_sum(gw_q, np.swapaxes(x[blk], -1, -2) @ gq, w_q.shape)
+            if w_k.requires_grad:
+                gw_k = _running_sum(gw_k, np.swapaxes(x[blk], -1, -2) @ gk, w_k.shape)
+        return None if gx is None else gx.reshape(h.shape), gw_q, gw_k
 
     return _node(att.reshape(h.shape[:-2] + (n, n)), (h, w_q, w_k), backward)
 
@@ -596,7 +594,7 @@ def _attention_values(att: Tensor, h: Tensor, w_v: Tensor, mask: np.ndarray):
         g = g.reshape(x.shape)
         g_att = np.empty(weights.shape) if att.requires_grad else None
         gx = np.empty(x.shape) if h.requires_grad else None
-        gw_v = np.empty((count, d, d)) if w_v.requires_grad else None
+        gw_v = None
         for blk in blocks:
             g_rows = g[blk] * query[blk]
             if g_att is not None:
@@ -604,12 +602,12 @@ def _attention_values(att: Tensor, h: Tensor, w_v: Tensor, mask: np.ndarray):
             gv = np.swapaxes(weights[blk], -1, -2) @ g_rows
             if gx is not None:
                 np.matmul(gv, np.swapaxes(w_v.data, -1, -2), out=gx[blk])
-            if gw_v is not None:
-                np.matmul(np.swapaxes(x[blk], -1, -2), gv, out=gw_v[blk])
+            if w_v.requires_grad:
+                gw_v = _running_sum(gw_v, np.swapaxes(x[blk], -1, -2) @ gv, w_v.shape)
         return (
             None if g_att is None else g_att.reshape(att.shape),
             None if gx is None else gx.reshape(h.shape),
-            _batch_sum(gw_v, h.shape[:-2], w_v.shape),
+            gw_v,
         )
 
     return _node(out.reshape(h.shape), (att, h, w_v), backward)

@@ -126,6 +126,10 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
     given (cohort, config). ``text_proto_mode``, the slide fit's seed and
     ``n_histology`` were chosen when the cohort was prepared.
 
+    One step's graph is alive at a time: a step drops its tape after the
+    AdamW update, or at once when its batch has no event, before the next
+    forward.
+
     An epoch's ``mean_loss`` averages the batches that have an event. A
     non-finite loss or gradient raises :class:`NonFiniteLoss` naming the
     epoch and batch. After the last epoch, a parameter that is not finite
@@ -141,7 +145,7 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
     spec = param_spec(dims)
     flat = flatten_params(init_params(dims, substream(config.seed, "init")), spec)
     values = unflatten_tensors(flat, spec)
-    grad, moment1, moment2, update, scratch = (np.zeros_like(flat) for _ in range(5))
+    grad, moment1, moment2, scratch = (np.zeros_like(flat) for _ in range(4))
     step = 0
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     history: list[EpochStats] = []
@@ -151,16 +155,12 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
         losses = []  # batches with events only: a zero-event batch has no loss
         for start in range(0, n, config.batch_size):
             batch = prepared.subset(order[start : start + config.batch_size])
-            # the last step's leaves, risks and loss are rebound only after this
-            # forward, so its tape (~39 MiB at batch 64 in full mode) stays alive
-            # through it and the two tapes set training's peak memory. Deleting them after
-            # the update lowers the peak, but glibc then trims the freed heap top
-            # and the next forward faults it back in, which makes steps slower.
-            # Keep the overlap until the step reuses its allocations.
+            # each step drops its graph before the next forward, so one tape is alive at a time
             leaves = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
             risks = forward_risks(batch, leaves, dims, config.fusion_mode)
             loss, degenerate = cox_loss(risks, (batch.times, batch.events))
             if degenerate:
+                del leaves, risks, loss
                 continue
             loss.backward()
             np.concatenate([leaf.grad.ravel() for leaf in leaves.values()], out=grad)
@@ -179,13 +179,14 @@ def train(prepared: PreparedCohort, config: TrainConfig) -> tuple[ModelParams, l
             np.divide(moment2, 1.0 - beta2**step, out=scratch)
             np.sqrt(scratch, out=scratch)
             scratch += adam_eps
-            np.divide(moment1, 1.0 - beta1**step, out=update)
-            update /= scratch
+            np.divide(moment1, 1.0 - beta1**step, out=grad)  # m_hat, once both moments have read grad
+            grad /= scratch
             np.multiply(flat, config.weight_decay, out=scratch)
-            update += scratch
-            update *= lr
-            flat -= update
+            grad += scratch
+            grad *= lr
+            flat -= grad
             losses.append(float(loss.data))
+            del leaves, risks, loss
         history.append(EpochStats(epoch, lr, float(np.mean(losses))))
     for name, v in values.items():
         if not np.isfinite(v.astype(np.float32)).all():

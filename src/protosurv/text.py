@@ -134,7 +134,8 @@ def select_prototypes(z, scores, mask, n_t: int) -> DiagnosticPrototypes:
 
 def compute_n_t(lengths, mode: str = "average") -> int:
     """Prototype count from training-report lengths (segments per report):
-    rounded-up mean, or the nearest-rank 90th percentile. Never below 1."""
+    the mean rounded half up, floor(mean + 0.5), so [1, 1, 2] gives 1, or the
+    nearest-rank 90th percentile. Never below 1."""
     lengths = [int(n) for n in lengths]
     if not lengths:
         raise BadInput("no training reports")

@@ -511,6 +511,54 @@ def test_pool_node_rejects_validity_of_another_shape():
         _pool(x, w1, b0, w1, b1, gain, bias, _VALID_ROWS)
 
 
+def _signed_zero_adjoint(shape):
+    """An output adjoint that is -0.0 for patient 0 and in column 0 of every patient."""
+    g = np.random.default_rng(47).normal(size=shape)
+    g[0] = -0.0
+    g[..., 0] = -0.0
+    return g
+
+
+_SIGNED_ZERO_CASES = {
+    # node, its taped composition, its inputs and the bytes of one patient's working set
+    "attention": (
+        lambda x, q, k, v: nm.masked_attention(x, q, k, v, _VALID_ROWS[:, None, :])[0],
+        lambda x, q, k, v: taped_attention(x, q, k, v, _VALID_ROWS[:, None, :])[0],
+        _attention_arrays((7, 5, 4), seed=48),
+        8 * 5 * (5 + 4),
+    ),
+    "pool": (
+        lambda *a: _pool(*a, _VALID_ROWS)[0],
+        lambda *a: _taped_pool(*a, _VALID_ROWS)[0],
+        _pool_arrays((7, 5, 4), (3, 3), seed=49),
+        8 * 5 * (4 + 3 + 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_BUDGETS))
+@pytest.mark.parametrize("case", sorted(_SIGNED_ZERO_CASES))
+def test_running_sums_keep_the_signed_zeros_of_the_whole_stack_sum(monkeypatch, case, budget):
+    """Patient 0's output adjoint is -0.0, so its share of every parameter
+    adjoint is a zero: -0.0 wherever the head's elementwise stacks (biases,
+    gain) carry it, +0.0 from a product. numpy sums a stack from +0.0, so the
+    whole-stack sum of the composition turns an all -0.0 entry (column 0 of
+    the layer-norm bias) into +0.0; the blocked running sums must agree."""
+    node, composition, arrays, patient = _SIGNED_ZERO_CASES[case]
+    monkeypatch.setattr(nm, "BLOCK_BYTES", _BUDGETS[budget](patient))
+    assert len(nm._blocks(7, patient)) == {"one": 7, "three": 3, "whole": 1}[budget]
+    grads = []
+    for build in (node, composition):
+        leaves = [nm.Tensor(a, requires_grad=True) for a in arrays]
+        out = build(*leaves)
+        nm.tsum(out * _signed_zero_adjoint(out.shape)).backward()
+        grads.append([leaf.grad for leaf in leaves[1:]])
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    if case == "pool":
+        assert grads[1][-1][0] == 0.0 and not np.signbit(grads[1][-1][0])
+
+
 @pytest.mark.parametrize("constant_weights", [False, True], ids=["all-inputs", "constant-weights"])
 def test_grad_blocked_nodes(monkeypatch, constant_weights):
     monkeypatch.setattr(nm, "BLOCK_BYTES", 1)  # a block per patient

@@ -242,6 +242,7 @@ def test_project_text_matches_dot_oracle():
 def test_compute_n_t_average():
     assert compute_n_t([2, 2, 2], "average") == 2
     assert compute_n_t([1, 2], "average") == 2  # 1.5 rounds half-up
+    assert compute_n_t([1, 1, 2], "average") == 1  # 1.33 rounds to the nearest, not up
 
 
 def test_compute_n_t_p90_nearest_rank():
