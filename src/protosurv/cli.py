@@ -220,7 +220,8 @@ def _load_prepared(args, config: TrainConfig):
     """Cohort of ``--manifest`` packed for ``config``: the prototype stage of
     ``--prototypes`` (slide representations, frozen text dims) when given,
     then ``build_prepared``. Slide representations, from ``--prototypes`` or
-    named in the manifest, must hold ``n_histology`` rows each; with text, the
+    named in the manifest, must hold ``n_histology`` rows each, 1 + 2 d_h wide
+    (a weight, d_h means and d_h variances); with text, the
     prototype stage's ``n_text`` and ``max_segments`` must be ints >= 1.
     Returns (prepared, mask_set, gene-set digest)."""
     manifest = load_manifest(args.manifest)
@@ -246,6 +247,10 @@ def _load_prepared(args, config: TrainConfig):
     if rep_paths is not None and "h" in modalities:
         # the slide representations stand in for the patch matrices, left unread
         slide_reps = load_patient_matrices(rep_paths, "slide", config.n_histology)
+        width = slide_reps[0].shape[1]
+        if width < 3 or width % 2 == 0:
+            pid, path = next(iter(rep_paths.items()))
+            raise BadInput(f"{path}: patient {pid!r}: slide representation is {width} wide, not 1 + 2 d_h, d_h >= 1")
         modalities = modalities.replace("h", "")
     cohort = load_cohort(manifest, modalities)
     if "p" in modalities and len(cohort.gene_sets) != config.n_pathways:

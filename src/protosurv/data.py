@@ -270,6 +270,8 @@ def load_manifest(path) -> CohortManifest:
     unknown = sorted(set(manifest.modalities) - set(needed))
     if unknown:
         raise BadInput(f"{path}: unknown modality letters {unknown} in 'modalities'")
+    if not manifest.patients:
+        raise BadInput(f"{path}: key 'patients' lists no patient")
     for i, entry in enumerate(manifest.patients):
         if "patient_id" not in entry:
             raise BadInput(f"{path}: patient entry {i} has no 'patient_id'")
@@ -297,13 +299,15 @@ def load_manifest(path) -> CohortManifest:
 
 def load_patient_matrices(paths: dict[str, Path], key: str, rows: int | None = None) -> list[np.ndarray]:
     """Each patient's ``key`` matrix from ``paths`` (patient id to file), checked to
-    hold a row (``rows`` rows, when given) and the first patient's width."""
+    hold a row (``rows`` rows, when given) and a column, and the first patient's width."""
     matrices: list[np.ndarray] = []
     for pid, path in paths.items():
         matrices.append(load_matrix(path))
         n, width = matrices[-1].shape
         if n == 0:
             raise BadInput(f"{path}: patient {pid!r}: {key} matrix has no rows")
+        if width == 0:
+            raise BadInput(f"{path}: patient {pid!r}: {key} matrix has no columns")
         if rows is not None and n != rows:
             raise BadInput(f"{path}: patient {pid!r}: {key} matrix has {n} rows, not {rows}")
         if width != matrices[0].shape[1]:

@@ -8,9 +8,8 @@ the fusion modes differ only in which blocks each kernel call joins:
 - ``full`` joins every block into one sequence, attends once and cuts the
   output back into its blocks.
 - ``late`` attends within each block alone, so each call's output is its
-  block and nothing is joined or cut. The attention matrix is block-diagonal
-  (one call under a block-diagonal mask gives the same result with about
-  twice the arithmetic, spent on cross blocks that come out zero).
+  block and nothing is joined or cut. The attention matrix is block-diagonal,
+  each call's weights on the diagonal and zero across blocks.
 - ``hierarchical`` joins histology and text for a first call, then joins the
   pathway block with that call's output for a second, whose output it cuts.
   Without pathways, or with pathways alone, it is ``full``.
@@ -72,7 +71,6 @@ def append_learnable(tokens, e_r):
 
 def _block_diagonal(blocks) -> np.ndarray:
     """(..., n, n) matrix with the given square blocks on its diagonal, zero elsewhere."""
-    blocks = [nm.as_tensor(b).data for b in blocks]
     sizes = [b.shape[-1] for b in blocks]
     out = np.zeros(blocks[0].shape[:-2] + (sum(sizes), sum(sizes)))
     for start, n, b in zip(np.cumsum([0] + sizes[:-1]), sizes, blocks):
@@ -114,7 +112,7 @@ def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
         """The kernel over ``blocks`` joined on the token axis, under the joined validity of ``modalities``."""
         seq = blocks[0] if len(blocks) == 1 else nm.concat(blocks, axis=-2)
         validity = np.concatenate([np.asarray(present[n].validity, dtype=float) for n in modalities], axis=-1)
-        return nm.masked_attention(seq, params.w_q, params.w_k, params.w_v, validity[..., None, :])
+        return nm.masked_attention(seq, params.w_q, params.w_k, params.w_v, validity)
 
     names = list(tokens)
     if mode == "late":
@@ -129,4 +127,4 @@ def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
         starts = accumulate(sizes.values(), initial=0)
         blocks = [nm.narrow(out, -2, start, n) for start, n in zip(starts, sizes.values())]
     by_name = dict(zip(names, blocks))
-    return FusionOutput(*map(by_name.get, MODALITY_ORDER), nm.as_tensor(attention).data, sizes)
+    return FusionOutput(*map(by_name.get, MODALITY_ORDER), attention, sizes)

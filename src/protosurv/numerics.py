@@ -8,10 +8,10 @@ adjoints, or, when no input requires a gradient, its plain ndarray.
 - No gradient, no node: ``_node`` makes that choice for every operation, so
   training and inference run one code path.
 - A self-normalising layer ``selu(x @ W + b)`` is one node.
-- ``masked_attention`` is two nodes. The weights node (parents x, w_q, w_k)
-  returns the attention weights P and keeps q, k and P; the value node
-  (parents P, x, w_v) returns the query-masked P (x w_v) and keeps x w_v.
-  Neither keeps the logits, their scaled copy or the unmasked product.
+- ``masked_attention`` is one node over (..., n) token validity, with
+  parents x, w_q, w_k and w_v. It returns the query-masked P (x w_v) and the
+  attention weights P as data, which no gradient reaches; it keeps q, k,
+  x w_v and P, not the logits, their scaled copy or the unmasked product.
 - ``snn_norm_pool``, the risk head of one modality, is one node: its SELU
   layers, layer norm and masked mean over tokens. It keeps each layer's
   pre-activation, each output but the last, and the normalised values with
@@ -26,8 +26,7 @@ adjoints, or, when no input requires a gradient, its plain ndarray.
   first row of its own per-patient stack and sums that stack, the order in
   which ``_unbroadcast`` sums the batch's. x's attention adjoint is the q
   and k parts summed, plus the v part: the order in which the chain of
-  taped operations they replace summed it while P fed only the value
-  product.
+  taped operations it replaces sums it.
 - ``affine`` and the layers take a stack of rows, (..., n, d): one row is
   a batch of one, (1, d).
 - An operand that does not require a gradient (a constant: input data, a
@@ -540,105 +539,70 @@ def snn_norm_pool(x, layers, gain, bias, validity):
     return _node(pooled.reshape(lead + (width,)), (xt, *params), backward)
 
 
-def _attention_weights(h: Tensor, w_q: Tensor, w_k: Tensor, mask: np.ndarray):
-    """One node for ``softmax_mask((h w_q)(h w_k)ᵀ / √d)`` under a (count, 1 or
-    n, n) ``mask``; it keeps q, k and the weights."""
-    x = h.data.reshape(mask.shape[:1] + h.shape[-2:])
-    count, n, d = x.shape
-    scale = 1.0 / math.sqrt(d)
-    q, k, att = np.empty(x.shape), np.empty(x.shape), np.empty((count, n, n))
-    blocks = _blocks(count, 8 * n * (n + d))
-    for blk in blocks:
-        np.matmul(x[blk], w_q.data, out=q[blk])
-        np.matmul(x[blk], w_k.data, out=k[blk])
-        logits = q[blk] @ np.swapaxes(k[blk], -1, -2)
-        logits *= scale
-        att[blk] = _masked_softmax(logits, mask[blk])
-
-    def backward(g):
-        g = g.reshape(att.shape)
-        gx = np.empty(x.shape) if h.requires_grad else None
-        gw_q = gw_k = None
-        for blk in blocks:
-            g_logits = _softmax_adjoint(g[blk], att[blk])
-            g_logits *= scale
-            gq = g_logits @ k[blk]
-            # the transpose of qᵀ·g, as the adjoint of a swapped k
-            gk = np.swapaxes(np.swapaxes(q[blk], -1, -2) @ g_logits, -1, -2)
-            if gx is not None:
-                np.matmul(gq, np.swapaxes(w_q.data, -1, -2), out=gx[blk])
-                gx[blk] += gk @ np.swapaxes(w_k.data, -1, -2)
-            if w_q.requires_grad:
-                gw_q = _running_sum(gw_q, np.swapaxes(x[blk], -1, -2) @ gq, w_q.shape)
-            if w_k.requires_grad:
-                gw_k = _running_sum(gw_k, np.swapaxes(x[blk], -1, -2) @ gk, w_k.shape)
-        return None if gx is None else gx.reshape(h.shape), gw_q, gw_k
-
-    return _node(att.reshape(h.shape[:-2] + (n, n)), (h, w_q, w_k), backward)
-
-
-def _attention_values(att: Tensor, h: Tensor, w_v: Tensor, mask: np.ndarray):
-    """One node for ``(att @ (h w_v))`` with the rows of invalid queries zeroed,
-    those whose own key the (count, 1 or n, n) ``mask`` masks; it keeps h w_v."""
-    x = h.data.reshape(mask.shape[:1] + h.shape[-2:])
-    count, n, d = x.shape
-    weights = att.data.reshape(count, n, n)
-    query = np.diagonal(np.broadcast_to(mask, (count, n, n)), axis1=-2, axis2=-1)[..., None]
-    v, out = np.empty(x.shape), np.empty(x.shape)
-    blocks = _blocks(count, 8 * n * (n + d))
-    for blk in blocks:
-        np.matmul(x[blk], w_v.data, out=v[blk])
-        np.multiply(weights[blk] @ v[blk], query[blk], out=out[blk])
-
-    def backward(g):
-        g = g.reshape(x.shape)
-        g_att = np.empty(weights.shape) if att.requires_grad else None
-        gx = np.empty(x.shape) if h.requires_grad else None
-        gw_v = None
-        for blk in blocks:
-            g_rows = g[blk] * query[blk]
-            if g_att is not None:
-                np.matmul(g_rows, np.swapaxes(v[blk], -1, -2), out=g_att[blk])
-            gv = np.swapaxes(weights[blk], -1, -2) @ g_rows
-            if gx is not None:
-                np.matmul(gv, np.swapaxes(w_v.data, -1, -2), out=gx[blk])
-            if w_v.requires_grad:
-                gw_v = _running_sum(gw_v, np.swapaxes(x[blk], -1, -2) @ gv, w_v.shape)
-        return (
-            None if g_att is None else g_att.reshape(att.shape),
-            None if gx is None else gx.reshape(h.shape),
-            gw_v,
-        )
-
-    return _node(out.reshape(h.shape), (att, h, w_v), backward)
-
-
-def masked_attention(x, w_q, w_k, w_v, key_mask):
-    """Scaled dot-product self-attention over the rows of ``x`` under a mask.
+def masked_attention(x, w_q, w_k, w_v, validity):
+    """Scaled dot-product self-attention over the rows of ``x``, as one tape node.
 
     Computes ``softmax_mask((x w_q)(x w_k)ᵀ / √d) (x w_v)`` with d the token
-    width. ``key_mask`` broadcasts against the (..., n, n) logits: pass
-    (..., 1, n) per-token validity, or an (..., n, n) mask that also limits
-    which tokens see which. Masked keys get exactly zero weight. Token i is a
-    valid query when the mask lets it attend to itself; invalid query rows of
-    the output are zero. Returns (output, attention), two tape nodes: the
-    attention weights, and the output computed from them.
+    width, under ``validity``, the (..., n) 0/1 validity of the tokens: an
+    invalid token gets exactly zero weight as a key and a zero output row as
+    a query. Returns (output, weights): the output a node with parents (x,
+    w_q, w_k, w_v) when one of them requires a gradient, the (..., n, n)
+    weights always an array. The node keeps q, k, x w_v and the weights.
     """
     h = as_tensor(x)
     n, d = h.shape[-2:]
-    weights = [as_tensor(w) for w in (w_q, w_k, w_v)]
-    for w in weights:
+    w_q, w_k, w_v = (as_tensor(w) for w in (w_q, w_k, w_v))
+    for w in (w_q, w_k, w_v):
         if w.shape != (d, d):
             raise ShapeMismatch(f"attention weight {w.shape} does not match token width {d}")
-    full = h.shape[:-2] + (n, n)
-    mask = np.asarray(key_mask, dtype=np.float64)
-    if mask.ndim > len(full) or any(m not in (1, f) for m, f in zip(mask.shape[::-1], full[::-1])):
-        raise ShapeMismatch(f"attention mask {mask.shape} does not broadcast to {full}")
-    # one mask per patient, its rows left as given: (count, 1 or n, 1 or n)
-    mask = mask.reshape((1,) * (len(full) - mask.ndim) + mask.shape)
-    mask = np.broadcast_to(mask, full[:-2] + mask.shape[-2:]).reshape((-1,) + mask.shape[-2:])
-    attention = _attention_weights(h, weights[0], weights[1], mask)
-    return _attention_values(as_tensor(attention), h, weights[2], mask), attention
+    if np.shape(validity) != h.shape[:-1]:
+        raise ShapeMismatch(f"token validity {np.shape(validity)} vs tokens {h.shape}")
+    x3 = h.data.reshape(-1, n, d)
+    count = x3.shape[0]
+    query = np.asarray(validity, dtype=np.float64).reshape(count, n, 1)
+    keys = np.swapaxes(query, -1, -2)
+    scale = 1.0 / math.sqrt(d)
+    out, att = np.empty(x3.shape), np.empty((count, n, n))
+    blocks = _blocks(count, 8 * n * (n + d))
+    # each block's q, k and x w_v, kept only for a backward
+    taped = any(t.requires_grad for t in (h, w_q, w_k, w_v))
+    saved = []
+    for blk in blocks:
+        q, k, v = (x3[blk] @ w.data for w in (w_q, w_k, w_v))
+        logits = q @ np.swapaxes(k, -1, -2)
+        logits *= scale
+        att[blk] = _masked_softmax(logits, keys[blk])
+        np.multiply(att[blk] @ v, query[blk], out=out[blk])
+        if taped:
+            saved.append((q, k, v))
+
+    def backward(g):
+        g = g.reshape(x3.shape)
+        gx = np.empty(x3.shape) if h.requires_grad else None
+        gw_q = gw_k = gw_v = None
+        for blk, (q, k, v) in zip(blocks, saved):
+            g_rows = g[blk] * query[blk]
+            gv = np.swapaxes(att[blk], -1, -2) @ g_rows
+            if w_v.requires_grad:
+                gw_v = _running_sum(gw_v, np.swapaxes(x3[blk], -1, -2) @ gv, w_v.shape)
+            if not (h.requires_grad or w_q.requires_grad or w_k.requires_grad):
+                continue
+            g_logits = _softmax_adjoint(g_rows @ np.swapaxes(v, -1, -2), att[blk])
+            g_logits *= scale
+            gq = g_logits @ k
+            # the transpose of qᵀ·g, as the adjoint of a swapped k
+            gk = np.swapaxes(np.swapaxes(q, -1, -2) @ g_logits, -1, -2)
+            if gx is not None:
+                np.matmul(gq, np.swapaxes(w_q.data, -1, -2), out=gx[blk])
+                gx[blk] += gk @ np.swapaxes(w_k.data, -1, -2)
+                gx[blk] += gv @ np.swapaxes(w_v.data, -1, -2)
+            if w_q.requires_grad:
+                gw_q = _running_sum(gw_q, np.swapaxes(x3[blk], -1, -2) @ gq, w_q.shape)
+            if w_k.requires_grad:
+                gw_k = _running_sum(gw_k, np.swapaxes(x3[blk], -1, -2) @ gk, w_k.shape)
+        return None if gx is None else gx.reshape(h.shape), gw_q, gw_k, gw_v
+
+    return _node(out.reshape(h.shape), (h, w_q, w_k, w_v), backward), att.reshape(h.shape[:-1] + (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,11 @@ def text_self_attention(batch: PaddedBatch, params: TextAttentionParams):
 
     Padded keys are masked out of every softmax row and padded query rows of
     the output are zeroed. Returns (Z, A): post-attention embeddings
-    (b, m, d_t) and attention weights (b, m, m), Tensors that record the
-    computation when a parameter requires a gradient, else arrays.
+    (b, m, d_t), a Tensor that records the computation when a parameter
+    requires a gradient, else an array, and the attention weights (b, m, m),
+    always an array.
     """
-    return nm.masked_attention(batch.data, params.w_q, params.w_k, params.w_v, batch.mask[..., None, :])
+    return nm.masked_attention(batch.data, params.w_q, params.w_k, params.w_v, batch.mask)
 
 
 def importance_scores(attention, mask) -> np.ndarray:
@@ -96,10 +97,9 @@ def importance_scores(attention, mask) -> np.ndarray:
     Masked positions score exactly 0; valid scores form a distribution.
     Takes attention (..., m, m) with its mask (..., m).
     """
-    att = nm.as_tensor(attention).data
     mask = np.asarray(mask, dtype=float)
     counts = mask.sum(axis=-1)
-    scores = (att * mask[..., :, None]).sum(axis=-2) / np.maximum(counts, 1.0)[..., None]
+    scores = (np.asarray(attention) * mask[..., :, None]).sum(axis=-2) / np.maximum(counts, 1.0)[..., None]
     return scores * mask
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from protosurv.cli import main
-from protosurv.data import write_matrix
+from protosurv.data import read_matrix, write_matrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -1124,3 +1124,47 @@ def test_train_warning_is_one_stderr_line(cohort_dir, proto_dir, tmp_path):
     ])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == ["warning: PW_002: dropped 1 gene(s) absent from the gene order"]
+
+
+def test_a_manifest_that_lists_no_patient_is_one_line_naming_it(cohort_dir, tmp_path, capsys):
+    cohort, doc = _cohort_copy(cohort_dir, tmp_path)
+    doc["patients"] = []
+    manifest = _rewrite(cohort / "empty.json", json.dumps(doc))
+    for command in ("prototype", "train"):
+        out = tmp_path / command
+        assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 1, command
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest}: key 'patients' lists no patient"]
+        assert not out.exists(), command
+
+
+@pytest.mark.parametrize("key, command", [("report", "train"), ("slide", "prototype")])
+def test_patient_matrices_without_columns_are_one_line_naming_the_first_file(
+    cohort_dir, tmp_path, capsys, key, command
+):
+    cohort, doc = _cohort_copy(cohort_dir, tmp_path)
+    for entry in doc["patients"]:
+        write_matrix(cohort / entry[key], np.ones((24, 0)))
+    first = doc["patients"][0]
+    out = tmp_path / command
+    shape = ["--n-histology", "4"] + (["--n-pathways", "8"] if command == "train" else [])
+    assert main([command, "--manifest", str(cohort / "manifest.json"), "--out", str(out), *shape]) == 1
+    expected = f"error: {cohort / first[key]}: patient {first['patient_id']!r}: {key} matrix has no columns"
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", [1, 12], ids=["one_column", "one_column_dropped"])
+def test_slide_representations_the_model_cannot_take_are_one_line_naming_the_file(
+    cohort_dir, proto_dir, tmp_path, capsys, width
+):
+    import shutil
+
+    protos = Path(shutil.copytree(proto_dir, tmp_path / "protos"))
+    for path in protos.glob("*.slide.ps3e"):
+        write_matrix(path, read_matrix(path)[:, :width])  # the fitted ones are 4 x 13, d_h 6
+    pid = json.loads((cohort_dir / "manifest.json").read_text())["patients"][0]["patient_id"]
+    capsys.readouterr()
+    assert _train(cohort_dir, protos, tmp_path / "run") == 1
+    message = f"slide representation is {width} wide, not 1 + 2 d_h, d_h >= 1"
+    assert capsys.readouterr().err.splitlines() == [f"error: {protos / f'{pid}.slide.ps3e'}: patient {pid!r}: {message}"]
+    assert not (tmp_path / "run").exists()

@@ -267,6 +267,7 @@ def test_bad_manifest_is_one_line_naming_the_file_and_the_key(tmp_path, case, me
          "patient entry 1 is a int, not a JSON object"),
         ({"patients": [{"patient_id": [], "expression": "s1.ps3e"}]},
          "patient entry 0 has 'patient_id' [], not a string"),
+        ({"patients": []}, "key 'patients' lists no patient"),
     ],
 )
 def test_manifest_value_of_another_type_is_one_line_naming_the_file_and_the_key(tmp_path, edit, message):

@@ -371,5 +371,5 @@ def test_fuse_cuts_only_its_final_output(mode, narrows, concats):
         # every cut is of the one output of the last kernel call
         assert len({id(block._parents[0]) for block in blocks}) == 1
     else:
-        # late: each block is its own kernel call's output, the attention value node
-        assert {block._backward.__qualname__.split(".")[0] for block in blocks} == {"_attention_values"}
+        # late: each block is its own kernel call's output, the attention node
+        assert {block._backward.__qualname__.split(".")[0] for block in blocks} == {"masked_attention"}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,16 +56,16 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return nm._node(out, (xt, gt, bt), backward)
 
 
-def taped_attention(x, w_q, w_k, w_v, key_mask):
+def taped_attention(x, w_q, w_k, w_v, validity):
     """``masked_attention`` as eight nodes: three projections, the swap of k,
-    the scale, the softmax, the value product and the query mask."""
+    the scale, the softmax under the key mask, the value product and the
+    query mask. The weights come back as data, as the node returns them."""
     h = nm.as_tensor(x)
-    n, d = h.shape[-2:]
-    mask = np.asarray(key_mask, dtype=np.float64)
-    query_mask = np.diagonal(np.broadcast_to(mask, mask.shape[:-2] + (n, n)), axis1=-2, axis2=-1)
+    d = h.shape[-1]
+    validity = np.asarray(validity, dtype=np.float64)
     q, k, v = (nm.matmul(h, w) for w in (w_q, w_k, w_v))
-    attention = masked_softmax(nm.mul(nm.matmul(q, swap_last(k)), 1.0 / math.sqrt(d)), mask)
-    return nm.mul(nm.matmul(attention, v), query_mask[..., :, None]), attention
+    attention = masked_softmax(nm.mul(nm.matmul(q, swap_last(k)), 1.0 / math.sqrt(d)), validity[..., None, :])
+    return nm.mul(nm.matmul(attention, v), validity[..., :, None]), nm.as_tensor(attention).data
 
 
 def taped_pool(x, layers, gain, bias, validity):
@@ -329,33 +330,17 @@ def test_grad_swap_and_attention_shape():
 # masked_attention
 # ---------------------------------------------------------------------------
 
-def _attention_oracle(x, mask, w_q, w_k, w_v):
-    """Per-row loop over plain softmax restricted to the allowed keys."""
+def _attention_oracle(x, validity, w_q, w_k, w_v):
+    """Per-row loop over plain softmax restricted to the valid keys."""
     n, d = x.shape
     out, att = np.zeros_like(x), np.zeros((n, n))
+    keys = np.flatnonzero(validity > 0)
     for i in range(n):
-        keys = np.flatnonzero(mask[i] > 0)
         logits = (x[i] @ w_q) @ (x[keys] @ w_k).T / math.sqrt(d)
         weights = np.exp(logits - logits.max())
         att[i, keys] = weights / weights.sum()
-        out[i] = (att[i] @ (x @ w_v)) * mask[i, i]
+        out[i] = (att[i] @ (x @ w_v)) * validity[i]
     return out, att
-
-
-def test_masked_attention_structural_mask_matches_oracle():
-    rng = np.random.default_rng(20)
-    x = rng.normal(size=(5, 3))
-    w_q, w_k, w_v = (rng.normal(size=(3, 3)) for _ in range(3))
-    validity = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
-    owner = np.array([0, 0, 1, 1, 1])
-    mask = (owner[:, None] == owner[None, :]) * validity[None, :]
-    out, att = nm.masked_attention(x, w_q, w_k, w_v, mask)
-    ref_out, ref_att = _attention_oracle(x, mask, w_q, w_k, w_v)
-    assert isinstance(out, np.ndarray) and isinstance(att, np.ndarray)
-    assert np.max(np.abs(out - ref_out)) < 1e-12
-    assert np.max(np.abs(att - ref_att)) < 1e-12
-    assert np.all(att[mask == 0] == 0.0)  # masked keys get exactly zero weight
-    assert np.all(out[4] == 0.0)  # token 4 may not see itself: invalid query row
 
 
 def test_masked_attention_batched_validity_rows():
@@ -363,11 +348,13 @@ def test_masked_attention_batched_validity_rows():
     x = rng.normal(size=(2, 4, 3))
     w_q, w_k, w_v = (rng.normal(size=(3, 3)) for _ in range(3))
     validity = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
-    out, att = nm.masked_attention(x, w_q, w_k, w_v, validity[:, None, :])
+    out, att = nm.masked_attention(x, w_q, w_k, w_v, validity)
     for b in range(2):
-        ref_out, ref_att = _attention_oracle(x[b], np.broadcast_to(validity[b], (4, 4)), w_q, w_k, w_v)
+        ref_out, ref_att = _attention_oracle(x[b], validity[b], w_q, w_k, w_v)
         assert np.max(np.abs(out[b] - ref_out)) < 1e-12
         assert np.max(np.abs(att[b] - ref_att)) < 1e-12
+    assert np.all(att[1][:, 2:] == 0.0)  # invalid keys get exactly zero weight
+    assert np.all(out[1][2:] == 0.0)  # and invalid queries a zero output row
 
 
 def test_masked_attention_rejects_wrong_weight_width():
@@ -376,22 +363,67 @@ def test_masked_attention_rejects_wrong_weight_width():
 
 
 def test_masked_attention_rejects_a_mask_that_does_not_broadcast():
+    """Validity is one 0/1 entry per token: the (2, 3) tokens of a (2, 3, 4)
+    stack, not a shape that broadcasts to them, nor a (..., n, n) mask."""
     x, w_q, w_k, w_v = _attention_arrays((2, 3, 4), seed=24)
-    for mask in (np.ones((3, 1, 3)), np.ones((2, 2, 3)), np.ones((1, 2, 1, 3))):
-        with pytest.raises(ShapeMismatch, match="attention mask"):
-            nm.masked_attention(x, w_q, w_k, w_v, mask)
+    for shape in ((3, 1, 3), (2, 2, 3), (1, 2, 1, 3), (1, 3), (2, 3, 3)):
+        with pytest.raises(ShapeMismatch, match="token validity"):
+            nm.masked_attention(x, w_q, w_k, w_v, np.ones(shape))
 
 
 def test_grad_masked_attention():
-    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    validity = np.array([1.0, 1.0, 0.0])
     x = np.random.default_rng(22).normal(size=(3, 2))
 
     def loss(p):
         w_q, w_k, w_v = (nm.reshape(nm.narrow(p, 0, 4 * i, 4), (2, 2)) for i in range(3))
-        out, att = nm.masked_attention(x, w_q, w_k, w_v, mask)
-        return nm.tsum(out * np.arange(6.0).reshape(3, 2)) + nm.tsum(att * att)
+        out, _ = nm.masked_attention(x, w_q, w_k, w_v, validity)
+        return nm.tsum(out * np.arange(6.0).reshape(3, 2))
 
     _check_op(loss, 12, seed=23)
+
+
+@pytest.mark.parametrize("constant_weights", [False, True], ids=["all-inputs", "constant-weights"])
+def test_grad_attention_node(monkeypatch, constant_weights):
+    monkeypatch.setattr(nm, "BLOCK_BYTES", 1)  # a block per patient
+    rng = np.random.default_rng(50)
+    fixed = [rng.normal(size=(4, 4)) for _ in range(3)]
+    validity = _VALID_ROWS[:3, :4]
+
+    def loss(p):
+        x = nm.reshape(nm.narrow(p, 0, 0, 48), (3, 4, 4))
+        weights = fixed
+        if not constant_weights:
+            weights = [nm.reshape(nm.narrow(p, 0, 48 + 16 * i, 16), (4, 4)) for i in range(3)]
+        out, _ = nm.masked_attention(x, *weights, validity)
+        return nm.tsum(out * np.arange(48.0).reshape(3, 4, 4))
+
+    report = nm.grad_check(loss, np.random.default_rng(51).normal(size=48 if constant_weights else 96), eps=1e-5)
+    assert report.max_relative_error < 1e-6, report
+
+
+def test_attention_backward_builds_no_batch_of_weight_adjoints():
+    """One backward at the crit7 full-fusion shape (64 patients, 72 tokens of
+    width 80) holds less than 8 MiB above its tape: its x adjoint, the
+    output adjoint and one block's temporaries, not a (64, 72, 72) adjoint
+    of the weights (2.5 MiB) beside them."""
+    rng = np.random.default_rng(52)
+    x, w_q, w_k, w_v = _attention_arrays((64, 72, 80), seed=53)
+    validity = np.ones((64, 72))
+    validity[:, -5:] = 0.0
+    cotangent = rng.normal(size=x.shape)
+    tracemalloc.start()
+    try:
+        leaves = [nm.Tensor(a, requires_grad=True) for a in (x, w_q, w_k, w_v)]
+        out, _ = nm.masked_attention(*leaves, validity)
+        loss = nm.tsum(out * cotangent)
+        tape, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - tape) / 2**20 < 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +434,7 @@ def _run_taped(build, arrays, constant, rng):
     """Outputs of ``build`` on leaves of ``arrays`` (plain arrays at the
     ``constant`` positions), and the gradient of every leaf after one sweep
     of a random contraction of the first output. (The attention weights are
-    a second output that the model reads without a gradient; a second
-    consumer would change the order in which the composition sums x's
-    adjoint.)"""
+    a second output, data that no gradient reaches.)"""
     leaves = [a if i in constant else nm.Tensor(a, requires_grad=True) for i, a in enumerate(arrays)]
     outputs = build(*leaves)
     nm.tsum(outputs[0] * rng.normal(size=outputs[0].shape)).backward()
@@ -431,35 +461,36 @@ def _attention_arrays(shape, seed):
 
 
 _ATTENTION_CASES = {
-    # (x shape, mask, constant inputs): 0 is x, 1-3 the weights
-    "batch": ((7, 5, 4), _VALID_ROWS[:, None, :], ()),
-    "one": ((1, 5, 4), _VALID_ROWS[1:2, None, :], ()),
-    "constant-x": ((7, 5, 4), _VALID_ROWS[:, None, :], (0,)),
-    "constant-weights": ((7, 5, 4), _VALID_ROWS[:, None, :], (1, 2, 3)),
-    "structural-2d": ((5, 4), np.kron(np.eye(2), np.ones((3, 3)))[:5, :5] * _VALID_ROWS[5], ()),
+    # (x shape, validity, constant inputs): 0 is x, 1-3 the weights
+    "batch": ((7, 5, 4), _VALID_ROWS, ()),
+    "one": ((1, 5, 4), _VALID_ROWS[1:2], ()),
+    "constant-x": ((7, 5, 4), _VALID_ROWS, (0,)),
+    "constant-weights": ((7, 5, 4), _VALID_ROWS, (1, 2, 3)),
+    "rows-2d": ((5, 4), _VALID_ROWS[5], ()),
 }
 
 
 @pytest.mark.parametrize("budget", sorted(_BUDGETS))
 @pytest.mark.parametrize("case", sorted(_ATTENTION_CASES))
 def test_attention_nodes_equal_the_taped_composition(monkeypatch, case, budget):
-    shape, mask, constant = _ATTENTION_CASES[case]
+    shape, validity, constant = _ATTENTION_CASES[case]
     n, d = shape[-2:]
     patient = 8 * n * (n + d)
     monkeypatch.setattr(nm, "BLOCK_BYTES", _BUDGETS[budget](patient))
     assert len(nm._blocks(7, patient)) == {"one": 7, "three": 3, "whole": 1}[budget]
     _assert_same_bits(
-        lambda *a: nm.masked_attention(*a, mask),
-        lambda *a: taped_attention(*a, mask),
+        lambda *a: nm.masked_attention(*a, validity),
+        lambda *a: taped_attention(*a, validity),
         _attention_arrays(shape, seed=41),
         constant,
     )
 
 
-def test_attention_is_a_weights_node_and_a_value_node():
+def test_attention_is_one_node():
     x, w_q, w_k, w_v = (nm.Tensor(a, requires_grad=True) for a in _attention_arrays((7, 5, 4), seed=42))
-    out, att = nm.masked_attention(x, w_q, w_k, w_v, _VALID_ROWS[:, None, :])
-    assert out._parents == (att, x, w_v) and att._parents == (x, w_q, w_k)
+    out, att = nm.masked_attention(x, w_q, w_k, w_v, _VALID_ROWS)
+    assert out._parents == (x, w_q, w_k, w_v)
+    assert type(att) is np.ndarray and att.shape == (7, 5, 5)
 
 
 def _pool_arrays(shape, widths, seed):
@@ -522,8 +553,8 @@ def _signed_zero_adjoint(shape):
 _SIGNED_ZERO_CASES = {
     # node, its taped composition, its inputs and the bytes of one patient's working set
     "attention": (
-        lambda x, q, k, v: nm.masked_attention(x, q, k, v, _VALID_ROWS[:, None, :])[0],
-        lambda x, q, k, v: taped_attention(x, q, k, v, _VALID_ROWS[:, None, :])[0],
+        lambda x, q, k, v: nm.masked_attention(x, q, k, v, _VALID_ROWS)[0],
+        lambda x, q, k, v: taped_attention(x, q, k, v, _VALID_ROWS)[0],
         _attention_arrays((7, 5, 4), seed=48),
         8 * 5 * (5 + 4),
     ),
@@ -573,9 +604,9 @@ def test_grad_blocked_nodes(monkeypatch, constant_weights):
         else:
             offsets = np.cumsum([48] + [a.size for a in fixed])
             params = [nm.reshape(nm.narrow(p, 0, o, a.size), a.shape) for o, a in zip(offsets, fixed)]
-        out, att = nm.masked_attention(x, *params[:3], validity[:, None, :])
+        out, _ = nm.masked_attention(x, *params[:3], validity)
         pooled = nm.snn_norm_pool(out, [(params[3], params[4]), (params[5], params[6])], params[7], params[8], validity)
-        return nm.tsum(pooled * np.arange(9.0).reshape(3, 3)) + nm.tsum(att * att)
+        return nm.tsum(pooled * np.arange(9.0).reshape(3, 3)) + nm.tsum(out * out)
 
     n_params = 48 if constant_weights else 48 + sum(a.size for a in fixed)
     report = nm.grad_check(loss, np.random.default_rng(46).normal(size=n_params), eps=1e-5)
@@ -714,7 +745,7 @@ _READ_ONLY_OPS = {
     "layer_norm": (lambda a, g, b: layer_norm(a, g, b), [(2, 3, 4), (4,), (4,)]),
     "snn_forward": (lambda a, w, b: nm.snn_forward(a, [(w, b)]), [(2, 3, 4), (4, 5), (5,)]),
     "masked_attention": (
-        lambda a, q, k, v: nm.masked_attention(a, q, k, v, _frozen(_MASK[..., :3])[None, :1, :])[0],
+        lambda a, q, k, v: nm.masked_attention(a, q, k, v, _frozen(_MASK[:2, :3]))[0],
         [(2, 3, 4), (4, 4), (4, 4), (4, 4)],
     ),
     "snn_norm_pool": (
@@ -795,7 +826,7 @@ _STAGES = {
     "layer_norm": (lambda x, g, b: layer_norm(x, g, b), [(2, 3, 4), (4,), (4,)]),
     "snn_forward": (lambda x, w, b: nm.snn_forward(x, [(w, b), (np.eye(5), np.zeros(5))]), [(2, 3, 4), (4, 5), (5,)]),
     "masked_attention": (
-        lambda x, q, k, v: nm.masked_attention(x, q, k, v, _VALIDITY[:, None, :])[0],
+        lambda x, q, k, v: nm.masked_attention(x, q, k, v, _VALIDITY)[0],
         [(2, 3, 4), (4, 4), (4, 4), (4, 4)],
     ),
     "snn_norm_pool": (

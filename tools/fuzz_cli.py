@@ -98,6 +98,7 @@ FIXED_EDITS = [
     ("json", "cohort/manifest.json", ("modalities",), "phx"),
     ("json", "cohort/manifest.json", ("patients",), 5),
     ("json", "cohort/manifest.json", ("patients",), [1, 2]),
+    ("json", "cohort/manifest.json", ("patients",), []),
     ("json", "cohort/manifest.json", ("gene_order",), 5),
     ("json", "cohort/manifest.json", ("survival",), ["x"]),
     ("json", "cohort/manifest.json", ("patients", 0, "patient_id"), []),
