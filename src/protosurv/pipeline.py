@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Cohort, kfold_split
-from .errors import DegenerateInput, NoComparablePairs, NoEvents, NonFiniteLoss
+from .errors import BadInput, DegenerateInput, NoComparablePairs, NoEvents, NonFiniteLoss
 from .evaluation import _records_to_arrays, concordance_index
 from .histology import EmTrace, fit_gmm, slide_representation
 from .model import ModelParams, PreparedCohort, forward_diagnostics, model_dims
@@ -52,7 +52,10 @@ def build_prepared(cohort: Cohort, config: TrainConfig, slide_reps=None, n_text=
     given, else fitted here from the cohort's patches) and the expression
     matrix sliced per pathway. This fixes ``text_proto_mode``, the slide fit's
     ``seed`` and ``n_histology``. Returns (prepared, ``model_dims(prepared,
-    config)``, mask_set); mask_set is None without the pathway modality."""
+    config)``, mask_set); mask_set is None without the pathway modality. A
+    cohort without patients raises ``BadInput``."""
+    if not cohort.patient_ids:
+        raise BadInput("cohort has no patients")
     times, events = _records_to_arrays(cohort.records)
     prepared = PreparedCohort(patient_ids=list(cohort.patient_ids), times=times, events=events)
     mask_set: PathwayMaskSet | None = None

@@ -66,6 +66,8 @@ def pad_batch(reports: list[ReportFeatures], m: int) -> PaddedBatch:
     their first ``m`` segments."""
     if m < 1:
         raise BadInput("m must be >= 1")
+    if not reports:
+        raise BadInput("no reports to pad")
     d_t = reports[0].segments.shape[1]
     for r in reports:
         if r.segments.shape[1] != d_t:

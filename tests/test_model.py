@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from protosurv.data import SyntheticSpec, synth_cohort
+from protosurv.data import Cohort, SyntheticSpec, synth_cohort
 from protosurv.errors import BadInput
 from protosurv.model import (
     ModelDims,
@@ -93,6 +93,14 @@ def test_every_modality_subset_trains_and_predicts(modalities):
     model, _ = train(prepared, config)
     risks = predict_cohort(model, prepared, config.fusion_mode)
     assert risks.shape == (20,) and np.all(np.isfinite(risks))
+
+
+@pytest.mark.parametrize("modalities", ["p", "h", "t"])
+def test_a_cohort_without_patients_is_refused_for_each_modality(modalities):
+    cohort = _cohort(n=4)
+    empty = Cohort([], [], [], [], cohort.expressions[:0], cohort.gene_order, cohort.gene_sets)
+    with pytest.raises(BadInput, match="cohort has no patients"):
+        build_prepared(empty, TrainConfig(n_histology=3, n_pathways=5, modalities=modalities))
 
 
 @pytest.mark.parametrize("mode", ["full", "late", "hierarchical"])

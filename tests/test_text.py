@@ -57,6 +57,11 @@ def test_pad_batch_truncates_long_report():
     assert batch.mask.sum() == 4
 
 
+def test_pad_batch_refuses_an_empty_batch():
+    with pytest.raises(BadInput, match="no reports to pad"):
+        pad_batch([], m=4)
+
+
 def _loop_attention(h, mask, w_q, w_k, w_v):
     """Independent scalar-loop oracle for masked self-attention."""
     m, d = h.shape

@@ -2,8 +2,8 @@
 
     python3 tools/crit7_digest.py CHECKOUT [--epochs E]
 
-CHECKOUT is the root of a source checkout. The tool runs a child Python with
-``CHECKOUT/src`` on ``PYTHONPATH`` through the criterion-7 protocol: the
+CHECKOUT is the root of a source checkout. The tool runs its protosurv in a
+child Python (``tools/harness.py``) through the criterion-7 protocol: the
 acceptance suite's 300-patient cohort (seed 11, pathway signal strength 2.5,
 censoring 0.25) split by ``kfold_split(ids, 5, 1)``, each fold trained with
 ``TrainConfig(seed=1, d_e=64, d_r=16)`` at E epochs (default 50) and scored on
@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
-import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # the harness, also when this file is loaded by path
+from harness import N_FOLDS, call, crit7_prepared  # noqa: E402
 
 FUSION_MODES = ("full", "late", "hierarchical")
 # each arm's label and the TrainConfig fields it sets; a shared head's leaves
@@ -31,34 +33,18 @@ FUSION_MODES = ("full", "late", "hierarchical")
 ARMS = tuple((mode, {"fusion_mode": mode}) for mode in FUSION_MODES) + (
     ("full-shared-beta", {"fusion_mode": "full", "shared_beta_mlp": True}),
 )
-COHORT = dict(
-    n_patients=300, n_segments=(3, 8), n_patches=(64, 128), d_t=16, d_h=16,
-    n_genes=200, n_pathways=50, signal_modality="pathway",
-    signal_strength=2.5, censoring_rate=0.25, seed=11,
-)
-N_FOLDS = 5
-SEED = 1
-# the child imports this file from its directory and protosurv from PYTHONPATH
-CHILD = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import crit7_digest; "
-    "print(*crit7_digest.fold_lines(int(sys.argv[2])), sep='\\n')"
-)
 
 
-def fold_lines(epochs: int) -> list[str]:
+def fold_lines(epochs: int) -> str:
     """The ``<sha256>  <arm>/fold<k>`` lines, computed with the protosurv on ``sys.path``."""
     import numpy as np
 
-    from protosurv.data import SyntheticSpec, kfold_split, synth_cohort
-    from protosurv.pipeline import build_prepared, run_fold
-    from protosurv.survival import TrainConfig
+    from protosurv.pipeline import run_fold
 
-    cohort = synth_cohort(SyntheticSpec(**COHORT))
-    prepared, _, _ = build_prepared(cohort, TrainConfig(seed=SEED, d_e=64, d_r=16, epochs=epochs))
-    folds = kfold_split(prepared.patient_ids, N_FOLDS, SEED)
+    prepared, _, base, folds = crit7_prepared(epochs=epochs)
     lines = []
     for label, fields in ARMS:
-        config = TrainConfig(seed=SEED, d_e=64, d_r=16, epochs=epochs, **fields)
+        config = replace(base, **fields)
         for k, held_ids in enumerate(folds):
             result = run_fold(prepared, config, held_ids, k)
             digest = hashlib.sha256(np.ascontiguousarray(result.risks, dtype="<f8").tobytes())
@@ -66,19 +52,12 @@ def fold_lines(epochs: int) -> list[str]:
                 digest.update(name.encode())
                 digest.update(np.ascontiguousarray(result.model.values[name], dtype="<f8").tobytes())
             lines.append(f"{digest.hexdigest()}  {label}/fold{k}")
-    return lines
+    return "\n".join(lines)
 
 
 def digests(checkout: Path, epochs: int) -> list[str]:
     """Run the protosurv of ``checkout`` through the protocol in a child Python and return its lines."""
-    src = str(Path(checkout).resolve() / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    tools = str(Path(__file__).resolve().parent)
-    proc = subprocess.run([sys.executable, "-c", CHILD, tools, str(epochs)], env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        message = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
-        raise RuntimeError(f"the protocol run exited {proc.returncode}: {message[-1]}")
-    return proc.stdout.splitlines()
+    return call(checkout, "crit7_digest", "fold_lines", epochs).decode().splitlines()
 
 
 def main(argv=None) -> int:
@@ -87,11 +66,10 @@ def main(argv=None) -> int:
     parser.add_argument("--epochs", type=int, default=50, help="training epochs per fold (default 50)")
     args = parser.parse_args(argv)
     try:
-        lines = digests(args.checkout, args.epochs)
+        print("\n".join(digests(args.checkout, args.epochs)))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(lines))
     return 0
 
 

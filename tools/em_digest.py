@@ -3,8 +3,8 @@
     python3 tools/em_digest.py PARENT CHANGE
 
 PARENT and CHANGE are the roots of two source checkouts. For each, the tool
-runs itself in a subprocess with ``CHECKOUT/src`` on ``PYTHONPATH`` and fits
-three groups of slides with 16 components through that checkout's
+runs ``fit_all`` in a child Python (``tools/harness.py``) and fits three
+groups of slides with 16 components through that checkout's
 ``histology.fit_gmm``:
 
 - ``slides_paper``: 4096 x 384 slides of 64 planted patterns, built as the
@@ -28,15 +28,15 @@ the same messages.
 from __future__ import annotations
 
 import argparse
-import os
 import pickle
-import subprocess
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # the harness, also when this file is loaded by path
+from harness import CRIT7_COHORT, call  # noqa: E402
 
 COMPONENTS = 16
 ARRAYS = ("weights", "means", "variances", "log_likelihoods")
@@ -59,12 +59,7 @@ def fit_set():
             patterns = rng.permutation(np.repeat(np.arange(PAPER_PATTERNS), PAPER_PATCHES // PAPER_PATTERNS))
             x = centres[patterns] + rng.normal(0.0, 0.5, size=(PAPER_PATCHES, PAPER_DIM))
             yield "slides_paper", f"seed {seed} slide {j}", PatchFeatures(f"slide{j}", x), np.random.default_rng([seed, j, 1])
-    cohorts = {
-        "crit7": SyntheticSpec(n_patients=300, n_segments=(3, 8), n_patches=(64, 128), d_t=16, d_h=16, n_genes=200,
-                               n_pathways=50, signal_modality="pathway", signal_strength=2.5, censoring_rate=0.25,
-                               seed=11),
-        "d_h64": SyntheticSpec(n_patients=20, d_h=64, seed=0),
-    }
+    cohorts = {"crit7": SyntheticSpec(**CRIT7_COHORT), "d_h64": SyntheticSpec(n_patients=20, d_h=64, seed=0)}
     for group, spec in cohorts.items():
         slides = synth_cohort(spec).patches
         for s in COHORT_SEEDS:
@@ -72,8 +67,8 @@ def fit_set():
                 yield group, f"s {s} slide {i}", patches, substream(s, "gmm", i)
 
 
-def fit_all() -> dict[str, dict[str, dict]]:
-    """group -> fit name -> outcome: the fitted arrays and trace counts, or the failure's type and message."""
+def fit_all() -> bytes:
+    """Pickled group -> fit name -> outcome: the fitted arrays and trace counts, or the failure's type and message."""
     from protosurv.errors import ProtosurvError
     from protosurv.histology import fit_gmm
 
@@ -90,7 +85,7 @@ def fit_all() -> dict[str, dict[str, dict]]:
                        "log_likelihoods": np.asarray(trace.log_likelihoods),
                        "iterations": trace.iterations, "converged": trace.converged, "rescues": trace.rescues}
         results.setdefault(group, {})[name] = outcome
-    return results
+    return pickle.dumps(results)
 
 
 def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
@@ -131,31 +126,16 @@ def format_row(group: str, row: dict) -> str:
             f"\n  {counts}; failures and messages {failures}")
 
 
-def run_checkout(checkout: Path) -> dict:
-    """``fit_all`` in a subprocess importing ``protosurv`` from ``checkout/src``."""
-    src = str(Path(checkout).resolve() / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "fits.pickle"
-        proc = subprocess.run([sys.executable, __file__, "--fit-to", str(out)], env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SystemExit(f"error: {checkout}: fitting exited {proc.returncode}: {proc.stderr.strip()}")
-        return pickle.loads(out.read_bytes())
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, nargs="?")
-    parser.add_argument("change", type=Path, nargs="?")
-    parser.add_argument("--fit-to", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("parent", type=Path, help="root of the source checkout compared against")
+    parser.add_argument("change", type=Path, help="root of the source checkout compared")
     args = parser.parse_args(argv)
-    if args.fit_to is not None:
-        args.fit_to.write_bytes(pickle.dumps(fit_all()))
-        return 0
-    if args.parent is None or args.change is None:
-        parser.error("PARENT and CHANGE are required")
-    parent, change = run_checkout(args.parent), run_checkout(args.change)
+    try:
+        parent, change = (pickle.loads(call(checkout, "em_digest", "fit_all")) for checkout in (args.parent, args.change))
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for group in dict.fromkeys([*parent, *change]):
         print(format_row(group, compare(parent.get(group, {}), change.get(group, {}))))
     return 0

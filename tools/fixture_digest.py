@@ -3,14 +3,14 @@
     python3 tools/fixture_digest.py CHECKOUT
 
 CHECKOUT is the root of a source checkout. In a temporary directory the tool
-runs ``python3 -m protosurv.cli`` with ``CHECKOUT/src`` on ``PYTHONPATH``: the
-acceptance suite's criterion-9 fixture (``synth`` of 20 patients at seed 9,
-``prototype`` with 3 histology components), then ``train`` and ``eval`` in each
-fusion mode, ``eval`` with the attention pairs text:pathway, pathway:pathway,
-histology:text and text:text. It then writes ``cohort/representations.json``, a
-copy of the manifest whose patients name the fitted ``proto/*.slide.ps3e`` as
-their ``slide_representation``, and runs the full-mode ``train`` and ``eval``
-again from it without ``--prototypes``. It prints one ``<sha256>  <path>`` line
+runs that checkout's ``cli.main`` in one child Python (``tools/harness.py``)
+through the acceptance suite's criterion-9 fixture (``synth`` of 20 patients
+at seed 9, ``prototype`` with 3 histology components), then ``train`` and
+``eval`` in each fusion mode, ``eval`` with the attention pairs text:pathway,
+pathway:pathway, histology:text and text:text. It then writes
+``cohort/representations.json``, a copy of the manifest whose patients name
+the fitted ``proto/*.slide.ps3e`` as their ``slide_representation``, and runs
+the full-mode ``train`` and ``eval`` again from it without ``--prototypes``. It prints one ``<sha256>  <path>`` line
 per file written, paths relative to the temporary directory, sorted.
 ``effective_config.json`` is left out, because it records the run's paths. Two
 checkouts that print the same lines wrote byte-identical files.
@@ -19,13 +19,17 @@ checkouts that print the same lines wrote byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # the harness, also when this file is loaded by path
+from harness import call  # noqa: E402
 
 FUSION_MODES = ("full", "late", "hierarchical")
 ATTENTION_PAIRS = ("text:pathway", "pathway:pathway", "histology:text", "text:text")
@@ -64,20 +68,26 @@ def write_representation_manifest(workdir: Path) -> None:
     (workdir / REPRESENTATIONS).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def fixture_lines(workdir: str) -> str:
+    """The ``digests`` lines, from a fixture run in ``workdir`` through the
+    protosurv on ``sys.path``; it changes directory, so it runs in a child."""
+    from protosurv import cli
+
+    os.chdir(workdir)
+    for argv in commands():
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"{argv[0]}: {err.getvalue().strip()}")
+        if argv[0] == "prototype":
+            write_representation_manifest(Path("."))
+    files = sorted(p for p in Path(".").rglob("*") if p.is_file() and p.name != "effective_config.json")
+    return "\n".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}" for p in files)
+
+
 def digests(checkout: Path, workdir: Path) -> list[str]:
     """Run the fixture through ``checkout``'s CLI inside ``workdir`` and return
     the sorted ``<sha256>  <path>`` lines of the files it wrote there."""
-    src = str(Path(checkout).resolve() / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    for argv in commands():
-        proc = subprocess.run([sys.executable, "-m", "protosurv.cli", *argv], cwd=workdir, env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(f"{argv[0]} exited {proc.returncode}: {proc.stderr.strip()}")
-        if argv[0] == "prototype":
-            write_representation_manifest(Path(workdir))
-    files = sorted(p for p in Path(workdir).rglob("*") if p.is_file() and p.name != "effective_config.json")
-    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(workdir).as_posix()}" for p in files]
+    return call(checkout, "fixture_digest", "fixture_lines", str(Path(workdir).resolve())).decode().splitlines()
 
 
 def main(argv=None) -> int:
@@ -86,11 +96,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="fixture_digest_") as workdir:
         try:
-            lines = digests(args.checkout, Path(workdir))
+            print("\n".join(digests(args.checkout, Path(workdir))))
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    print("\n".join(lines))
     return 0
 
 

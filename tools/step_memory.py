@@ -3,7 +3,7 @@
     python3 tools/step_memory.py CHECKOUT [--d-e E] [--d-r R] [--mode M] [--epochs N]
 
 CHECKOUT is the root of a source checkout. Like ``tools/crit7_digest.py``, the
-tool runs a child Python with ``CHECKOUT/src`` on ``PYTHONPATH``, on the
+tool runs its protosurv in a child Python (``tools/harness.py``) on the
 criterion-7 cohort (300 patients, seed 11) prepared with
 ``TrainConfig(seed=1, d_e=E, d_r=R, fusion_mode=M)`` (defaults 64, 16 and
 full, the crit7 widths; 256 and 32 are the paper's). It prints two lines:
@@ -24,34 +24,13 @@ them; set ``OPENBLAS_NUM_THREADS=1`` for stable times.
 from __future__ import annotations
 
 import argparse
-import os
-import subprocess
 import sys
 from pathlib import Path
 
-COHORT = dict(
-    n_patients=300, n_segments=(3, 8), n_patches=(64, 128), d_t=16, d_h=16,
-    n_genes=200, n_pathways=50, signal_modality="pathway",
-    signal_strength=2.5, censoring_rate=0.25, seed=11,
-)
-N_FOLDS = 5
-SEED = 1
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # the harness, also when this file is loaded by path
+from harness import call, crit7_prepared  # noqa: E402
+
 BATCH = 64
-# the child imports this file from its directory and protosurv from PYTHONPATH
-CHILD = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import step_memory; "
-    "print(getattr(step_memory, sys.argv[2])(*map(int, sys.argv[3:5]), sys.argv[5], int(sys.argv[6])))"
-)
-
-
-def _prepared(d_e: int, d_r: int, mode: str, epochs: int):
-    from protosurv.data import SyntheticSpec, synth_cohort
-    from protosurv.pipeline import build_prepared
-    from protosurv.survival import TrainConfig
-
-    config = TrainConfig(seed=SEED, d_e=d_e, d_r=d_r, fusion_mode=mode, epochs=epochs)
-    prepared, dims, _ = build_prepared(synth_cohort(SyntheticSpec(**COHORT)), config)
-    return prepared, dims, config
 
 
 def step_line(d_e: int, d_r: int, mode: str, epochs: int) -> str:
@@ -65,7 +44,7 @@ def step_line(d_e: int, d_r: int, mode: str, epochs: int) -> str:
     from protosurv.rng import substream
     from protosurv.survival import cox_loss
 
-    prepared, dims, config = _prepared(d_e, d_r, mode, epochs)
+    prepared, dims, config, _ = crit7_prepared(d_e=d_e, d_r=d_r, fusion_mode=mode, epochs=epochs)
     batch = prepared.subset(np.arange(BATCH))
     values = init_params(dims, substream(config.seed, "init"))
     tracemalloc.start()
@@ -87,11 +66,10 @@ def fold_line(d_e: int, d_r: int, mode: str, epochs: int) -> str:
 
     import numpy as np
 
-    from protosurv.data import kfold_split
     from protosurv.survival import train
 
-    prepared, _, config = _prepared(d_e, d_r, mode, epochs)
-    held = set(kfold_split(prepared.patient_ids, N_FOLDS, SEED)[0])
+    prepared, _, config, folds = crit7_prepared(d_e=d_e, d_r=d_r, fusion_mode=mode, epochs=epochs)
+    held = set(folds[0])
     training = prepared.subset(np.asarray([i for i, p in enumerate(prepared.patient_ids) if p not in held]))
     before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
@@ -104,21 +82,9 @@ def fold_line(d_e: int, d_r: int, mode: str, epochs: int) -> str:
     )
 
 
-def _child(checkout: Path, name: str, d_e: int, d_r: int, mode: str, epochs: int) -> str:
-    src = str(Path(checkout).resolve() / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    tools = str(Path(__file__).resolve().parent)
-    args = [tools, name, str(d_e), str(d_r), mode, str(epochs)]
-    proc = subprocess.run([sys.executable, "-c", CHILD, *args], env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        message = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
-        raise RuntimeError(f"the {name} run exited {proc.returncode}: {message[-1]}")
-    return proc.stdout.strip()
-
-
 def measure(checkout: Path, d_e: int = 64, d_r: int = 16, mode: str = "full", epochs: int = 20) -> list[str]:
     """The ``step`` and ``fold0`` lines of ``checkout``, each from its own child Python."""
-    return [_child(checkout, name, d_e, d_r, mode, epochs) for name in ("step_line", "fold_line")]
+    return [call(checkout, "step_memory", name, d_e, d_r, mode, epochs).decode() for name in ("step_line", "fold_line")]
 
 
 def main(argv=None) -> int:
@@ -130,11 +96,10 @@ def main(argv=None) -> int:
     parser.add_argument("--epochs", type=int, default=20, help="training epochs of fold 0 (default 20)")
     args = parser.parse_args(argv)
     try:
-        lines = measure(args.checkout, args.d_e, args.d_r, args.mode, args.epochs)
+        print("\n".join(measure(args.checkout, args.d_e, args.d_r, args.mode, args.epochs)))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(lines))
     return 0
 
 
