@@ -3,13 +3,16 @@
 Each token is widened by one shared learnable embedding, and the blocks of
 the present modalities keep pathway, histology, text order. One masked scaled
 dot-product attention kernel (:func:`numerics.masked_attention`) fuses them;
-the fusion modes differ only in which blocks each kernel call joins:
+the fusion modes differ only in which blocks each kernel call joins. A call's
+sequence is one :func:`numerics.join_rows` node, which writes each block's
+tokens, with the embedding appended, straight into it, and a final output is
+cut back into its blocks by one :func:`numerics.split`:
 
 - ``full`` joins every block into one sequence, attends once and cuts the
   output back into its blocks.
 - ``late`` attends within each block alone, so each call's output is its
-  block and nothing is joined or cut. The attention matrix is block-diagonal,
-  each call's weights on the diagonal and zero across blocks.
+  block and nothing is cut. The attention matrix is block-diagonal, each
+  call's weights on the diagonal and zero across blocks.
 - ``hierarchical`` joins histology and text for a first call, then joins the
   pathway block with that call's output for a second, whose output it cuts.
   Without pathways, or with pathways alone, it is ``full``.
@@ -64,9 +67,13 @@ class FusionOutput:
 
 def append_learnable(tokens, e_r):
     """Concatenate the same learnable vector to every token row."""
-    if e_r is None or np.shape(e_r)[-1] == 0:
-        return tokens
-    return nm.concat([tokens, nm.broadcast_to(e_r, np.shape(tokens)[:-1] + np.shape(e_r)[-1:])], axis=-1)
+    tail = _tail(e_r)
+    return tokens if tail is None else nm.join_rows([tokens], [tail])
+
+
+def _tail(e_r):
+    """``e_r``, or None when it is absent or empty."""
+    return None if e_r is None or np.shape(e_r)[-1] == 0 else e_r
 
 
 def _block_diagonal(blocks) -> np.ndarray:
@@ -102,29 +109,29 @@ def fuse(p, h, t, params: FusionParams, mode: str = "full") -> FusionOutput:
     present = {name: mt for name, mt in zip(MODALITY_ORDER, (p, h, t)) if mt is not None}
     if not present:
         raise BadInput("every modality is disabled")
-    tokens = {name: append_learnable(mt.tokens, params.e_r) for name, mt in present.items()}
-    widths = {np.shape(x)[-1] for x in tokens.values()}
+    tail = _tail(params.e_r)
+    widths = {np.shape(mt.tokens)[-1] + (0 if tail is None else np.shape(tail)[-1]) for mt in present.values()}
     if len(widths) != 1:
         raise ShapeMismatch(f"token widths differ across modalities: {sorted(widths)}")
-    sizes = {name: np.shape(x)[-2] for name, x in tokens.items()}
+    sizes = {name: np.shape(mt.tokens)[-2] for name, mt in present.items()}
 
-    def attend(blocks, modalities):
-        """The kernel over ``blocks`` joined on the token axis, under the joined validity of ``modalities``."""
-        seq = blocks[0] if len(blocks) == 1 else nm.concat(blocks, axis=-2)
+    def attend(blocks, tails, modalities):
+        """The kernel over ``blocks`` and their ``tails`` joined on the token axis, under the joined validity of ``modalities``."""
+        seq = nm.join_rows(blocks, tails)
         validity = np.concatenate([np.asarray(present[n].validity, dtype=float) for n in modalities], axis=-1)
         return nm.masked_attention(seq, params.w_q, params.w_k, params.w_v, validity)
 
-    names = list(tokens)
+    names = list(present)
+    tokens = [present[n].tokens for n in names]
     if mode == "late":
-        parts = [attend([tokens[n]], [n]) for n in names]
+        parts = [attend([x], [tail], [n]) for x, n in zip(tokens, names)]
         blocks, attention = [out for out, _ in parts], _block_diagonal([a for _, a in parts])
     else:
         if mode == "hierarchical" and names[0] == "pathway" and len(names) > 1:
-            merged, _ = attend([tokens[n] for n in names[1:]], names[1:])
-            out, attention = attend([tokens["pathway"], merged], names)
+            merged, _ = attend(tokens[1:], [tail] * (len(tokens) - 1), names[1:])
+            out, attention = attend([tokens[0], merged], [tail, None], names)
         else:
-            out, attention = attend(list(tokens.values()), names)
-        starts = accumulate(sizes.values(), initial=0)
-        blocks = [nm.narrow(out, -2, start, n) for start, n in zip(starts, sizes.values())]
+            out, attention = attend(tokens, [tail] * len(names), names)
+        blocks = nm.split(out, list(sizes.values()), axis=-2)
     by_name = dict(zip(names, blocks))
     return FusionOutput(*map(by_name.get, MODALITY_ORDER), attention, sizes)

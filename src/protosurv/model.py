@@ -156,15 +156,11 @@ def flatten_params(values: Mapping[str, np.ndarray], spec) -> np.ndarray:
 
 def unflatten_tensors(flat, spec) -> dict:
     """Named views of a vector laid out by ``flatten_params``: Tensors whose
-    gradients accumulate in ``flat`` when it is a leaf that requires one (as
-    in ``grad_check``), else array views of it."""
-    out = {}
-    offset = 0
-    for name, shape in spec:
-        size = int(np.prod(shape))
-        out[name] = nm.reshape(nm.narrow(flat, 0, offset, size), shape)
-        offset += size
-    return out
+    gradients reach ``flat`` as one assembled adjoint (one ``numerics.split``)
+    when it is a leaf that requires one (as in ``grad_check``), else array
+    views of it."""
+    pieces = nm.split(flat, [int(np.prod(shape)) for _, shape in spec])
+    return {name: nm.reshape(piece, shape) for (name, shape), piece in zip(spec, pieces)}
 
 
 @dataclass

@@ -7,17 +7,24 @@ adjoints, or, when no input requires a gradient, its plain ndarray.
 
 - No gradient, no node: ``_node`` makes that choice for every operation, so
   training and inference run one code path.
-- A self-normalising layer ``selu(x @ W + b)`` is one node.
+- ``snn_tokens`` is one node for P self-normalising networks, each
+  ``selu(x @ W + b)`` per layer on its own input, their outputs stacked as
+  (..., P, width) tokens; ``snn_forward`` is its one-network case. It keeps
+  the pre-activations and recomputes the hidden SELU outputs in its backward.
+- ``join_rows`` is one node that joins stacks of rows on axis -2, a tail
+  vector appended to each row of a block; ``split`` cuts an array into
+  pieces through one hub node, whose backward gets one assembled adjoint.
+  Neither keeps an array.
 - ``masked_attention`` is one node over (..., n) token validity, with
   parents x, w_q, w_k and w_v. It returns the query-masked P (x w_v) and the
   attention weights P as data, which no gradient reaches; it keeps q, k,
   x w_v and P, not the logits, their scaled copy or the unmasked product.
 - ``snn_norm_pool``, the risk head of one modality, is one node: its SELU
   layers, layer norm and masked mean over tokens. It keeps each layer's
-  pre-activation, each output but the last, and the normalised values with
-  their 1/std; not the last SELU output, the layer-norm output or the masked
-  rows.
-- Both run forward and backward over blocks of patients, each block at most
+  pre-activation and the normalised values with their 1/std; not the SELU
+  outputs, which its backward recomputes, the layer-norm output or the
+  masked rows.
+- The attention and head nodes run forward and backward over blocks of patients, each block at most
   ``BLOCK_BYTES`` (256 KiB) of per-patient working set, so their
   temporaries stay small. Their bits do not depend on the block size:
   numpy's stacked matmul makes one product per patient, softmax, layer norm
@@ -33,8 +40,10 @@ adjoints, or, when no input requires a gradient, its plain ndarray.
   mask, a scale) gets ``None`` for its adjoint, which is never computed.
 - A kernel writes in place only to arrays it allocated itself, never to an
   input or to the adjoint it was handed.
-- The backward sweep frees each interior node's adjoint once it has
-  used it; only leaves keep gradients.
+- The backward sweep frees each interior node as soon as its backward has
+  run: its adjoint, its backward closure with the arrays that closure saved,
+  and its links to its parents. Only leaves keep gradients, and a graph is
+  swept once: a second sweep raises BadInput.
 
 Tapes are per-call (each forward builds a fresh graph), so concurrent
 evaluation over immutable inputs is safe. Training hands every step leaf
@@ -56,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,9 +100,12 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate adjoints of this scalar into every reachable leaf.
 
-        Only leaves keep their gradients: an interior node's adjoint is freed
-        as soon as its backward has run, so the sweep holds the adjoints of
-        its frontier, not of the whole graph.
+        Only leaves keep their gradients. Once an interior node's backward has
+        run, the sweep frees its adjoint, its backward closure, with the
+        arrays the closure saved, and its links to its parents, so the sweep
+        holds the adjoints of its frontier and the saved arrays of the nodes
+        it has yet to reach. A graph is swept once: a sweep that reaches a
+        swept node raises BadInput.
         """
         if self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar root")
@@ -106,6 +119,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _swept:
+                _swept(None)  # raises
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -113,13 +128,16 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         summed: set[int] = set()  # nodes whose adjoint is a sum this sweep allocated
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()  # reverse topological order; a swept node is freed once its children are
             if node._backward is None:
                 continue
             grad, node.grad = node.grad, None
+            backward, parents = node._backward, node._parents
+            node._backward, node._parents = _swept, ()
             if grad is None:
                 continue
-            for parent, g in zip(node._parents, node._backward(grad)):
+            for parent, g in zip(parents, backward(grad)):
                 if not parent.requires_grad or g is None:
                     continue
                 if parent.grad is None:
@@ -157,6 +175,11 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _swept(g):
+    """The backward of a node a sweep has passed: a graph is swept once."""
+    raise BadInput("backward() through a graph that was already swept; build it again")
 
 
 def as_tensor(x) -> Tensor:
@@ -253,19 +276,79 @@ def broadcast_to(x, shape):
     )
 
 
-def narrow(x, axis: int, start: int, length: int):
-    """Contiguous slice ``[start, start+length)`` along one axis."""
+def split(x, sizes: Sequence[int], axis: int = 0) -> list:
+    """``x`` cut along ``axis`` into consecutive pieces of ``sizes``, which sum
+    to its length there: views of ``x`` without a gradient, else Tensors
+    through one hub node. The pieces' backwards assemble ``x``'s adjoint in
+    one array, which the hub hands on; a piece that no gradient reached
+    contributes zeros. The entries are those of a sum of zero-padded copies
+    of the pieces' adjoints: once a second piece is reached, each is its
+    adjoint + 0.0, which turns -0.0 into +0.0."""
     x = as_tensor(x)
-    slicer = [slice(None)] * x.data.ndim
-    slicer[axis] = slice(start, start + length)
-    slicer = tuple(slicer)
+    if sum(sizes) != x.shape[axis]:
+        raise ShapeMismatch(f"pieces of {list(sizes)} vs length {x.shape[axis]} along axis {axis}")
+    axis %= x.ndim
+    cuts = [(slice(None),) * axis + (slice(start, start + size),) for start, size in zip(accumulate(sizes, initial=0), sizes)]
+    pieces = [x.data[cut] for cut in cuts]
+    if not x.requires_grad:
+        return pieces
+    adjoint, reached = np.empty(0), []
+
+    def piece_backward(i):
+        def backward(g):
+            nonlocal adjoint
+            if reached:
+                if len(reached) == 1:
+                    adjoint[cuts[reached[0]]] += 0.0
+                adjoint[cuts[i]] += g
+            else:
+                adjoint = np.zeros(x.shape)
+                adjoint[cuts[i]] = g
+            reached.append(i)
+            return (adjoint if len(reached) == 1 else None,)  # the hub's adjoint, handed on by the first
+
+        return backward
+
+    hub = _node(x.data, (x,), lambda g: (g,))
+    return [_node(piece, (hub,), piece_backward(i)) for i, piece in enumerate(pieces)]
+
+
+def join_rows(blocks: Sequence, tails: Sequence):
+    """The (..., n_i, w_i) stacks of rows ``blocks`` joined on axis -2, each row
+    of block i followed by ``tails[i]``: a vector of the joined width less
+    w_i, or None when w_i is that width. One node, whose parents are the
+    blocks and then each tail given, in block order, so a tail that several
+    blocks share sums their adjoints in that order. It keeps nothing. One
+    block without a tail is returned as it is.
+    """
+    blocks = [as_tensor(x) for x in blocks]
+    tails = [None if t is None else as_tensor(t) for t in tails]
+    if len(blocks) == 1 and tails[0] is None:
+        return blocks[0].data if not blocks[0].requires_grad else blocks[0]
+    lead = blocks[0].shape[:-2]
+    widths = {x.shape[-1] + (0 if t is None else t.shape[-1]) for x, t in zip(blocks, tails)}
+    if len(widths) != 1 or any(x.ndim < 2 or x.shape[:-2] != lead for x in blocks) or any(
+        t is not None and t.ndim != 1 for t in tails
+    ):
+        shapes = [(x.shape, None if t is None else t.shape) for x, t in zip(blocks, tails)]
+        raise ShapeMismatch(f"blocks and tails {shapes} do not join into one width")
+    stops = list(accumulate(x.shape[-2] for x in blocks))
+    rows = [slice(stop - x.shape[-2], stop) for x, stop in zip(blocks, stops)]
+    out = np.empty(lead + (stops[-1], widths.pop()))
+    for x, t, r in zip(blocks, tails, rows):
+        out[..., r, : x.shape[-1]] = x.data
+        if t is not None:
+            out[..., r, x.shape[-1] :] = t.data
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[slicer] = g
-        return (gx,)
+        grads = [g[..., r, : x.shape[-1]] if x.requires_grad else None for x, r in zip(blocks, rows)]
+        return grads + [
+            _unbroadcast(g[..., r, x.shape[-1] :], t.shape) if t.requires_grad else None
+            for x, t, r in zip(blocks, tails, rows)
+            if t is not None
+        ]
 
-    return _node(x.data[slicer], (x,), backward)
+    return _node(out, blocks + [t for t in tails if t is not None], backward)
 
 
 def concat(parts: Sequence, axis: int = 0):
@@ -394,31 +477,88 @@ def _selu_slope(pre: np.ndarray, g: np.ndarray) -> np.ndarray:
     return slope
 
 
-def _selu_layer(x: Tensor, weight: Tensor, bias: Tensor):
-    """One node for ``selu(x @ weight + bias)``."""
-    _check_affine(x.shape, weight.shape, bias.shape)
-    pre = x.data @ weight.data
-    pre += bias.data
+def _snn_networks(xs, networks):
+    """(tokens, parents, backward) of :func:`snn_tokens`'s node."""
+    xs = [as_tensor(x) for x in xs]
+    networks = [[(as_tensor(w), as_tensor(b)) for w, b in layers] for layers in networks]
+    if len(xs) != len(networks) or not xs:
+        raise ShapeMismatch(f"{len(xs)} inputs for {len(networks)} networks")
+    shapes = set()
+    for x, layers in zip(xs, networks):
+        if not layers:
+            raise ShapeMismatch("a network without a layer")
+        shape = x.shape
+        for w, b in layers:
+            _check_affine(shape, w.shape, b.shape)
+            shape = shape[:-1] + w.shape[1:]
+        shapes.add(shape)
+    if len(shapes) != 1:
+        raise ShapeMismatch(f"networks give rows of shapes {sorted(shapes)}, not one")
+    shape = shapes.pop()
+    params = [t for layers in networks for layer in layers for t in layer]
+    taped = any(t.requires_grad for t in xs + params)
+    tokens = np.empty(shape[:-1] + (len(xs), shape[-1]))
+    saved = []  # each network's pre-activations, kept only for a backward
+    for i, (x, layers) in enumerate(zip(xs, networks)):
+        h, pres = x.data, []
+        for k, (w, b) in enumerate(layers):
+            pre = h @ w.data
+            pre += b.data
+            h = _selu(pre, tokens[..., i, :] if k == len(layers) - 1 else None)
+            pres.append(pre)
+        if taped:
+            saved.append(pres)
 
     def backward(g):
-        slope = _selu_slope(pre, g)
-        gx, gw = _matmul_grads(slope, x, weight)
-        return gx, gw, _unbroadcast(slope, bias.data.shape) if bias.requires_grad else None
+        g = g.reshape(tokens.shape)
+        gxs, gparams = [], []
+        for i, (x, layers, pres) in enumerate(zip(xs, networks, saved)):
+            # reaches[k]: the adjoint of layer k's input is needed
+            reaches = [x.requires_grad]
+            for w, b in layers[:-1]:
+                reaches.append(reaches[-1] or w.requires_grad or b.requires_grad)
+            grad, adjoints = g[..., i, :], [None] * (2 * len(layers))
+            for k in reversed(range(len(layers))):
+                w, b = layers[k]
+                slope = _selu_slope(pres[k], grad)
+                if w.requires_grad:
+                    rows = x.data if k == 0 else _selu(pres[k - 1])
+                    adjoints[2 * k] = _unbroadcast(np.swapaxes(rows, -1, -2) @ slope, w.shape)
+                grad = slope @ np.swapaxes(w.data, -1, -2) if reaches[k] else None
+                if b.requires_grad:
+                    adjoints[2 * k + 1] = _unbroadcast(slope, b.shape)
+                if grad is None:
+                    break
+            gxs.append(grad if x.requires_grad else None)
+            gparams += adjoints
+        return gxs + gparams
 
-    return _node(_selu(pre), (x, weight, bias), backward)
+    return tokens, xs + params, backward
+
+
+def snn_tokens(xs, networks):
+    """Token i is the self-normalising network ``networks[i]`` on ``xs[i]``:
+    selu(affine(·)) per (weight, bias) layer, every network ending at one
+    width. (..., n_i) stacks of rows give (..., P, width) tokens, P networks
+    stacked on axis -2, as one tape node whose parents are every x and then
+    each network's weights and biases in order. It writes each network's last
+    output straight into the tokens and keeps the pre-activations only: its
+    backward recomputes the hidden outputs, one network at a time.
+    """
+    tokens, parents, backward = _snn_networks(xs, networks)
+    return _node(tokens, parents, backward)
 
 
 def snn_forward(x, layers):
-    """Self-normalising feed-forward stack: selu(affine(·)) per layer, each
-    layer one tape node.
+    """Self-normalising feed-forward stack: selu(affine(·)) per layer, as one
+    tape node, the one-network case of :func:`snn_tokens` without its network
+    axis.
 
     ``layers`` is a sequence of (weight, bias) pairs; ``x`` is a stack of
     rows, as for :func:`affine`.
     """
-    out = x
-    for weight, bias in layers:
-        out = _selu_layer(as_tensor(out), as_tensor(weight), as_tensor(bias))
-    return out
+    tokens, parents, backward = _snn_networks([x], [layers])
+    return _node(tokens[..., 0, :], parents, backward)
 
 
 def _layer_norm(x: np.ndarray, eps: float = 1e-5):
@@ -477,9 +617,10 @@ def snn_norm_pool(x, layers, gain, bias, validity):
     ``x`` is a (..., n, d) stack of rows and ``validity`` its (..., n) 0/1 row
     mask; the result is (..., width), width the last layer's, and a stack
     with no valid row pools to zeros. Layer norm uses eps 1e-5. The node keeps
-    each layer's pre-activation, each output but the last, and the
-    normalised values with their 1/std: not the last SELU output, the
-    layer-norm output or the masked rows, which no adjoint reads.
+    each layer's pre-activation and the normalised values with their 1/std:
+    not the SELU outputs, which its backward recomputes from the
+    pre-activations where a weight's adjoint reads them, the layer-norm
+    output or the masked rows.
     """
     xt, gt, bt = as_tensor(x), as_tensor(gain), as_tensor(bias)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
@@ -496,7 +637,6 @@ def snn_norm_pool(x, layers, gain, bias, validity):
     mask = np.asarray(validity, dtype=np.float64).reshape(count, n, 1)
     inv_count = 1.0 / np.maximum(mask.sum(axis=-2), 1.0)
     pres = [np.empty((count, n, w.shape[1])) for w, _ in layers]
-    outs = [np.empty(pre.shape) for pre in pres[:-1]]
     normed, inv_std, pooled = np.empty((count, n, width)), np.empty((count, n, 1)), np.empty((count, width))
     blocks = _blocks(count, 8 * n * (d_in + sum(pre.shape[-1] for pre in pres)))
     for blk in blocks:
@@ -504,7 +644,7 @@ def snn_norm_pool(x, layers, gain, bias, validity):
         for i, (w, b) in enumerate(layers):
             pre = np.matmul(h, w.data, out=pres[i][blk])
             pre += b.data
-            h = _selu(pre, outs[i][blk] if i < len(outs) else None)
+            h = _selu(pre)
         normed[blk], inv_std[blk] = _layer_norm(h)
         y = normed[blk] * gt.data
         y += bt.data
@@ -533,7 +673,7 @@ def snn_norm_pool(x, layers, gain, bias, validity):
                 w, b = layers[i]
                 slope = _selu_slope(pres[i][blk], grad)
                 if w.requires_grad:
-                    rows = x3[blk] if i == 0 else outs[i - 1][blk]
+                    rows = x3[blk] if i == 0 else _selu(pres[i - 1][blk])
                     sums[2 * i] = _running_sum(sums[2 * i], np.swapaxes(rows, -1, -2) @ slope, w.shape)
                 if reaches[i]:
                     grad = np.matmul(slope, np.swapaxes(w.data, -1, -2), out=gx[blk] if i == 0 else None)

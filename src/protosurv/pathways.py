@@ -89,15 +89,13 @@ def pathway_slices(x: np.ndarray, masks: PathwayMaskSet) -> list[np.ndarray]:
 
 def embed_pathways(slices, snns):
     """Embed every pathway slice with its dedicated network and stack the
-    tokens on axis -2: token i is ``snn_forward(slices[i], snns[i])``.
+    tokens on axis -2: token i is ``snn_forward(slices[i], snns[i])``, and
+    all of them are one ``numerics.snn_tokens`` node.
 
     (n, width) slices give an (n, P, d_e) batch; a 1-D slice raises
     ShapeMismatch. The result is a Tensor only when a gradient can reach it.
     """
-    if len(slices) != len(snns):
-        raise ShapeMismatch(f"{len(slices)} slices for {len(snns)} networks")
-    joined = nm.concat([nm.snn_forward(s, layers) for s, layers in zip(slices, snns)], axis=-1)
-    return nm.reshape(joined, joined.shape[:-1] + (len(snns), -1))
+    return nm.snn_tokens(slices, snns)
 
 
 def fingerprint(order: GeneOrder, masks: PathwayMaskSet) -> str:

@@ -346,30 +346,34 @@ def _leaf(x):
     return nm.Tensor(x, requires_grad=True)
 
 
-def test_embed_pathways_records_one_join_and_one_reshape():
+def test_embed_pathways_records_one_node():
     rng = np.random.default_rng(16)
     widths = (2, 5, 1, 3)
     x = rng.normal(size=(3, sum(widths)))
     slices = np.split(x, np.cumsum(widths)[:-1], axis=-1)
     snns = [[(_leaf(rng.normal(size=(w, 4))), _leaf(rng.normal(size=4))),
              (_leaf(rng.normal(size=(4, 4))), _leaf(rng.normal(size=4)))] for w in widths]
-    # 2P + 2 interior nodes: two layers per pathway network, one join, one reshape
-    assert _interior_kinds(embed_pathways(slices, snns)) == {"_selu_layer": 2 * len(widths), "concat": 1, "reshape": 1}
+    tokens = embed_pathways(slices, snns)
+    # one node for every network, its parents the slices and then each layer's weight and bias
+    assert _interior_kinds(tokens) == {"_snn_networks": 1}
+    assert tokens._parents[len(widths):] == tuple(t for layers in snns for layer in layers for t in layer)
 
 
-# joins: one append per modality, plus full's one sequence and hierarchical's two stages
-@pytest.mark.parametrize("mode, narrows, concats", [("full", 3, 4), ("late", 0, 3), ("hierarchical", 3, 5)])
-def test_fuse_cuts_only_its_final_output(mode, narrows, concats):
+# joins: full's one sequence, late's one per block and hierarchical's two stages
+@pytest.mark.parametrize("mode, pieces, joins", [("full", 3, 1), ("late", 0, 3), ("hierarchical", 3, 2)])
+def test_fuse_cuts_only_its_final_output(mode, pieces, joins):
     rng = np.random.default_rng(17)
     tokens = [ModalityTokens(mt.modality, _leaf(mt.tokens), mt.validity) for mt in _batch(rng, 2, 4)]
     params = FusionParams(_leaf(rng.normal(size=2)), *(_leaf(rng.normal(size=(6, 6))) for _ in range(3)))
     out = fuse(*tokens, params, mode=mode)
     blocks = [out.pathway, out.histology, out.text]
     kinds = _interior_kinds(*blocks)
-    assert (kinds["narrow"], kinds["concat"]) == (narrows, concats)
-    if narrows:
-        # every cut is of the one output of the last kernel call
-        assert len({id(block._parents[0]) for block in blocks}) == 1
+    assert (kinds["split"], kinds["join_rows"], kinds["masked_attention"]) == (pieces + (pieces > 0), joins, joins)
+    assert set(kinds) <= {"split", "join_rows", "masked_attention"}
+    if pieces:
+        # every block is a piece of one hub over the one output of the last kernel call
+        hubs = {id(block._parents[0]) for block in blocks}
+        assert len(hubs) == 1 and blocks[0]._parents[0]._parents[0]._backward.__qualname__.startswith("masked_attention")
     else:
         # late: each block is its own kernel call's output, the attention node
         assert {block._backward.__qualname__.split(".")[0] for block in blocks} == {"masked_attention"}

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+import weakref
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from protosurv import numerics as nm
 from protosurv.data import SyntheticSpec, synth_cohort
-from protosurv.errors import AllMasked, NonFiniteLoss, ShapeMismatch
+from protosurv.errors import AllMasked, BadInput, NonFiniteLoss, ShapeMismatch
 from protosurv.fusion import FusionParams, ModalityTokens, fuse
 from protosurv.model import forward_risks, init_params
 from protosurv.pathways import embed_pathways
@@ -68,10 +70,67 @@ def taped_attention(x, w_q, w_k, w_v, validity):
     return nm.mul(nm.matmul(attention, v), validity[..., :, None]), nm.as_tensor(attention).data
 
 
+def selu_layer(x, weight, bias):
+    """One node for ``selu(x @ weight + bias)``."""
+    x, weight, bias = nm.as_tensor(x), nm.as_tensor(weight), nm.as_tensor(bias)
+    pre = x.data @ weight.data
+    pre += bias.data
+
+    def backward(g):
+        slope = nm._selu_slope(pre, g)
+        gx, gw = nm._matmul_grads(slope, x, weight)
+        return gx, gw, nm._unbroadcast(slope, bias.shape) if bias.requires_grad else None
+
+    return nm._node(nm._selu(pre), (x, weight, bias), backward)
+
+
+def taped_snn(x, layers):
+    """A self-normalising network as a SELU node per layer."""
+    for weight, bias in layers:
+        x = selu_layer(x, weight, bias)
+    return x
+
+
+def taped_tokens(xs, networks):
+    """``snn_tokens`` as a SELU node per layer per network, one join of the
+    networks' outputs on the last axis and one reshape to (..., P, width)."""
+    joined = nm.concat([taped_snn(x, layers) for x, layers in zip(xs, networks)], axis=-1)
+    return nm.reshape(joined, np.shape(joined)[:-1] + (len(networks), -1))
+
+
+def narrow(x, axis, start, length):
+    """The contiguous slice ``[start, start + length)`` along one axis, whose
+    adjoint is a zero-padded copy of the slice's."""
+    x = nm.as_tensor(x)
+    cut = (slice(None),) * (axis % x.ndim) + (slice(start, start + length),)
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[cut] = g
+        return (gx,)
+
+    return nm._node(x.data[cut], (x,), backward)
+
+
+def taped_split(x, sizes, axis=0):
+    """``split`` as one ``narrow`` per piece."""
+    return [narrow(x, axis, start, size) for start, size in zip(accumulate(sizes, initial=0), sizes)]
+
+
+def taped_join(blocks, tails):
+    """``join_rows`` as, per block with a tail, a broadcast copy of the tail
+    and a concat onto the block's rows, then one concat of the blocks."""
+    parts = [
+        x if t is None else nm.concat([x, nm.broadcast_to(t, np.shape(x)[:-1] + np.shape(t))], axis=-1)
+        for x, t in zip(blocks, tails)
+    ]
+    return parts[0] if len(parts) == 1 else nm.concat(parts, axis=-2)
+
+
 def taped_pool(x, layers, gain, bias, validity):
     """``snn_norm_pool`` as a SELU node per layer, a layer norm, the row mask,
     the sum over rows and the division by the valid-row count."""
-    y = layer_norm(nm.snn_forward(x, layers), gain, bias)
+    y = layer_norm(taped_snn(x, layers), gain, bias)
     mask = np.asarray(validity, dtype=float)
     counts = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
     return nm.tsum(y * mask[..., None], axis=-2) * (1.0 / counts)
@@ -239,6 +298,11 @@ def test_grad_check_nonfinite_loss():
 # every tape primitive verified against finite differences
 # ---------------------------------------------------------------------------
 
+def _unpack(p, *shapes):
+    """``p`` cut by one ``split`` into tensors of ``shapes``, in order."""
+    return [nm.reshape(piece, s) for piece, s in zip(nm.split(p, [math.prod(s) for s in shapes]), shapes)]
+
+
 def _check_op(build, n_params, seed, tol=1e-6):
     rng = np.random.default_rng(seed)
     report = nm.grad_check(build, rng.normal(size=n_params), eps=1e-6)
@@ -247,8 +311,7 @@ def _check_op(build, n_params, seed, tol=1e-6):
 
 def test_grad_matmul_broadcast():
     def loss(p):
-        a = nm.reshape(nm.narrow(p, 0, 0, 12), (2, 3, 2))
-        w = nm.reshape(nm.narrow(p, 0, 12, 8), (2, 4))
+        a, w = _unpack(p, (2, 3, 2), (2, 4))
         rows = nm.tsum(a @ w, axis=-1)
         return nm.tsum(rows * rows * 0.01)
 
@@ -268,9 +331,7 @@ def test_grad_masked_softmax():
 
 def test_grad_layer_norm():
     def loss(p):
-        x = nm.reshape(nm.narrow(p, 0, 0, 10), (2, 5))
-        gain = nm.narrow(p, 0, 10, 5)
-        bias = nm.narrow(p, 0, 15, 5)
+        x, gain, bias = _unpack(p, (2, 5), (5,), (5,))
         y = layer_norm(x, gain, bias)
         return nm.tsum(y * y)
 
@@ -279,10 +340,7 @@ def test_grad_layer_norm():
 
 def test_grad_selu_and_snn():
     def loss(p):
-        w1 = nm.reshape(nm.narrow(p, 0, 0, 12), (4, 3))
-        b1 = nm.narrow(p, 0, 12, 3)
-        w2 = nm.reshape(nm.narrow(p, 0, 15, 6), (3, 2))
-        b2 = nm.narrow(p, 0, 21, 2)
+        w1, b1, w2, b2 = _unpack(p, (4, 3), (3,), (3, 2), (2,))
         x = np.array([[0.3, -0.7, 1.2, 0.1]])
         out = nm.snn_forward(x, [(w1, b1), (w2, b2)])
         return nm.tsum(out * out)
@@ -294,9 +352,9 @@ def test_grad_gather_concat_broadcast():
     idx = np.array([[2, 0], [1, 1]])
 
     def loss(p):
-        x = nm.reshape(nm.narrow(p, 0, 0, 18), (2, 3, 3))
+        x, extra = _unpack(p, (2, 3, 3), (1, 1, 2))
         picked = nm.gather_rows(x, idx)
-        extra = nm.broadcast_to(nm.reshape(nm.narrow(p, 0, 18, 2), (1, 1, 2)), (2, 2, 2))
+        extra = nm.broadcast_to(extra, (2, 2, 2))
         both = nm.concat([picked, extra], axis=-1)
         return nm.tsum(both * both)
 
@@ -317,9 +375,7 @@ def test_grad_swap_and_attention_shape():
     mask = np.array([1.0, 1.0, 1.0])
 
     def loss(p):
-        q = nm.reshape(nm.narrow(p, 0, 0, 6), (3, 2))
-        k = nm.reshape(nm.narrow(p, 0, 6, 6), (3, 2))
-        v = nm.reshape(nm.narrow(p, 0, 12, 6), (3, 2))
+        q, k, v = _unpack(p, (3, 2), (3, 2), (3, 2))
         att = masked_softmax((q @ swap_last(k)) * (1.0 / math.sqrt(2.0)), mask)
         return nm.tsum((att @ v) * np.arange(6.0).reshape(3, 2))
 
@@ -376,7 +432,7 @@ def test_grad_masked_attention():
     x = np.random.default_rng(22).normal(size=(3, 2))
 
     def loss(p):
-        w_q, w_k, w_v = (nm.reshape(nm.narrow(p, 0, 4 * i, 4), (2, 2)) for i in range(3))
+        w_q, w_k, w_v = _unpack(p, (2, 2), (2, 2), (2, 2))
         out, _ = nm.masked_attention(x, w_q, w_k, w_v, validity)
         return nm.tsum(out * np.arange(6.0).reshape(3, 2))
 
@@ -391,10 +447,8 @@ def test_grad_attention_node(monkeypatch, constant_weights):
     validity = _VALID_ROWS[:3, :4]
 
     def loss(p):
-        x = nm.reshape(nm.narrow(p, 0, 0, 48), (3, 4, 4))
-        weights = fixed
-        if not constant_weights:
-            weights = [nm.reshape(nm.narrow(p, 0, 48 + 16 * i, 16), (4, 4)) for i in range(3)]
+        x, *weights = _unpack(p, (3, 4, 4), *([] if constant_weights else [(4, 4)] * 3))
+        weights = weights or fixed
         out, _ = nm.masked_attention(x, *weights, validity)
         return nm.tsum(out * np.arange(48.0).reshape(3, 4, 4))
 
@@ -598,12 +652,8 @@ def test_grad_blocked_nodes(monkeypatch, constant_weights):
     validity = _VALID_ROWS[:3, :4]
 
     def loss(p):
-        x = nm.reshape(nm.narrow(p, 0, 0, 48), (3, 4, 4))
-        if constant_weights:
-            params = fixed
-        else:
-            offsets = np.cumsum([48] + [a.size for a in fixed])
-            params = [nm.reshape(nm.narrow(p, 0, o, a.size), a.shape) for o, a in zip(offsets, fixed)]
+        x, *params = _unpack(p, (3, 4, 4), *([] if constant_weights else [a.shape for a in fixed]))
+        params = params or fixed
         out, _ = nm.masked_attention(x, *params[:3], validity)
         pooled = nm.snn_norm_pool(out, [(params[3], params[4]), (params[5], params[6])], params[7], params[8], validity)
         return nm.tsum(pooled * np.arange(9.0).reshape(3, 3)) + nm.tsum(out * out)
@@ -611,6 +661,172 @@ def test_grad_blocked_nodes(monkeypatch, constant_weights):
     n_params = 48 if constant_weights else 48 + sum(a.size for a in fixed)
     report = nm.grad_check(loss, np.random.default_rng(46).normal(size=n_params), eps=1e-5)
     assert report.max_relative_error < 1e-6, report
+
+
+# ---------------------------------------------------------------------------
+# the pathway, join and split nodes against their taped composition, bit for
+# bit and sign for sign. They are not blocked, so no block budget may matter.
+# ---------------------------------------------------------------------------
+
+def _run_signed(build, arrays, constant, reached):
+    """Outputs of ``build`` on leaves of ``arrays`` (plain arrays at the
+    ``constant`` positions), and every leaf's gradient after one sweep of a
+    contraction of the ``reached`` outputs with adjoints holding -0.0."""
+    leaves = [a if i in constant else nm.Tensor(a, requires_grad=True) for i, a in enumerate(arrays)]
+    outputs = build(*leaves)
+    terms = [nm.tsum(outputs[i] * _signed_zero_adjoint(np.shape(outputs[i]))) for i in reached]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = loss + term
+    loss.backward()
+    return [nm.as_tensor(out).data for out in outputs] + [leaf.grad for leaf in leaves if isinstance(leaf, nm.Tensor)]
+
+
+def _assert_same_signed_bits(build, oracle, arrays, constant=(), reached=(0,)):
+    ours = _run_signed(build, arrays, constant, reached)
+    theirs = _run_signed(oracle, arrays, constant, reached)
+    assert len(ours) == len(theirs)
+    for got, want in zip(ours, theirs):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _networks(lead, widths, layer_widths, seed):
+    """Arrays for ``snn_tokens``: an input per width, then each network's
+    layers of ``layer_widths``; and the function that groups them back."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=lead + (w,)) for w in widths]
+    for w in widths:
+        for d_in, d_out in zip((w,) + layer_widths, layer_widths):
+            arrays += [rng.normal(size=(d_in, d_out)), rng.normal(size=d_out)]
+
+    def group(*a):
+        xs, rest = list(a[: len(widths)]), list(a[len(widths) :])
+        depth = len(layer_widths)
+        networks = [
+            [(rest[2 * (i * depth + k)], rest[2 * (i * depth + k) + 1]) for k in range(depth)] for i in range(len(widths))
+        ]
+        return xs, networks
+
+    return arrays, group
+
+
+_TOKEN_CASES = {
+    # (lead, input widths, layer widths, constant inputs): the inputs come first
+    "batch": ((7,), (2, 5, 1), (3, 3), ()),
+    "one-layer": ((7,), (2, 4), (3,), ()),
+    "three-layers": ((4,), (2, 3), (3, 4, 2), ()),
+    "constant-slices": ((7,), (2, 5, 1), (3, 3), (0, 1, 2)),
+    "constant-weights": ((7,), (2, 5), (3, 3), (2, 3, 4, 5, 6, 7, 8, 9)),
+    "rows-3d": ((2, 3), (2, 4), (3, 3), ()),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_BUDGETS))
+@pytest.mark.parametrize("case", sorted(_TOKEN_CASES))
+def test_pathway_node_equals_the_taped_composition(monkeypatch, case, budget):
+    lead, widths, layer_widths, constant = _TOKEN_CASES[case]
+    monkeypatch.setattr(nm, "BLOCK_BYTES", _BUDGETS[budget](8 * 5 * 3))
+    arrays, group = _networks(lead, widths, layer_widths, seed=60)
+    _assert_same_signed_bits(
+        lambda *a: (nm.snn_tokens(*group(*a)),), lambda *a: (taped_tokens(*group(*a)),), arrays, constant
+    )
+
+
+def test_snn_forward_is_the_one_network_node():
+    arrays, group = _networks((7,), (4,), (3, 3), seed=61)
+    leaves = [nm.Tensor(a, requires_grad=True) for a in arrays]
+    (x,), (layers,) = group(*leaves)
+    out = nm.snn_forward(x, layers)
+    assert out.shape == (7, 3) and out._parents == tuple(leaves)
+    np.testing.assert_array_equal(out.data, nm.snn_tokens([x], [layers]).data[:, 0])
+
+
+def test_pathway_node_rejects_networks_of_other_widths():
+    arrays, group = _networks((7,), (2, 4), (3, 3), seed=62)
+    xs, networks = group(*arrays)
+    with pytest.raises(ShapeMismatch, match="not one"):
+        nm.snn_tokens(xs, [networks[0], networks[1][:1] + [(np.ones((3, 2)), np.ones(2))]])
+    with pytest.raises(ShapeMismatch, match="2 inputs for 1 networks"):
+        nm.snn_tokens(xs, networks[:1])
+    with pytest.raises(ShapeMismatch, match="affine input"):
+        nm.snn_tokens(xs[::-1], networks)
+
+
+_JOIN_CASES = {
+    # (block shapes, the tail each block takes: 0 or None, constant inputs): the
+    # blocks come first, then the one tail vector of width 2
+    "full": ([(7, 2, 3), (7, 4, 3), (7, 3, 3)], [0, 0, 0], ()),
+    "hierarchical": ([(7, 2, 3), (7, 5, 5)], [0, None], ()),
+    "one": ([(7, 4, 3)], [0], ()),
+    "no-tails": ([(7, 2, 5), (7, 3, 5)], [None, None], (2,)),
+    "constant-tail": ([(7, 2, 3), (7, 4, 3)], [0, 0], (2,)),
+    "constant-blocks": ([(7, 2, 3), (7, 4, 3)], [0, 0], (0, 1)),
+    "rows-2d": ([(4, 3), (2, 3)], [0, 0], ()),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_BUDGETS))
+@pytest.mark.parametrize("case", sorted(_JOIN_CASES))
+def test_join_node_equals_the_taped_composition(monkeypatch, case, budget):
+    shapes, tails, constant = _JOIN_CASES[case]
+    monkeypatch.setattr(nm, "BLOCK_BYTES", _BUDGETS[budget](8 * 5 * 3))
+    rng = np.random.default_rng(63)
+    arrays = [rng.normal(size=s) for s in shapes] + [rng.normal(size=2)]
+
+    def grouped(join):
+        return lambda *a: (join(list(a[: len(shapes)]), [None if t is None else a[-1] for t in tails]),)
+
+    _assert_same_signed_bits(grouped(nm.join_rows), grouped(taped_join), arrays, constant)
+
+
+def test_join_node_rejects_blocks_of_other_widths():
+    with pytest.raises(ShapeMismatch, match="do not join into one width"):
+        nm.join_rows([np.ones((2, 3, 3)), np.ones((2, 3, 4))], [np.ones(2), np.ones(2)])
+    with pytest.raises(ShapeMismatch, match="do not join into one width"):
+        nm.join_rows([np.ones((2, 3, 3)), np.ones((3, 3, 3))], [None, None])
+
+
+_SPLIT_CASES = {
+    # (x shape, sizes, axis, the pieces a gradient reaches)
+    "three": ((7, 9, 4), [2, 4, 3], -2, (0, 1, 2)),
+    "two-of-three": ((7, 9, 4), [2, 4, 3], -2, (0, 2)),
+    "one-of-three": ((7, 9, 4), [2, 4, 3], -2, (1,)),
+    "one-piece": ((7, 9, 4), [9], -2, (0,)),
+    "flat": ((20,), [12, 3, 5], 0, (2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_BUDGETS))
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_split_node_equals_the_taped_composition(monkeypatch, case, budget):
+    shape, sizes, axis, reached = _SPLIT_CASES[case]
+    monkeypatch.setattr(nm, "BLOCK_BYTES", _BUDGETS[budget](8 * 5 * 3))
+    x = np.random.default_rng(64).normal(size=shape)
+    _assert_same_signed_bits(
+        lambda a: nm.split(a, sizes, axis), lambda a: taped_split(a, sizes, axis), [x], reached=reached
+    )
+
+
+def test_split_without_a_gradient_returns_views():
+    flat = np.arange(10.0)
+    pieces = nm.split(flat, [4, 6])
+    assert all(type(piece) is np.ndarray and piece.base is flat for piece in pieces)
+    with pytest.raises(ShapeMismatch, match=r"pieces of \[4, 5\] vs length 10 along axis 0"):
+        nm.split(flat, [4, 5])
+
+
+def test_grad_pathway_join_and_split_nodes():
+    def loss(p):
+        s0, s1, w0, b0, w1, b1, v1, c1, e_r = _unpack(
+            p, (3, 2), (3, 4), (2, 3), (3,), (4, 3), (3,), (3, 3), (3,), (2,)
+        )
+        tokens = nm.snn_tokens([s0, s1], [[(w0, b0)], [(w1, b1), (v1, c1)]])  # (3, 2, 3)
+        seq = nm.join_rows([tokens, nm.reshape(s1, (3, 1, 4))], [e_r, (np.arange(1.0))])
+        first, second = nm.split(seq, [2, 1], axis=-2)
+        return nm.tsum(first * first) + nm.tsum(second * np.arange(15.0).reshape(3, 1, 5))
+
+    _check_op(loss, 6 + 12 + 6 + 3 + 12 + 3 + 9 + 3 + 2, seed=65)
 
 
 def test_selu_large_input_does_not_overflow():
@@ -685,9 +901,7 @@ def test_selu_layer_node_with_constant_input():
 
 def test_grad_selu_layer_node_3d_input():
     def loss(p):
-        x = nm.reshape(nm.narrow(p, 0, 0, 24), (2, 3, 4))
-        w = nm.reshape(nm.narrow(p, 0, 24, 12), (4, 3))
-        b = nm.narrow(p, 0, 36, 3)
+        x, w, b = _unpack(p, (2, 3, 4), (4, 3), (3,))
         out = nm.snn_forward(x, [(w, b)])
         return nm.tsum(out * out)
 
@@ -736,7 +950,8 @@ _READ_ONLY_OPS = {
     "swap_last": (lambda a: swap_last(a), [(2, 3, 4)]),
     "tsum": (lambda a: nm.tsum(a, axis=1), [(3, 4)]),
     "broadcast_to": (lambda a: nm.broadcast_to(a, (3, 4)), [(4,)]),
-    "narrow": (lambda a: nm.narrow(a, 1, 1, 2), [(3, 4)]),
+    "split": (lambda a: nm.split(a, [1, 2, 1], axis=1)[1], [(3, 4)]),
+    "join_rows": (lambda a, b, t: nm.join_rows([a, b], [t, None]), [(2, 3, 2), (2, 1, 4), (2,)]),
     "concat": (lambda a, b: nm.concat([a, b], axis=-1), [(3, 4), (3, 2)]),
     "gather_rows": (lambda a: nm.gather_rows(a, np.array([[2, 0], [1, 1]])), [(2, 3, 4)]),
     "masked_softmax": (lambda a: masked_softmax(a, _MASK), [(3, 4)]),
@@ -744,6 +959,10 @@ _READ_ONLY_OPS = {
     "affine": (lambda a, w, b: nm.affine(a, w, b), [(2, 3, 4), (4, 5), (5,)]),
     "layer_norm": (lambda a, g, b: layer_norm(a, g, b), [(2, 3, 4), (4,), (4,)]),
     "snn_forward": (lambda a, w, b: nm.snn_forward(a, [(w, b)]), [(2, 3, 4), (4, 5), (5,)]),
+    "snn_tokens": (
+        lambda a, c, w, b, v, d: nm.snn_tokens([a, c], [[(w, b)], [(v, d)]]),
+        [(2, 3, 4), (2, 3, 1), (4, 5), (5,), (1, 5), (5,)],
+    ),
     "masked_attention": (
         lambda a, q, k, v: nm.masked_attention(a, q, k, v, _frozen(_MASK[:2, :3]))[0],
         [(2, 3, 4), (4, 4), (4, 4), (4, 4)],
@@ -773,8 +992,55 @@ def test_backward_frees_interior_adjoints_and_keeps_leaf_gradients():
     loss.backward()
     assert hidden.grad is None and loss.grad is None
     np.testing.assert_array_equal(w.grad, [8.0, -16.0])
-    loss.backward()  # the graph is intact: a second sweep accumulates again
-    np.testing.assert_array_equal(w.grad, [16.0, -32.0])
+    with pytest.raises(BadInput, match="^backward\\(\\) through a graph that was already swept; build it again$"):
+        loss.backward()  # a graph is swept once
+    with pytest.raises(BadInput, match="already swept"):
+        nm.tsum(hidden * 3.0).backward()  # and so is any graph through a swept node
+    np.testing.assert_array_equal(w.grad, [8.0, -16.0])
+
+
+def test_the_sweep_releases_each_node_before_it_returns():
+    """Once a node's backward has run, the arrays its closure saved and its
+    parent links are gone, before the sweep reaches the nodes below it."""
+    def scaled(x, factor, on_backward=lambda: None):
+        """A node of ``x * factor`` whose backward reads the ``factor`` it saved."""
+        return nm._node(x.data * factor, (x,), lambda g: (on_backward() or g * factor,))
+
+    saved = np.arange(3.0)
+    kept = weakref.ref(saved)
+    released = []
+    leaf = nm.Tensor(np.ones(3), requires_grad=True)
+    below = scaled(leaf, 2.0, lambda: released.append(kept() is None))
+    above = scaled(below, saved)
+    del saved
+    loss = nm.tsum(above)
+    loss.backward()
+    assert released == [True]
+    assert above._parents == () and below._parents == () and loss._parents == ()
+    np.testing.assert_array_equal(leaf.grad, [0.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("mode", ["full", "late", "hierarchical"])
+def test_the_training_sweep_frees_every_node_it_passes(mode):
+    """After one model step's sweep, no interior node of its tape keeps a
+    backward closure, with the arrays it saved, or a parent."""
+    cohort = synth_cohort(SyntheticSpec(
+        n_patients=6, n_segments=(2, 4), n_patches=(15, 25), d_t=5, d_h=4, n_genes=20, n_pathways=5, seed=0,
+    ))
+    config = TrainConfig(d_e=4, d_r=2, n_histology=3, n_pathways=5, fusion_mode=mode)
+    prepared, dims, _ = build_prepared(cohort, config)
+    leaves = {k: nm.Tensor(v, requires_grad=True) for k, v in init_params(dims, substream(0, "init")).items()}
+    loss, _ = cox_loss(forward_risks(prepared, leaves, dims, mode), (prepared.times, prepared.events))
+    interior, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in interior and node._backward is not None:
+            interior[id(node)] = node
+            stack.extend(node._parents)
+    loss.backward()
+    assert len(interior) > 20
+    assert all(node._parents == () and node._backward is nm._swept for node in interior.values())
+    assert all(leaf.grad is not None for leaf in leaves.values())
 
 
 def test_backward_sums_adjoints_without_touching_shared_ones():
@@ -840,6 +1106,13 @@ _STAGES = {
         lambda s0, s1, w0, b0, w1, b1: embed_pathways([s0, s1], [[(w0, b0)], [(w1, b1)]]),
         [(3, 2), (3, 4), (2, 5), (5,), (4, 5), (5,)],
     ),
+    "snn_tokens": (
+        lambda s0, s1, w0, b0, w1, b1: nm.snn_tokens([s0, s1], [[(w0, b0), (np.eye(5), np.zeros(5))], [(w1, b1)]]),
+        [(3, 2), (3, 4), (2, 5), (5,), (4, 5), (5,)],
+    ),
+    "join_rows": (lambda a, b, t: nm.join_rows([a, b], [t, None]), [(2, 3, 2), (2, 1, 4), (2,)]),
+    # piece 0 is reached by no gradient: x's adjoint holds zeros there
+    "split": (lambda x: nm.split(x, [1, 2], axis=-2)[1], [(2, 3, 4)]),
     "select_prototypes": (
         lambda z: select_prototypes(z, np.array([[0.2, 0.5, 0.0], [0.9, 0.0, 0.0]]), _VALIDITY, 2).embeddings,
         [(2, 3, 4)],
@@ -910,6 +1183,9 @@ def test_model_risks_and_gradients_equal_the_taped_composition(monkeypatch, mode
     ours = [step(batch) for batch in batches]
     monkeypatch.setattr(nm, "masked_attention", taped_attention)
     monkeypatch.setattr(nm, "snn_norm_pool", taped_pool)
+    monkeypatch.setattr(nm, "snn_tokens", taped_tokens)
+    monkeypatch.setattr(nm, "join_rows", taped_join)
+    monkeypatch.setattr(nm, "split", taped_split)
     for got, want in zip(ours, [step(batch) for batch in batches]):
         for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
